@@ -275,11 +275,15 @@ def _witness_dict(witness):
     }
 
 
+def _write_trials(fh, trials) -> None:
+    fh.write("# trials\na,verdict\n")
+    for t in trials:
+        fh.write(f"{t.a!r},{t.verdict}\n")
+
+
 def _density_csv(path, rep) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# trials\na,verdict\n")
-        for t in rep.trials:
-            fh.write(f"{t.a!r},{t.verdict}\n")
+        _write_trials(fh, rep.trials)
         fh.write("\n# partial_sums\na,radius,partial_sum\n")
         for t in rep.trials:
             for r, s in zip(t.shortness.radii, t.shortness.partial_sums):
@@ -320,9 +324,7 @@ def _cmd_classify(parser, args) -> int:
     _emit(args, payload)
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write("# trials\na,verdict\n")
-            for t in density.trials:
-                fh.write(f"{t.a!r},{t.verdict}\n")
+            _write_trials(fh, density.trials)
             if witness is not None:
                 fh.write("\n# witness\nleft,right,ratio\n")
                 for iv, ratio in zip(witness.family.intervals, witness.ratios):
@@ -351,8 +353,8 @@ def _cmd_bm(parser, args) -> int:
         },
         "count": len(fam),
         "intervals": [
-            {"left": iv.left, "right": iv.right, "flag": flag}
-            for iv, flag in zip(fam.intervals, fam.flags)
+            {"left": left, "right": right, "flag": flag}
+            for left, right, flag in zip(fam.left.tolist(), fam.right.tolist(), fam.flags)
         ],
     }
     _emit(args, payload)
@@ -367,8 +369,9 @@ def _cmd_short(parser, args) -> int:
     if ladder is None:
         if args.radius:
             r_max = args.radius[0]
-        elif fam.intervals:
-            r_max = max(max(abs(iv.left), abs(iv.right)) for iv in fam.intervals)
+        elif len(fam):
+            # sorted and disjoint: the extreme endpoints are the outermost ones
+            r_max = max(abs(fam.left[0]), abs(fam.right[-1]))
         else:
             r_max = 16.0
         ladder = default_radius_ladder(r_max)
@@ -445,13 +448,18 @@ def _parse_smoothness(parser, text):
     return k
 
 
-def _cmd_gap_measure(parser, args) -> int:
+def _gap_design(parser, args):
     a = args.gap
     if a is None or not 0.0 < a < TWO_PI:
         parser.error("--gap must lie in (0, 2*pi)")
     n = _single_n(parser, args, 256)
     if n < 32:
         parser.error("--n must be at least 32")
+    return a, n
+
+
+def _cmd_gap_measure(parser, args) -> int:
+    a, n = _gap_design(parser, args)
     smooth = _parse_smoothness(parser, args.smoothness)
     mu = lattice_gap_measure(a, n, smooth)
     payload = {
@@ -485,12 +493,7 @@ def _cmd_gap_measure(parser, args) -> int:
 
 
 def _cmd_cauchy(parser, args) -> int:
-    a = args.gap
-    if a is None or not 0.0 < a < TWO_PI:
-        parser.error("--gap must lie in (0, 2*pi)")
-    n = _single_n(parser, args, 256)
-    if n < 32:
-        parser.error("--n must be at least 32")
+    a, n = _gap_design(parser, args)
     if args.x is None:
         parser.error("--x is required")
     if not args.tol > 0:
@@ -559,11 +562,6 @@ def _cmd_ftype(parser, args) -> int:
 def _add_out_flags(p) -> None:
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument("--csv-out", help="write plot-friendly curves to this CSV file")
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="JSON output (default; the only report format)",
-    )
 
 
 def _add_seq_flags(p) -> None:

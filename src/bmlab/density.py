@@ -26,13 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .envelope import (
     INCONCLUSIVE,
     LONG,
     NO,
-    SHORT,
     YES,
     Interval,
     IntervalFamily,
@@ -234,18 +231,13 @@ def _witness_from_ladders(seq, caps, accept):
             continue
         ordered = sorted(kept, key=lambda pair: pair[0].left)
         family = IntervalFamily([iv for iv, _ in ordered])
-        ladder_radii = sorted(max(abs(iv.left), abs(iv.right)) for iv, _ in kept)
-        radii = []
-        for r in ladder_radii:
-            if not radii or r > radii[-1]:
-                radii.append(r)
+        radii = sorted({max(abs(iv.left), abs(iv.right)) for iv, _ in kept})
         if len(radii) < 4:
             continue
         report = classify_short_long(lambda _r: family, radii)
         if report.verdict == LONG:
             # ratios indexed like family.intervals (sorted by left endpoint)
-            ratios_in_order = [count_in(seq, iv) / iv.length for iv in family.intervals]
-            return WitnessFamily(family, ratios_in_order, report, name)
+            return WitnessFamily(family, [r for _, r in ordered], report, name)
     return None
 
 

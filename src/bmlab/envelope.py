@@ -30,8 +30,7 @@ No (a family containing an unbounded interval is long).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,52 +71,81 @@ class Interval:
         return min(abs(self.left), abs(self.right))
 
 
-@dataclass
 class IntervalFamily:
     """Sorted intervals whose interiors are pairwise disjoint.
 
-    ``flags`` marks each interval Interior or TouchesWindowEdge.  Closures
-    of neighbours may share an endpoint.
+    The family is held as three columns: float arrays ``left`` and
+    ``right`` and a bool array ``edge`` marking the intervals flagged
+    TouchesWindowEdge (the others are Interior).  Closures of neighbours
+    may share an endpoint.  ``intervals`` and ``flags`` are derived views.
     """
 
-    intervals: list[Interval]
-    flags: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.flags:
-            self.flags = [INTERIOR] * len(self.intervals)
-        if len(self.flags) != len(self.intervals):
+    def __init__(self, intervals, flags=()):
+        intervals = list(intervals)
+        flags = list(flags) or [INTERIOR] * len(intervals)
+        if len(flags) != len(intervals):
             raise ValueError("one flag per interval required")
-        for f in self.flags:
+        for f in flags:
             if f not in (INTERIOR, TOUCHES_WINDOW_EDGE):
                 raise ValueError(f"unknown boundary flag {f!r}")
-        for prev, cur in zip(self.intervals, self.intervals[1:]):
-            if prev.right > cur.left:
-                raise ValueError("intervals must be sorted and disjoint")
+        self.left = np.array([iv.left for iv in intervals], dtype=float)
+        self.right = np.array([iv.right for iv in intervals], dtype=float)
+        self.edge = np.array([f == TOUCHES_WINDOW_EDGE for f in flags], dtype=bool)
+        if np.any(self.right[:-1] > self.left[1:]):
+            raise ValueError("intervals must be sorted and disjoint")
+
+    @classmethod
+    def _columns(cls, left, right, edge) -> "IntervalFamily":
+        """Wrap columns that are sorted and disjoint by construction."""
+        family = cls.__new__(cls)
+        family.left, family.right, family.edge = left, right, edge
+        return family
 
     def __len__(self):
-        return len(self.intervals)
+        return self.left.size
+
+    @property
+    def intervals(self) -> list[Interval]:
+        return [Interval(a, b) for a, b in zip(self.left.tolist(), self.right.tolist())]
+
+    @property
+    def flags(self) -> list[str]:
+        return [TOUCHES_WINDOW_EDGE if e else INTERIOR for e in self.edge.tolist()]
 
     def interior_part(self) -> "IntervalFamily":
-        keep = [(iv, f) for iv, f in zip(self.intervals, self.flags) if f == INTERIOR]
-        return IntervalFamily([iv for iv, _ in keep], [f for _, f in keep])
+        keep = ~self.edge
+        return IntervalFamily._columns(self.left[keep], self.right[keep], self.edge[keep])
 
-    def edge_part(self) -> "IntervalFamily":
-        keep = [(iv, f) for iv, f in zip(self.intervals, self.flags) if f == TOUCHES_WINDOW_EDGE]
-        return IntervalFamily([iv for iv, _ in keep], [f for _, f in keep])
+    def edge_mass(self) -> float:
+        """Shortness mass of the TouchesWindowEdge intervals."""
+        return _mass(self.left[self.edge], self.right[self.edge])
+
+
+def _mass(left, right) -> float:
+    """Sum of |I|^2 / (1 + dist(I,0)^2) over the columns, added left to right.
+
+    float_power calls the C pow as Python's ** does, and the running sum
+    adds in order, so the result equals a plain loop over the intervals
+    bit for bit (numpy's pairwise sum would not).  dist(I,0) is
+    max(left, -right, 0), exact.
+    """
+    if left.size == 0:
+        return 0.0
+    d = np.maximum(np.maximum(left, -right), 0.0)
+    return float(np.cumsum(np.float_power(right - left, 2) / (1.0 + d * d))[-1])
 
 
 def family_to_csv(family: IntervalFamily, path) -> None:
     """Write a family as CSV with columns left,right,flag."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("left,right,flag\n")
-        for iv, flag in zip(family.intervals, family.flags):
-            fh.write(f"{iv.left!r},{iv.right!r},{flag}\n")
+        for left, right, flag in zip(family.left.tolist(), family.right.tolist(), family.flags):
+            fh.write(f"{left!r},{right!r},{flag}\n")
 
 
 def family_from_csv(path) -> IntervalFamily:
     """Read a family from CSV lines ``left,right[,flag]``; header optional."""
-    intervals, flags = [], []
+    rows = []
     first_data_line = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -133,26 +161,22 @@ def family_from_csv(path) -> IntervalFamily:
                     continue  # header line
                 raise BadDataFile(f"{path}:{lineno}: expected left,right[,flag]") from None
             first_data_line = False
+            flag = parts[2] if len(parts) > 2 and parts[2] else INTERIOR
             try:
-                intervals.append(Interval(left, right))
+                rows.append((Interval(left, right), flag))
             except ValueError as exc:
                 raise BadDataFile(f"{path}:{lineno}: {exc}") from None
-            flags.append(parts[2] if len(parts) > 2 and parts[2] else INTERIOR)
-    order = sorted(range(len(intervals)), key=lambda i: intervals[i].left)
+    rows.sort(key=lambda row: row[0].left)
     try:
-        return IntervalFamily([intervals[i] for i in order], [flags[i] for i in order])
+        return IntervalFamily([iv for iv, _ in rows], [f for _, f in rows])
     except ValueError as exc:
         raise BadDataFile(f"{path}: {exc}") from None
 
 
 def shortness_partial_sum(family: IntervalFamily, radius: float) -> float:
     """Sum of |I|^2 / (1 + dist(I,0)^2) over intervals contained in [-radius, radius]."""
-    total = 0.0
-    for iv in family.intervals:
-        if iv.left >= -radius and iv.right <= radius:
-            d = iv.dist_to_origin
-            total += iv.length**2 / (1.0 + d * d)
-    return total
+    inside = (family.left >= -radius) & (family.right <= radius)
+    return _mass(family.left[inside], family.right[inside])
 
 
 @dataclass(frozen=True)
@@ -187,22 +211,29 @@ class ShortnessReport:
     boundary_dominated: bool = False
 
 
-def _linear_fit(x, y):
-    """Least squares slope, intercept and r^2 of y against x."""
+def linear_fit(x, y):
+    """Least squares slope and r^2 of y against x; None when x is constant."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xm, ym = x.mean(), y.mean()
     sxx = float(((x - xm) ** 2).sum())
     if sxx == 0.0:
-        return 0.0, ym, 0.0
+        return None
     slope = float(((x - xm) * (y - ym)).sum()) / sxx
     intercept = ym - slope * xm
     syy = float(((y - ym) ** 2).sum())
     if syy == 0.0:
-        return slope, intercept, 1.0
+        return slope, 1.0
     resid = y - (slope * x + intercept)
-    r2 = 1.0 - float((resid**2).sum()) / syy
-    return slope, intercept, r2
+    return slope, 1.0 - float((resid**2).sum()) / syy
+
+
+def _half_index(radii):
+    """Index of the largest radius at most half the final one, or None."""
+    for i in range(len(radii) - 1, -1, -1):
+        if radii[i] <= radii[-1] / 2.0:
+            return i
+    return None
 
 
 def classify_short_long(family_at_radius, radii, thresholds: ShortnessThresholds | None = None) -> ShortnessReport:
@@ -229,12 +260,7 @@ def classify_short_long(family_at_radius, radii, thresholds: ShortnessThresholds
         fit = GrowthFit("Bounded", 0.0, 1.0)
         return ShortnessReport(radii, sums, fit, SHORT, th, degenerate=True)
 
-    # index of the largest radius at most half the final one
-    half = None
-    for i in range(len(radii) - 1, -1, -1):
-        if radii[i] <= radii[-1] / 2.0:
-            half = i
-            break
+    half = _half_index(radii)
     if half is not None:
         rel_inc = (sums[-1] - sums[half]) / max(sums[-1], 1e-300)
         if rel_inc <= th.tau_conv and sums[-1] <= th.sum_cap:
@@ -245,14 +271,14 @@ def classify_short_long(family_at_radius, radii, thresholds: ShortnessThresholds
     # log-growth test would also score well on power data but not vice versa
     positive = [(r, s) for r, s in zip(radii, sums) if s > 0.0]
     if len(positive) >= 4:
-        slope, _, r2 = _linear_fit(
+        slope, r2 = linear_fit(
             np.log([r for r, _ in positive]), np.log([s for _, s in positive])
-        )
+        ) or (0.0, 0.0)
         if slope >= th.power_slope_min and r2 >= th.r2_min:
             fit = GrowthFit("Other", slope, r2)
             return ShortnessReport(radii, sums, fit, LONG, th)
 
-    slope, _, r2 = _linear_fit(np.log(radii), sums)
+    slope, r2 = linear_fit(np.log(radii), sums) or (0.0, 0.0)
     if slope >= th.log_slope_min and r2 >= th.r2_min:
         fit = GrowthFit("LogGrowth", slope, r2)
         return ShortnessReport(radii, sums, fit, LONG, th)
@@ -275,40 +301,31 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     the segment line with level M_j.
     """
     xs, ys = gamma.grid_on(window)
-    n_seg = xs.size - 1
-    if n_seg < 1:
-        return IntervalFamily([], [])
-
     suffix = np.maximum.accumulate(ys[::-1])[::-1]
     m_seg = suffix[1:]  # per segment: max over nodes strictly to its right
     y_l, y_r = ys[:-1], ys[1:]
 
     full = y_l < m_seg                      # piece [x_j, x_{j+1})
     part = (~full) & (y_r < m_seg)          # piece (x_cross, x_{j+1})
-    idx = np.flatnonzero(full | part)
-    if idx.size == 0:
-        return IntervalFamily([], [])
+    seg = np.flatnonzero(full | part)
+    if seg.size == 0:
+        return IntervalFamily._columns(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
 
-    lefts = xs[idx].copy()
-    part_sel = part[idx]
-    if np.any(part_sel):
-        j = idx[part_sel]
+    # merge consecutive segments unless the next piece starts strictly
+    # inside, so a partial piece always starts a component
+    cut = np.flatnonzero((np.diff(seg) != 1) | part[seg[1:]])
+    first = seg[np.concatenate(([0], cut + 1))]
+    last = seg[np.concatenate((cut, [seg.size - 1]))]
+
+    left = xs[first]
+    crossing = part[first]
+    if np.any(crossing):
+        j = first[crossing]
         t = (y_l[j] - m_seg[j]) / (y_l[j] - y_r[j])
-        lefts[part_sel] = xs[j] + t * (xs[j + 1] - xs[j])
-    rights = xs[idx + 1]
-
-    # merge consecutive segments unless the next piece starts strictly inside
-    breaks = np.flatnonzero((np.diff(idx) != 1) | part_sel[1:])
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-
-    intervals, flags = [], []
-    for s, e in zip(starts, ends):
-        left, right = float(lefts[s]), float(rights[e])
-        edge = left == xs[0] or right == xs[-1]
-        intervals.append(Interval(left, right))
-        flags.append(TOUCHES_WINDOW_EDGE if edge else INTERIOR)
-    return IntervalFamily(intervals, flags)
+        left[crossing] = xs[j] + t * (xs[j + 1] - xs[j])
+    right = xs[last + 1]
+    edge = (left == xs[0]) | (right == xs[-1])
+    return IntervalFamily._columns(left, right, edge)
 
 
 def is_almost_decreasing(
@@ -334,19 +351,9 @@ def is_almost_decreasing(
     families = {r: bm_family(gamma, (-r, r)) for r in radii}
 
     report = classify_short_long(lambda r: families[r].interior_part(), radii, th)
-    edge_mass = []
-    for r in radii:
-        part = families[r].edge_part()
-        edge_mass.append(
-            sum(iv.length**2 / (1.0 + iv.dist_to_origin ** 2) for iv in part.intervals)
-        )
-    report.edge_mass = edge_mass
+    report.edge_mass = edge_mass = [families[r].edge_mass() for r in radii]
 
-    half = None
-    for i in range(len(radii) - 1, -1, -1):
-        if radii[i] <= radii[-1] / 2.0:
-            half = i
-            break
+    half = _half_index(radii)
     dominated = False
     if edge_mass[-1] > th.edge_factor * max(1.0, report.partial_sums[-1]):
         grew = half is None or edge_mass[-1] >= th.edge_growth_min * max(edge_mass[half], 1e-300)

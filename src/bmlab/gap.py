@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import INCONCLUSIVE
-from .errors import BadGap, NumericalBreakdown, SizeGuard
-from .sequences import SeparatedSequence
+from .envelope import INCONCLUSIVE, linear_fit
+from .errors import BadDataFile, BadGap, NumericalBreakdown, SizeGuard
+from .sequences import SeparatedSequence, as_bounds
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,21 +78,31 @@ def measure_to_csv(mu: DiscreteMeasure, path) -> None:
 
 
 def measure_from_csv(path) -> DiscreteMeasure:
+    """Read atoms from CSV lines ``point,re,im``; only the first data line may be a header."""
     pts, ws = [], []
+    first_data_line = True
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
             try:
-                p = float(parts[0])
+                p, real, imag = (float(v) for v in line.split(","))
             except ValueError:
-                continue
+                if first_data_line:
+                    first_data_line = False
+                    continue  # header line
+                raise BadDataFile(f"{path}:{lineno}: expected point,re,im") from None
+            first_data_line = False
+            if not (math.isfinite(p) and math.isfinite(real) and math.isfinite(imag)):
+                raise BadDataFile(f"{path}:{lineno}: non-finite value in {line!r}")
             pts.append(p)
-            ws.append(complex(float(parts[1]), float(parts[2])))
+            ws.append(complex(real, imag))
     order = np.argsort(pts)
-    return DiscreteMeasure(np.asarray(pts)[order], np.asarray(ws)[order])
+    try:
+        return DiscreteMeasure(np.asarray(pts)[order], np.asarray(ws)[order])
+    except ValueError as exc:
+        raise BadDataFile(f"{path}: {exc}") from None
 
 
 def fourier_transform(mu: DiscreteMeasure, x) -> np.ndarray:
@@ -181,10 +191,7 @@ class GapCheck:
 
 def verify_gap(mu: DiscreteMeasure, interval, grid_step: float) -> GapCheck:
     """Maximum of |mu^| on a uniform grid over the interval, with argmax."""
-    if hasattr(interval, "left"):
-        lo, hi = float(interval.left), float(interval.right)
-    else:
-        lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = as_bounds(interval)
     if not (lo < hi and grid_step > 0):
         raise ValueError("need lo < hi and a positive grid step")
     count = int(math.floor((hi - lo) / grid_step)) + 1
@@ -226,11 +233,8 @@ def _cauchy_branch(mu: DiscreteMeasure, x: float, ys: np.ndarray, sign: float) -
     half = ys.size // 2
     finite = np.isfinite(log_abs[half:])
     if finite.sum() >= 2:
-        yy = ys[half:][finite]
-        ll = log_abs[half:][finite]
-        ym, lm = yy.mean(), ll.mean()
-        sxx = float(((yy - ym) ** 2).sum())
-        rate = float(((yy - ym) * (ll - lm)).sum()) / sxx if sxx > 0 else 0.0
+        fit = linear_fit(ys[half:][finite], log_abs[half:][finite])
+        rate = fit[0] if fit else 0.0
     else:
         rate = -math.inf
     return CauchyBranch(vals, log_abs, rate)

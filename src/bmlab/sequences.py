@@ -22,7 +22,7 @@ first non-space character is ``#`` are ignored; point order is arbitrary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,9 +109,12 @@ def read_sequence_file(path, window=None, min_delta=None) -> SeparatedSequence:
             if not line or line.startswith("#"):
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
-                raise BadDataFile(f"{path}:{lineno}: not a decimal real: {line!r}") from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise BadDataFile(f"{path}:{lineno}: not a finite decimal real: {line!r}")
+            values.append(value)
     if not values:
         raise BadDataFile(f"{path}: no data lines")
     return load_sequence(values, window=window, min_delta=min_delta)
@@ -197,19 +200,17 @@ class PiecewiseLinear:
         """Breakpoints clipped to a window, with the window ends appended.
 
         Returns (xs, ys) where xs[0] and xs[-1] are exactly the window ends
-        and the interior nodes are the breakpoints strictly inside.
+        and the interior nodes are the breakpoints strictly inside, one
+        contiguous slice of the sorted breakpoints.
         """
         lo, hi = float(window[0]), float(window[1])
         if not lo < hi:
             raise ValueError("window must satisfy lo < hi")
-        inner = self.x[(self.x > lo) & (self.x < hi)]
-        xs = np.concatenate(([lo], inner, [hi]))
-        ys = np.empty_like(xs)
-        ys[0] = self(lo)
-        ys[-1] = self(hi)
-        if inner.size:
-            lo_idx = np.searchsorted(self.x, inner[0])
-            ys[1:-1] = self.y[lo_idx : lo_idx + inner.size]
+        i = np.searchsorted(self.x, lo, side="right")
+        j = np.searchsorted(self.x, hi, side="left")
+        ends = self(np.array([lo, hi]))
+        xs = np.concatenate(([lo], self.x[i:j], [hi]))
+        ys = np.concatenate((ends[:1], self.y[i:j], ends[1:]))
         return xs, ys
 
 
@@ -233,16 +234,20 @@ def counting_function(seq: SeparatedSequence) -> PiecewiseLinear:
     return PiecewiseLinear(pts, raw - anchor, left_slope, right_slope)
 
 
+def as_bounds(interval) -> tuple[float, float]:
+    """(left, right) as floats of anything with ``left``/``right`` attributes or a pair."""
+    if hasattr(interval, "left"):
+        return float(interval.left), float(interval.right)
+    return float(interval[0]), float(interval[1])
+
+
 def count_in(seq: SeparatedSequence, interval) -> int:
     """Exact number of sequence points in a closed interval.
 
-    ``interval`` is anything with ``left``/``right`` attributes or a pair.
-    Raises OutOfWindow when the query interval leaves the data window.
+    ``interval`` is anything ``as_bounds`` accepts.  Raises OutOfWindow
+    when the query interval leaves the data window.
     """
-    if hasattr(interval, "left"):
-        left, right = float(interval.left), float(interval.right)
-    else:
-        left, right = float(interval[0]), float(interval[1])
+    left, right = as_bounds(interval)
     lo, hi = seq.window
     if left < lo or right > hi:
         raise OutOfWindow(f"query [{left:g}, {right:g}] exceeds window [{lo:g}, {hi:g}]")

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envelope import linear_fit
 from .errors import EmptyWindow
-from .sequences import SeparatedSequence
+from .sequences import SeparatedSequence, as_bounds
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -58,10 +59,7 @@ def eval_qcos(z: complex) -> complex:
 
 def qcos_zeros(window) -> np.ndarray:
     """Real zeros of F in the window: +/- pi (2k+1)^2 / 8, sorted."""
-    if hasattr(window, "left"):
-        lo, hi = float(window.left), float(window.right)
-    else:
-        lo, hi = float(window[0]), float(window[1])
+    lo, hi = as_bounds(window)
     if not lo < hi:
         raise ValueError("window must have lo < hi")
     zeros = []
@@ -88,13 +86,10 @@ def zero_set_qcos(window) -> SeparatedSequence:
     is pi/4 (between -pi/8 and pi/8) when both signs are present and pi
     otherwise; the set is always separated.
     """
-    zeros = qcos_zeros(window)
+    win = as_bounds(window)
+    zeros = qcos_zeros(win)
     if zeros.size == 0:
         raise EmptyWindow("no zeros of the model function in this window")
-    if hasattr(window, "left"):
-        win = (float(window.left), float(window.right))
-    else:
-        win = (float(window[0]), float(window[1]))
     gaps = np.diff(zeros)
     delta = float(gaps.min()) if gaps.size else math.inf
     return SeparatedSequence(zeros, delta, win)
@@ -142,13 +137,8 @@ def _top_half_slope(x: np.ndarray, y: np.ndarray) -> float:
     xs, ys = x[n // 2 :], y[n // 2 :]
     keep = np.isfinite(ys)
     xs, ys = xs[keep], ys[keep]
-    if xs.size < 2:
-        return math.nan
-    xm, ym = xs.mean(), ys.mean()
-    sxx = float(((xs - xm) ** 2).sum())
-    if sxx == 0.0:
-        return math.nan
-    return float(((xs - xm) * (ys - ym)).sum()) / sxx
+    fit = linear_fit(xs, ys) if xs.size >= 2 else None
+    return fit[0] if fit else math.nan
 
 
 def type_estimate(f, y_values, log_modulus=None) -> TypeEstimate:

@@ -93,6 +93,16 @@ def test_malformed_file_reports_line_number(tmp_path):
     assert f"{bad}:3" in err
 
 
+def test_non_finite_data_line_exits_sixtyfive(tmp_path):
+    bad = tmp_path / "pts.txt"
+    bad.write_text("1.0\n2.0\nnan\n3.0\n")
+    code, out, err = run_cli(["density", "--input", str(bad)])
+    assert code == 65
+    assert out == ""
+    assert f"{bad}:3" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------ determinism
 
 

@@ -153,6 +153,58 @@ def test_partial_sum_monotone_and_additive():
     assert all(a <= b + 1e-15 for a, b in zip(sums, sums[1:]))
 
 
+def plain_mass(intervals):
+    """Reference sum of |I|^2 / (1 + dist(I,0)^2), one interval at a time."""
+    total = 0.0
+    for iv in intervals:
+        d = iv.dist_to_origin
+        total += iv.length**2 / (1.0 + d * d)
+    return total
+
+
+@st.composite
+def random_family(draw):
+    # full-mantissa ends from a drawn seed, paired up into sorted disjoint
+    # intervals; families longer than 8 expose the order of the summation
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e2, 1e4]))
+    ends = np.unique(rng.uniform(-scale, scale, 2 * draw(st.integers(0, 120))))
+    k = ends.size // 2
+    lefts, rights = ends[0 : 2 * k : 2].tolist(), ends[1 : 2 * k : 2].tolist()
+    intervals = [Interval(a, b) for a, b in zip(lefts, rights)]
+    edge = rng.random(k) < draw(st.floats(min_value=0.0, max_value=1.0))
+    flags = [TOUCHES_WINDOW_EDGE if e else INTERIOR for e in edge]
+    radius = draw(st.floats(min_value=0.0, max_value=1.5)) * scale
+    return intervals, flags, radius
+
+
+@given(random_family())
+@settings(max_examples=200, deadline=None)
+def test_columnar_sums_match_plain_loop_bit_for_bit(data):
+    intervals, flags, radius = data
+    fam = IntervalFamily(intervals, flags)
+    # the views round-trip through the validating constructor
+    assert fam.intervals == intervals
+    assert fam.flags == flags
+    back = IntervalFamily(fam.intervals, fam.flags)
+    assert np.array_equal(back.left, fam.left) and np.array_equal(back.right, fam.right)
+    assert np.array_equal(back.edge, fam.edge)
+    # interior and edge parts partition the family
+    interior = [iv for iv, f in zip(intervals, flags) if f == INTERIOR]
+    edge = [iv for iv, f in zip(intervals, flags) if f == TOUCHES_WINDOW_EDGE]
+    assert fam.interior_part().intervals == interior
+    assert fam.interior_part().flags == [INTERIOR] * len(interior)
+    assert len(interior) + int(fam.edge.sum()) == len(fam)
+    # exact equality: a pairwise or reordered sum moves the last bits
+    inside = [iv for iv in intervals if iv.left >= -radius and iv.right <= radius]
+    assert shortness_partial_sum(fam, radius) == plain_mass(inside)
+    assert shortness_partial_sum(fam, np.inf) == plain_mass(intervals)
+    assert fam.edge_mass() == plain_mass(edge)
+    # term by term too, where no rounding of the sum hides a changed weight
+    for iv in intervals:
+        assert shortness_partial_sum(IntervalFamily([iv]), np.inf) == plain_mass([iv])
+
+
 def test_classify_unit_intervals_short():
     def fam_at(r):
         n_max = int(r) - 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmlab import (
+    BadDataFile,
     BadGap,
     DiscreteMeasure,
     Lattice,
@@ -50,6 +51,21 @@ def test_measure_csv_round_trip(tmp_path):
     back = measure_from_csv(path)
     assert np.array_equal(back.points, mu.points)
     assert np.array_equal(back.weights, mu.weights)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("point,re,im\n0.0,1.0,0.0\n1.0,0.5\n", 3),        # short row
+        ("point,re,im\n0.0,1.0,0.0\nx,1.0,0.0\n", 3),      # non-numeric row past the header
+        ("0.0,1.0,0.0\n1.0,nan,0.0\n", 2),                 # non-finite weight
+    ],
+)
+def test_measure_csv_bad_line_reports_path_and_line(tmp_path, text, line):
+    path = tmp_path / "mu.csv"
+    path.write_text(text)
+    with pytest.raises(BadDataFile, match=f"mu.csv:{line}:"):
+        measure_from_csv(path)
 
 
 def test_fourier_at_zero_is_total_mass():
