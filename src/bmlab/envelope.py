@@ -47,6 +47,10 @@ INCONCLUSIVE = "Inconclusive"
 YES = "Yes"
 NO = "No"
 
+# family files: |endpoint| at most this keeps squared lengths, and the squared
+# partial sums that linear_fit forms, inside double range
+ENDPOINT_BOUND = 1e50
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -144,7 +148,10 @@ def family_to_csv(family: IntervalFamily, path) -> None:
 
 
 def family_from_csv(path) -> IntervalFamily:
-    """Read a family from CSV lines ``left,right[,flag]``; header optional."""
+    """Read a family from CSV lines ``left,right[,flag]``; header optional.
+
+    Endpoints must be finite with magnitude at most ENDPOINT_BOUND.
+    """
     rows = []
     first_data_line = True
     with open(path, "r", encoding="utf-8") as fh:
@@ -161,6 +168,10 @@ def family_from_csv(path) -> IntervalFamily:
                     continue  # header line
                 raise BadDataFile(f"{path}:{lineno}: expected left,right[,flag]") from None
             first_data_line = False
+            if not (abs(left) <= ENDPOINT_BOUND and abs(right) <= ENDPOINT_BOUND):
+                raise BadDataFile(
+                    f"{path}:{lineno}: endpoints must be finite and at most {ENDPOINT_BOUND:g} in magnitude"
+                )
             flag = parts[2] if len(parts) > 2 and parts[2] else INTERIOR
             try:
                 rows.append((Interval(left, right), flag))
@@ -226,6 +237,20 @@ def linear_fit(x, y):
         return slope, 1.0
     resid = y - (slope * x + intercept)
     return slope, 1.0 - float((resid**2).sum()) / syy
+
+
+def top_half_slope(x, y, *, too_few: float, flat: float) -> float:
+    """linear_fit slope over the upper half (by count) of a ladder, non-finite y dropped.
+
+    Returns ``too_few`` when fewer than two finite points remain and
+    ``flat`` when their x are constant; each caller names its own values.
+    """
+    half = x.size // 2
+    keep = np.isfinite(y[half:])
+    if keep.sum() < 2:
+        return too_few
+    fit = linear_fit(x[half:][keep], y[half:][keep])
+    return fit[0] if fit else flat
 
 
 def _half_index(radii):

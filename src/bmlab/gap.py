@@ -7,9 +7,10 @@ interval [0, a] (0 < a < 2*pi) can be designed by reading the weights off
 the Fourier coefficients of a smooth bump supported inside the complement
 arc: the truncated Fourier series of the bump is exactly mu^.  The bump
 is either the C-infinity glue exp(-1/t)*exp(-1/(w-t)) or a C^k spline
-(t*(w-t))^(k+1); its coefficients are computed by dense periodic
-quadrature at 2^12 nodes, and the weight vector is normalized to total
-variation 1.
+(t*(w-t))^(k+1); its coefficients are read off one FFT of the bump
+sampled at the smallest power of two >= 16*n_terms nodes (the periodic
+rectangle rule, spectrally accurate for smooth g), and the weight vector
+is normalized to total variation 1.
 
 Two independent diagnostics accompany the construction.
 
@@ -34,14 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import INCONCLUSIVE, linear_fit
+from .envelope import INCONCLUSIVE, top_half_slope
 from .errors import BadDataFile, BadGap, NumericalBreakdown, SizeGuard
 from .sequences import SeparatedSequence, as_bounds
 
 TWO_PI = 2.0 * math.pi
 
-QUAD_NODES = 4096          # dense periodic quadrature, 2^12 nodes
 GRAM_SIZE_CAP = 512        # refuse dense Hermitian solves beyond this
+TERMS_CAP = 1 << 16        # n_terms cap: an FFT of at most 2^20 nodes
+GRID_POINTS_CAP = 1 << 20  # verify_gap grid points
+TRANSFORM_BLOCK = 1 << 18  # grid x atom entries per block in fourier_transform
 
 
 @dataclass
@@ -106,9 +109,23 @@ def measure_from_csv(path) -> DiscreteMeasure:
 
 
 def fourier_transform(mu: DiscreteMeasure, x) -> np.ndarray:
-    """mu^(x) = sum w_n exp(i x lambda_n), vectorized over x."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.exp(1j * np.outer(x_arr, mu.points)) @ mu.weights
+    """mu^(x) = sum w_n exp(i x lambda_n), vectorized over x.
+
+    Evaluated in row blocks of about TRANSFORM_BLOCK grid x atom entries,
+    so memory stays bounded however long the grid is.  One block buffer
+    is allocated per call and filled in place, so no block pays for
+    fresh pages.
+    """
+    x_arr = np.ravel(np.asarray(x, dtype=float))
+    vals = np.empty(x_arr.size, dtype=complex)
+    rows = max(1, min(x_arr.size, TRANSFORM_BLOCK // len(mu)))
+    phase = 1j * mu.points
+    block = np.empty((rows, len(mu)), dtype=complex)
+    for i in range(0, x_arr.size, rows):
+        xb = x_arr[i : i + rows]
+        b = block[: xb.size]
+        np.exp(np.multiply.outer(xb, phase, out=b), out=b)
+        np.matmul(b, mu.weights, out=vals[i : i + rows])
     if np.isscalar(x) or np.ndim(x) == 0:
         return complex(vals[0])
     return vals
@@ -144,12 +161,20 @@ def lattice_gap_measure(a: float, n_terms: int, smoothness="inf") -> DiscreteMea
     gap up to the series tail.  Weights are normalized to total variation
     one.
 
+    The coefficients come from one FFT of the bump sampled at `nodes`
+    points, the smallest power of two >= 16*n_terms.  The rectangle rule
+    folds frequency n + k*nodes onto n, so the first coefficient mixed in
+    has |frequency| >= 15*n_terms, far down the bump's tail for every
+    n_terms; a fixed node count would alias silently once n_terms reached
+    half of it.  At n_terms = 256 the rule gives 4096 nodes.
+
     Parameters
     ----------
     a : float
         Gap length, 0 < a < 2*pi.
     n_terms : int
-        Coefficient cutoff, at least 32; the measure has 2*n_terms+1 atoms.
+        Coefficient cutoff, 32 <= n_terms <= TERMS_CAP; the measure has
+        2*n_terms+1 atoms.
     smoothness : "inf" or int
         Bump regularity; higher smoothness buys faster tail decay.
     """
@@ -157,14 +182,17 @@ def lattice_gap_measure(a: float, n_terms: int, smoothness="inf") -> DiscreteMea
         raise BadGap(f"gap length must be in (0, 2*pi), got {a:g}")
     if n_terms < 32:
         raise ValueError("n_terms must be at least 32")
+    if n_terms > TERMS_CAP:
+        raise SizeGuard(f"n_terms {n_terms} beyond the cap {TERMS_CAP}")
     margin = (TWO_PI - a) / 8.0
     lo = a + margin
     width = (TWO_PI - margin) - lo
-    t = TWO_PI * np.arange(QUAD_NODES) / QUAD_NODES
+    nodes = 1 << (16 * n_terms - 1).bit_length()
+    t = TWO_PI * np.arange(nodes) / nodes
     g = _bump(t - lo, width, smoothness)
     n = np.arange(-n_terms, n_terms + 1)
-    # rectangle rule on the full period; spectrally accurate for smooth g
-    coeff = np.exp(-1j * np.outer(n, t)) @ g.astype(complex) / QUAD_NODES
+    # rectangle rule on the full period; negative n index from the end
+    coeff = np.fft.fft(g)[n] / nodes
     tv = float(np.abs(coeff).sum())
     if tv == 0.0:
         raise ValueError("bump quadrature produced a zero measure")
@@ -194,7 +222,10 @@ def verify_gap(mu: DiscreteMeasure, interval, grid_step: float) -> GapCheck:
     lo, hi = as_bounds(interval)
     if not (lo < hi and grid_step > 0):
         raise ValueError("need lo < hi and a positive grid step")
-    count = int(math.floor((hi - lo) / grid_step)) + 1
+    steps = (hi - lo) / grid_step
+    if not steps < GRID_POINTS_CAP:
+        raise SizeGuard(f"grid of {steps + 1:.3g} points beyond the cap {GRID_POINTS_CAP}")
+    count = int(math.floor(steps)) + 1
     xs = lo + grid_step * np.arange(count)
     vals = np.abs(fourier_transform(mu, xs))
     k = int(np.argmax(vals))
@@ -230,13 +261,7 @@ def _cauchy_branch(mu: DiscreteMeasure, x: float, ys: np.ndarray, sign: float) -
             vals[k] = s * math.exp(expo)
         else:
             vals[k] = complex(math.inf, math.inf)  # magnitude tracked in log_abs
-    half = ys.size // 2
-    finite = np.isfinite(log_abs[half:])
-    if finite.sum() >= 2:
-        fit = linear_fit(ys[half:][finite], log_abs[half:][finite])
-        rate = fit[0] if fit else 0.0
-    else:
-        rate = -math.inf
+    rate = top_half_slope(ys, log_abs, too_few=-math.inf, flat=0.0)
     return CauchyBranch(vals, log_abs, rate)
 
 
@@ -304,7 +329,9 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
 
     For each N the centered window of N points is selected and the
     smallest eigenvalue of the exponential Gram matrix on [0, a] computed
-    with a dense Hermitian solver.  Raw eigenvalues below the backward
+    with a dense Hermitian solver.  The windows are nested, so one Gram
+    matrix is built on the largest and each smaller one is its contiguous
+    centered block.  Raw eigenvalues below the backward
     error scale N * eps * lambda_max are floored before classification:
 
     * DecaysToZero   when the final raw eigenvalue sits at or below its
@@ -331,12 +358,12 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
 
     raw, floored, floors, l1s, l2s = [], [], [], [], []
     breakdown = False
+    base = (len(seq) - sizes[-1]) // 2
+    big = gram_matrix(seq.points[base : base + sizes[-1]], a)
     for n in sizes:
-        start = (len(seq) - n) // 2
-        pts = seq.points[start : start + n]
-        g = gram_matrix(pts, a)
+        s = (len(seq) - n) // 2 - base
         try:
-            vals, vecs = np.linalg.eigh(g)
+            vals, vecs = np.linalg.eigh(big[s : s + n, s : s + n])
         except np.linalg.LinAlgError:
             breakdown = True
             break

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import linear_fit
+from .envelope import top_half_slope
 from .errors import EmptyWindow
 from .sequences import SeparatedSequence, as_bounds
 
@@ -132,15 +132,6 @@ class TypeEstimate:
     y_max: float
 
 
-def _top_half_slope(x: np.ndarray, y: np.ndarray) -> float:
-    n = x.size
-    xs, ys = x[n // 2 :], y[n // 2 :]
-    keep = np.isfinite(ys)
-    xs, ys = xs[keep], ys[keep]
-    fit = linear_fit(xs, ys) if xs.size >= 2 else None
-    return fit[0] if fit else math.nan
-
-
 def type_estimate(f, y_values, log_modulus=None) -> TypeEstimate:
     """Exponential type fit along the imaginary axis.
 
@@ -165,8 +156,8 @@ def type_estimate(f, y_values, log_modulus=None) -> TypeEstimate:
                     f"|f(iy)| left double range at y={y:g}; supply log_modulus"
                 )
             logs[k] = math.log(m) if m > 0.0 else -math.inf
-    fitted_type = _top_half_slope(ys, logs)
-    fitted_sqrt = _top_half_slope(np.sqrt(ys), logs)
+    fitted_type = top_half_slope(ys, logs, too_few=math.nan, flat=math.nan)
+    fitted_sqrt = top_half_slope(np.sqrt(ys), logs, too_few=math.nan, flat=math.nan)
     return TypeEstimate(ys, logs, fitted_type, fitted_sqrt, float(ys[-1]))
 
 

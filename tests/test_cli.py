@@ -103,6 +103,36 @@ def test_non_finite_data_line_exits_sixtyfive(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "rows, line",
+    [("1,2\n3,inf\n", 3), ("0,1e200\n2e200,3e200\n", 2)],
+    ids=["infinite", "huge"],
+)
+def test_bad_family_endpoints_exit_sixtyfive(tmp_path, rows, line):
+    fam = tmp_path / "fam.csv"
+    fam.write_text("left,right\n" + rows)
+    code, out, err = run_cli(["short", "--family", fam])
+    assert code == 65
+    assert out == ""
+    assert f"{fam}:{line}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap-measure", "--gap", 3, "--n", 1000000],
+        ["cauchy", "--gap", 3, "--n", 1000000, "--x", 1.0],
+        ["gap-measure", "--gap", 3, "--n", 64, "--verify-interval", "0.4,2.6", "--grid-step", 1e-9],
+    ],
+)
+def test_size_caps_exit_one(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "SizeGuard" in err
+
+
 # ------------------------------------------------------------ determinism
 
 

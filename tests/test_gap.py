@@ -1,6 +1,8 @@
 import cmath
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -27,8 +29,10 @@ from bmlab import (
     symmetric_gap_measure,
     verify_gap,
 )
+from bmlab.gap import GRID_POINTS_CAP, TERMS_CAP
 
 TWO_PI = 2 * math.pi
+EPS = np.finfo(float).eps
 
 
 # ----------------------------------------------------------------- measures
@@ -196,6 +200,126 @@ def test_symmetric_gap_measure_vanishes_symmetrically():
     assert inner.max_abs <= 1e-6
 
 
+def test_verify_gap_memory_is_bounded():
+    # a dense grid x atom product would hold 2001 * 4001 complex entries (128 MB)
+    mu = lattice_gap_measure(3.0, 1000)
+    tracemalloc.start()
+    try:
+        chk = verify_gap(mu, (0.0, 4.0), 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mu) == 2001
+    assert peak < 64 * 2**20
+    # every block of the grid agrees with a direct sum
+    xs = 1e-3 * np.arange(4001)
+    direct = np.exp(1j * np.outer(xs[::37], mu.points)) @ mu.weights
+    assert np.max(np.abs(fourier_transform(mu, xs)[::37] - direct)) < 1e-15
+    assert chk.max_abs == float(np.abs(fourier_transform(mu, xs)).max())
+
+
+def test_fourier_transform_flattens_a_grid_array():
+    mu = lattice_gap_measure(3.0, 64)
+    x = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+    direct = np.exp(1j * np.outer(x, mu.points)) @ mu.weights
+    np.testing.assert_allclose(fourier_transform(mu, x), direct, rtol=0, atol=1e-15)
+
+
+def test_size_caps_refuse_before_allocating():
+    mu = lattice_gap_measure(3.0, 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuard):
+            lattice_gap_measure(3.0, TERMS_CAP + 1)
+        with pytest.raises(SizeGuard):
+            verify_gap(mu, (0.0, 1.0), 1.0 / GRID_POINTS_CAP)
+        with pytest.raises(SizeGuard):
+            verify_gap(mu, (0.4, 2.6), 1e-320)  # the step count overflows to inf
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the refused design's nodes alone would take 16 MB, the grid 8 MB
+    assert peak < 2**20
+
+
+# ------------------------------------------------- design past 2048 terms
+#
+# On the gap the bump vanishes, so the designed transform equals minus the
+# Fourier tail of the bump beyond n_terms, divided by the total variation
+# (at least c_0).  Integrating by parts k times,
+#     |c_m| <= ||g^(k)||_1 / (2 pi |m|^k),
+# so the tail is at most ||g^(k)||_1 n^(1-k) / (pi (k-1)).  ||g^(k)||_1 is
+# the total variation of g^(k-1), summed on a fine grid (a lower estimate,
+# hence the factor 2); g^(k-1) comes from the Leibniz recurrence of
+# g' = phi' g for the C-infinity bump and from the polynomial for C^8.  The
+# rounding allowance covers phases up to n_terms * (2 pi + x_max).
+
+
+def _bump_geometry(a):
+    margin = (TWO_PI - a) / 8.0
+    return a + margin, TWO_PI - 2.0 * margin - a
+
+
+def _bump_derivative(u, width, smoothness, order):
+    if smoothness == "inf":
+        dphi = [None] + [
+            -((-1.0) ** j) * math.factorial(j) / u ** (j + 1)
+            - math.factorial(j) / (width - u) ** (j + 1)
+            for j in range(1, order + 1)
+        ]
+        ders = [np.exp(-1.0 / u - 1.0 / (width - u))]
+        for n in range(order):
+            ders.append(sum(math.comb(n, i) * dphi[i + 1] * ders[n - i] for i in range(n + 1)))
+        return ders[order]
+    poly = np.polynomial.Polynomial([0.0, width, -1.0]) ** (int(smoothness) + 1)
+    return poly.deriv(order)(u)
+
+
+def _bump_value(width, smoothness):
+    if smoothness == "inf":
+        return lambda s: mpmath.exp(-1 / s - 1 / (width - s))
+    return lambda s: (s * (width - s)) ** (int(smoothness) + 1)
+
+
+def _gap_bound(a, n_terms, smoothness, x_max, k=9):
+    _, width = _bump_geometry(a)
+    u = np.linspace(0.0, width, 2**19 + 1)[1:-1]
+    der = np.concatenate([[0.0], _bump_derivative(u, width, smoothness, k - 1), [0.0]])
+    norm_k = 2.0 * np.abs(np.diff(der)).sum()
+    tail = norm_k * float(n_terms) ** (1 - k) / (math.pi * (k - 1))
+    c0 = float(mpmath.quad(_bump_value(width, smoothness), [0, width])) / TWO_PI
+    return tail / c0 + 4.0 * EPS * n_terms * (TWO_PI + x_max)
+
+
+@pytest.mark.parametrize("smoothness", ["inf", 8])
+@pytest.mark.parametrize("n_terms", [2500, 4000])
+def test_gap_stays_at_roundoff_past_2048_terms(n_terms, smoothness):
+    a, gap = 3.0, (0.4, 2.6)
+    mu = lattice_gap_measure(a, n_terms, smoothness)
+    chk = verify_gap(mu, gap, 1e-3)
+    assert chk.max_abs <= _gap_bound(a, n_terms, smoothness, gap[1])
+
+
+@pytest.mark.parametrize("smoothness", ["inf", 8])
+def test_design_weights_match_mpmath_coefficients(smoothness):
+    # weight ratios w_m / w_0 are coefficient ratios c_m / c_0, free of the
+    # total variation normalization
+    a, n_terms = 3.0, 2500
+    lo, width = _bump_geometry(a)
+    mu = lattice_gap_measure(a, n_terms, smoothness)
+    bump = _bump_value(width, smoothness)
+    with mpmath.workdps(30):
+        def coeff(m):
+            integrand = lambda s: bump(s) * mpmath.expj(-m * (s + lo))  # noqa: E731
+            return complex(mpmath.quad(integrand, mpmath.linspace(0, width, 9)))
+
+        c0 = coeff(0)
+        for m in (1, 7, -13, 30):
+            want = coeff(m) / c0
+            got = mu.weights[n_terms + m] / mu.weights[n_terms]
+            assert abs(got - want) <= 1e-14, m
+
+
 # -------------------------------------------------------------- cauchy decay
 
 
@@ -356,6 +480,35 @@ def test_gap_probe_eigenvector_norms_recorded(lattice301):
     assert len(rep.vector_l1) == 2
     assert all(v == pytest.approx(1.0) for v in rep.vector_l2)
     assert all(l1 >= l2 for l1, l2 in zip(rep.vector_l1, rep.vector_l2))
+
+
+def _per_window_probe(seq, a, sizes):
+    """Raw eigenvalue, floor and vector norms from a fresh Gram matrix per window."""
+    rows = []
+    for n in sizes:
+        start = (len(seq) - n) // 2
+        vals, vecs = np.linalg.eigh(gram_matrix(seq.points[start : start + n], a))
+        floor = n * np.finfo(float).eps * max(float(vals[-1]), 1.0)
+        vec = vecs[:, 0]
+        rows.append((float(vals[0]), float(floor), float(np.abs(vec).sum()), float(np.linalg.norm(vec))))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "points, a, sizes",
+    [
+        (np.arange(-150.0, 151.0), math.pi, [5, 8, 21, 50, 101, 200]),
+        (np.arange(-150.0, 151.0), 7.0, [21, 51, 101, 201]),
+        (np.cumsum(np.full(300, 1.1)) + 0.37 * np.sin(np.arange(300)), 2.0, [7, 20, 63, 128, 256, 300]),
+    ],
+)
+def test_min_gap_residual_matches_per_window_gram_bit_for_bit(points, a, sizes):
+    rep = min_gap_residual(load_sequence(points), a, sizes)
+    want = _per_window_probe(load_sequence(points), a, sizes)
+    assert rep.min_eigenvalues == [r[0] for r in want]
+    assert rep.noise_floors == [r[1] for r in want]
+    assert rep.vector_l1 == [r[2] for r in want]
+    assert rep.vector_l2 == [r[3] for r in want]
 
 
 def test_gap_probe_guards(lattice301):
