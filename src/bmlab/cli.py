@@ -40,6 +40,7 @@ from .errors import (
     DuplicatePoint,
     EmptyRange,
     NotSeparated,
+    SizeGuard,
     UnknownGenerator,
     WindowTooSmall,
 )
@@ -69,6 +70,9 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
+GENERATOR_POINTS_CAP = 1 << 23  # points a built-in generator may materialize
+Y_COUNT_CAP = 1 << 16           # --y-count of cauchy and ftype
+
 GENERATOR_GRAMMAR = """\
 generator grammar:
   lattice:<step>    points n*step for all integers n with |n*step| <= radius
@@ -95,7 +99,9 @@ def parse_generator(spec: str, radius: float | None = None):
     ``file:<path>``.  The radius bounds the built-in generators (their
     index ranges are derived from it) and is required for them; for file
     sources it optionally cuts the points to [-radius, radius].  The data
-    window of a radius-bounded sequence is (-radius, radius).
+    window of a radius-bounded sequence is (-radius, radius).  A built-in
+    generator of more than GENERATOR_POINTS_CAP points raises SizeGuard
+    before anything is allocated.
     """
     name, _, param = spec.partition(":")
     name = name.strip()
@@ -123,6 +129,7 @@ def parse_generator(spec: str, radius: float | None = None):
             raise UnknownGenerator(f"lattice step must be positive, got {param}")
         if radius is None:
             raise ValueError("a radius is required to materialize lattice:<step>")
+        _check_points(2.0 * (radius / step) + 1.0)
         n_max = int(math.floor(radius / step))
         if n_max < 1:
             raise WindowTooSmall(f"radius {radius:g} is below one lattice step {step:g}")
@@ -135,6 +142,7 @@ def parse_generator(spec: str, radius: float | None = None):
     if name == "squares":
         if radius is None:
             raise ValueError("a radius is required to materialize squares")
+        _check_points(2.0 * math.sqrt(radius) + 1.0)
         m = int(math.floor(math.sqrt(radius)))
         if m < 1:
             raise WindowTooSmall(f"radius {radius:g} holds no nonzero square")
@@ -144,6 +152,7 @@ def parse_generator(spec: str, radius: float | None = None):
     if name == "logperturbed":
         if radius is None:
             raise ValueError("a radius is required to materialize logperturbed")
+        _check_points(2.0 * radius + 1.0)
         n_max = int(math.floor(radius))
         if n_max < 1:
             raise WindowTooSmall(f"radius {radius:g} holds no perturbed point")
@@ -152,6 +161,11 @@ def parse_generator(spec: str, radius: float | None = None):
         return load_sequence(pts, window=(-radius, radius))
 
     raise UnknownGenerator(f"unknown generator {spec!r}")
+
+
+def _check_points(count: float) -> None:
+    if not count <= GENERATOR_POINTS_CAP:
+        raise SizeGuard(f"{count:.3g} generator points beyond the cap {GENERATOR_POINTS_CAP}")
 
 
 def _seq_spec(parser, args) -> str:
@@ -217,6 +231,8 @@ def _y_ladder(parser, args, spacing, min_count=4):
         parser.error("need 0 < --y-min < --y-max")
     if args.y_count < min_count:
         parser.error(f"--y-count must be at least {min_count}")
+    if args.y_count > Y_COUNT_CAP:
+        raise SizeGuard(f"--y-count {args.y_count} beyond the cap {Y_COUNT_CAP}")
     if spacing == "log":
         return np.geomspace(args.y_min, args.y_max, args.y_count)
     return np.linspace(args.y_min, args.y_max, args.y_count)

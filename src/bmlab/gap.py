@@ -44,7 +44,7 @@ TWO_PI = 2.0 * math.pi
 GRAM_SIZE_CAP = 512        # refuse dense Hermitian solves beyond this
 TERMS_CAP = 1 << 16        # n_terms cap: an FFT of at most 2^20 nodes
 GRID_POINTS_CAP = 1 << 20  # verify_gap grid points
-TRANSFORM_BLOCK = 1 << 18  # grid x atom entries per block in fourier_transform
+TRANSFORM_BLOCK = 1 << 18  # exponentials per block in fourier_transform and verify_gap
 
 
 @dataclass
@@ -217,8 +217,45 @@ class GapCheck:
     argmax: float
 
 
+def _grid_transform(mu: DiscreteMeasure, lo: float, step: float, count: int) -> np.ndarray:
+    """mu^(lo + step*k) for k < count, in grid order, as one matrix product.
+
+    With B = ceil(sqrt(count)) and k = q*B + r, the exponential splits as
+    exp(i (lo + step*q*B) lambda) * exp(i step*r lambda), so the grid is the
+    Q x B table coarse @ (fine * w) read row by row.  Atoms go in column
+    blocks of TRANSFORM_BLOCK // (Q + B), each filling the same two buffers.
+    """
+    width = math.isqrt(count - 1) + 1  # B
+    rows = -(-count // width)          # Q
+    anchors = lo + step * (width * np.arange(rows))
+    offsets = step * np.arange(width)
+    cols = max(1, min(len(mu), TRANSFORM_BLOCK // (rows + width)))
+    coarse = np.empty((cols, rows), dtype=complex)
+    fine = np.empty((cols, width), dtype=complex)
+    part = np.empty((rows, width), dtype=complex)
+    table = np.zeros((rows, width), dtype=complex)
+    phase = 1j * mu.points
+    for j in range(0, len(mu), cols):
+        p = phase[j : j + cols]
+        c, f = coarse[: p.size], fine[: p.size]
+        np.exp(np.multiply.outer(p, anchors, out=c), out=c)
+        np.exp(np.multiply.outer(p, offsets, out=f), out=f)
+        f *= mu.weights[j : j + cols, None]
+        np.matmul(c.T, f, out=part)
+        table += part
+    return table.ravel()[:count]
+
+
 def verify_gap(mu: DiscreteMeasure, interval, grid_step: float) -> GapCheck:
-    """Maximum of |mu^| on a uniform grid over the interval, with argmax."""
+    """Maximum of |mu^| on a uniform grid over the interval, with argmax.
+
+    The grid x_k = lo + grid_step*k is split into coarse and fine steps,
+    k = q*B + r with B = ceil(sqrt(count)), so only about
+    2*sqrt(count)*atoms exponentials are computed (not count*atoms) and
+    the sum over atoms runs as one complex matrix product.  Memory is
+    TRANSFORM_BLOCK exponentials plus two tables of about count entries,
+    some 36 MB at the GRID_POINTS_CAP grid whatever the atom count.
+    """
     lo, hi = as_bounds(interval)
     if not (lo < hi and grid_step > 0):
         raise ValueError("need lo < hi and a positive grid step")
@@ -227,7 +264,7 @@ def verify_gap(mu: DiscreteMeasure, interval, grid_step: float) -> GapCheck:
         raise SizeGuard(f"grid of {steps + 1:.3g} points beyond the cap {GRID_POINTS_CAP}")
     count = int(math.floor(steps)) + 1
     xs = lo + grid_step * np.arange(count)
-    vals = np.abs(fourier_transform(mu, xs))
+    vals = np.abs(_grid_transform(mu, lo, grid_step, count))
     k = int(np.argmax(vals))
     return GapCheck((lo, hi), grid_step, float(vals[k]), float(xs[k]))
 
@@ -290,8 +327,8 @@ def gram_matrix(points, a: float) -> np.ndarray:
 
     G[m][n] = integral of exp(i (lambda_n - lambda_m) t) over [0, a]
             = (exp(i (lambda_n - lambda_m) a) - 1) / (i (lambda_n - lambda_m))
-    off the diagonal and a on it.  Hermitian positive definite for distinct
-    points, and oriented so that c* G c equals the L^2[0, a] energy of
+    off the diagonal and a on it, for distinct points.  Hermitian positive
+    definite, and oriented so that c* G c equals the L^2[0, a] energy of
     t -> sum c_n exp(i lambda_n t).
     """
     pts = np.asarray(points, dtype=float)
@@ -301,11 +338,18 @@ def gram_matrix(points, a: float) -> np.ndarray:
         raise SizeGuard(f"dense Gram matrix limited to {GRAM_SIZE_CAP} points")
     if not a > 0:
         raise ValueError("interval length a must be positive")
-    diff = -np.subtract.outer(pts, pts)
-    out = np.full(diff.shape, complex(a), dtype=complex)
-    off = diff != 0.0
-    d = diff[off]
-    out[off] = (np.exp(1j * d * a) - 1.0) / (1j * d)
+    if np.unique(pts).size != pts.size:
+        raise ValueError("points must be distinct")
+    # (exp(1j*d*a) - 1) / (1j*d) with d = -(pts - pts'), in one buffer
+    den = np.subtract.outer(pts, pts)
+    np.negative(den, out=den)
+    den = 1j * den
+    out = den * a
+    np.exp(out, out=out)
+    out -= 1.0
+    with np.errstate(invalid="ignore"):
+        out /= den  # 0/0 on the diagonal, overwritten below
+    np.fill_diagonal(out, a)
     return out
 
 

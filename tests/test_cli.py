@@ -124,6 +124,12 @@ def test_bad_family_endpoints_exit_sixtyfive(tmp_path, rows, line):
         ["gap-measure", "--gap", 3, "--n", 1000000],
         ["cauchy", "--gap", 3, "--n", 1000000, "--x", 1.0],
         ["gap-measure", "--gap", 3, "--n", 64, "--verify-interval", "0.4,2.6", "--grid-step", 1e-9],
+        ["cauchy", "--gap", 3, "--x", 1.0, "--y-count", 10000000000],
+        ["ftype", "--y-count", 10000000000],
+        ["density", "--seq", "lattice:1", "--radius", 1e11],
+        ["density", "--seq", "lattice:1e-320", "--radius", 10],  # the point count overflows to inf
+        ["classify", "--seq", "squares", "--radius", 1e300],
+        ["bm", "--seq", "logperturbed", "--radius", 1e7, "--a", 1.0],
     ],
 )
 def test_size_caps_exit_one(argv):

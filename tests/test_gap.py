@@ -29,7 +29,8 @@ from bmlab import (
     symmetric_gap_measure,
     verify_gap,
 )
-from bmlab.gap import GRID_POINTS_CAP, TERMS_CAP
+from bmlab.cli import run
+from bmlab.gap import GRID_POINTS_CAP, TERMS_CAP, _grid_transform
 
 TWO_PI = 2 * math.pi
 EPS = np.finfo(float).eps
@@ -215,7 +216,66 @@ def test_verify_gap_memory_is_bounded():
     xs = 1e-3 * np.arange(4001)
     direct = np.exp(1j * np.outer(xs[::37], mu.points)) @ mu.weights
     assert np.max(np.abs(fourier_transform(mu, xs)[::37] - direct)) < 1e-15
-    assert chk.max_abs == float(np.abs(fourier_transform(mu, xs)).max())
+    full = np.abs(np.exp(1j * np.outer(xs, mu.points)) @ mu.weights)
+    assert abs(chk.max_abs - float(full.max())) < 1e-15
+    assert chk.argmax == float(xs[np.argmax(full)])
+
+
+def _mp_transform(mu, xs):
+    """mu^(x) for each double x as a 40-digit sum over the atoms."""
+    with mpmath.workdps(40):
+        ws = [mpmath.mpc(w.real, w.imag) for w in mu.weights.tolist()]
+        ps = [mpmath.mpf(p) for p in mu.points.tolist()]
+        return [
+            complex(mpmath.fdot(ws, [mpmath.expj(mpmath.mpf(x) * p) for p in ps]))
+            for x in np.atleast_1d(xs).tolist()
+        ]
+
+
+def _assert_grid_matches_mpmath(mu, lo, step, count, samples):
+    vals = _grid_transform(mu, lo, step, count)
+    assert vals.shape == (count,)
+    rng = np.random.default_rng(count)
+    ks = sorted({0, count - 1, *rng.integers(0, count, samples).tolist()})
+    xs = lo + step * np.arange(count)
+    ref = _mp_transform(mu, xs[ks])
+    assert np.max(np.abs(vals[ks] - ref)) < 2e-15
+
+
+# each n runs both smoothness classes, and on and off the designed gap
+# [0, 3]; 2201 and 2801 grid points are not multiples of the split width
+@pytest.mark.parametrize(
+    "n, smoothness, interval",
+    [
+        (64, "inf", (0.4, 2.6)),
+        (64, 8, (3.4, 6.2)),
+        (1000, "inf", (3.4, 6.2)),
+        (1000, 8, (0.4, 2.6)),
+        (4000, "inf", (0.4, 2.6)),
+        (4000, 8, (3.4, 6.2)),
+    ],
+)
+def test_grid_transform_matches_mpmath(n, smoothness, interval):
+    mu = lattice_gap_measure(3.0, n, smoothness)
+    lo, hi = interval
+    count = int(math.floor((hi - lo) / 1e-3)) + 1
+    assert count % (math.isqrt(count - 1) + 1) != 0
+    _assert_grid_matches_mpmath(mu, lo, 1e-3, count, samples=3 if n == 4000 else 10)
+
+
+def test_grid_transform_matches_mpmath_off_the_lattice():
+    # designed weights on atoms 0.7*n + 0.25, modulated
+    base = lattice_gap_measure(3.0, 150)
+    mu = modulate(DiscreteMeasure(0.7 * base.points + 0.25, base.weights), 0.37)
+    for count in (1, 2, 5, 1000, 1001):
+        _assert_grid_matches_mpmath(mu, -1.3, 0.0137, count, samples=10)
+
+
+def test_verify_gap_single_grid_point():
+    mu = lattice_gap_measure(3.0, 64)
+    chk = verify_gap(mu, (4.0, 4.0005), 1e-3)
+    assert chk.argmax == 4.0
+    assert abs(chk.max_abs - abs(_mp_transform(mu, 4.0)[0])) < 2e-15
 
 
 def test_fourier_transform_flattens_a_grid_array():
@@ -235,6 +295,14 @@ def test_size_caps_refuse_before_allocating():
             verify_gap(mu, (0.0, 1.0), 1.0 / GRID_POINTS_CAP)
         with pytest.raises(SizeGuard):
             verify_gap(mu, (0.4, 2.6), 1e-320)  # the step count overflows to inf
+        for argv in (
+            ["cauchy", "--gap", "3", "--x", "1", "--y-count", "10000000000"],
+            ["ftype", "--y-count", "10000000000"],
+            ["density", "--seq", "lattice:1", "--radius", "1e11"],
+            ["density", "--seq", "squares", "--radius", "1e300"],
+            ["density", "--seq", "logperturbed", "--radius", "1e11"],
+        ):
+            assert run(argv) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -417,6 +485,12 @@ def test_gram_quadratic_form_is_transform_energy():
     # and is bounded by the verified residual on the gap
     chk = verify_gap(mu, (0.0, a), 1e-3)
     assert quad_form <= chk.max_abs**2 * a * (1.0 + 1e-6) + 1e-18
+
+
+def test_gram_rejects_repeated_points():
+    # a repeated point would leave 0/0 off the diagonal
+    with pytest.raises(ValueError, match="distinct"):
+        gram_matrix(np.array([0.0, 1.0, 1.0]), 2.0)
 
 
 def test_gram_size_guard():

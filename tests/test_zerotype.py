@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from bmlab import (
 from bmlab.zerotype import _cos_sqrt
 
 PI = math.pi
+EPS = np.finfo(float).eps
 
 
 # --------------------------------------------------------------- evaluation
@@ -164,6 +166,61 @@ def test_log_abs_qcos_beyond_overflow():
     # overflows but the log path stays finite
     v = log_abs_qcos(1e6j)
     assert v == pytest.approx(2 * math.sqrt(PI * 1e6), rel=1e-2)
+
+
+def _mp_log_abs_cos(w):
+    with mpmath.workdps(50):
+        return float(mpmath.log(abs(mpmath.cos(mpmath.mpc(w.real, w.imag)))))
+
+
+@pytest.mark.parametrize("height", [39.9, 40.0, 40.1, -39.9, -40.0, -40.1])
+def test_log_abs_cos_matches_mpmath_across_the_switch(height):
+    # |Im w| = 40 separates cmath.cos from the peeled form
+    for re in (0.0, 0.3, PI / 2, -2.5, 100.25):
+        w = complex(re, height)
+        assert log_abs_cos(w) == pytest.approx(_mp_log_abs_cos(w), rel=4 * EPS)
+
+
+def test_log_abs_cos_matches_mpmath_near_real_zeros():
+    for k in range(-5, 40, 3):
+        for dist in (1e-8, -1e-8, 1e-9, 3e-12, -1e-15):
+            for im in (0.0, 1e-9, -1e-8):
+                w = complex((k + 0.5) * PI + dist, im)
+                assert log_abs_cos(w) == pytest.approx(_mp_log_abs_cos(w), rel=4 * EPS)
+
+
+def _mp_log_abs_qcos(z):
+    """log|F(z)| at 50 digits, with the condition number of each factor.
+
+    log_abs_qcos rounds w = sqrt(+-2 pi z) to doubles first; an error of
+    eps*|w| in w moves log|cos w| by eps*|w tan w|.
+    """
+    with mpmath.workdps(50):
+        zm = mpmath.mpc(z.real, z.imag)
+        ws = [mpmath.sqrt(s * 2 * mpmath.pi * zm) for s in (1, -1)]
+        value = mpmath.log(abs(mpmath.cos(ws[0]) * mpmath.cos(ws[1])))
+        cond = sum(abs(w * mpmath.tan(w)) for w in ws)
+        return float(value), float(cond)
+
+
+def test_log_abs_qcos_matches_mpmath_across_the_switch():
+    # z = w^2 / (2 pi) puts Im sqrt(2 pi z) on either side of 40
+    for height in (39.9, 40.0, 40.1):
+        for re in (0.5, 3.0, 60.0):
+            for sign in (1.0, -1.0):
+                w = complex(re, sign * height)
+                z = w * w / (2 * PI)
+                ref, _ = _mp_log_abs_qcos(z)
+                assert log_abs_qcos(z) == pytest.approx(ref, rel=4 * EPS)
+
+
+def test_log_abs_qcos_matches_mpmath_near_real_zeros():
+    for z0 in qcos_zeros((-600.0, 600.0)):
+        for dist in (1e-8, -1e-8, 1e-9, 5e-10):
+            for im in (0.0, 1e-9):
+                z = complex(z0 + dist, im)
+                ref, cond = _mp_log_abs_qcos(z)
+                assert abs(log_abs_qcos(z) - ref) <= 2 * EPS * cond + 1e-14
 
 
 # ------------------------------------------------------------ type estimate
