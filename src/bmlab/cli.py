@@ -7,14 +7,17 @@ digits, so identical argv and input files give byte-identical bytes.
 Every JSON object embeds the resolved parameter set under ``params``.
 
 Exit codes: 0 definite verdict (and pure construction/dump commands),
-2 Inconclusive verdict, 1 computation errors, 64 usage errors (the
-generator grammar is printed), 65 unreadable or malformed data files.
+2 Inconclusive verdict, 1 computation errors, 64 usage errors and
+arguments outside their domain (the generator grammar is printed), 65
+unreadable or malformed data files.  Each argument is checked once, by
+the engine that owns it; ``run`` maps the error types to these codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import math
 import sys
 
@@ -35,6 +38,7 @@ from .envelope import (
     family_to_csv,
 )
 from .errors import (
+    BadArgument,
     BadDataFile,
     BmLabError,
     DuplicatePoint,
@@ -96,16 +100,17 @@ def parse_generator(spec: str, radius: float | None = None):
     """Materialize a sequence from a generator spec string.
 
     Grammar: ``lattice:<step>`` | ``squares`` | ``logperturbed`` |
-    ``file:<path>``.  The radius bounds the built-in generators (their
-    index ranges are derived from it) and is required for them; for file
-    sources it optionally cuts the points to [-radius, radius].  The data
-    window of a radius-bounded sequence is (-radius, radius).  A built-in
-    generator of more than GENERATOR_POINTS_CAP points raises SizeGuard
-    before anything is allocated.
+    ``file:<path>``.  The radius, positive and finite, bounds the built-in
+    generators (their index ranges are derived from it) and is required
+    for them; for file sources it optionally cuts the points to [-radius,
+    radius].  The data window of a radius-bounded sequence is (-radius,
+    radius).  A built-in generator of more than GENERATOR_POINTS_CAP
+    points raises SizeGuard before anything is allocated.
     """
     name, _, param = spec.partition(":")
     name = name.strip()
-    has_param = ":" in spec
+    if radius is not None and not 0.0 < radius < math.inf:
+        raise BadArgument(f"radius must be positive and finite, got {radius!r}")
 
     if name == "file":
         if not param:
@@ -127,40 +132,34 @@ def parse_generator(spec: str, radius: float | None = None):
             raise UnknownGenerator(f"lattice step is not a number: {param!r}") from None
         if not (math.isfinite(step) and step > 0):
             raise UnknownGenerator(f"lattice step must be positive, got {param}")
-        if radius is None:
-            raise ValueError("a radius is required to materialize lattice:<step>")
+    elif ":" in spec:
+        raise UnknownGenerator(f"generator {name!r} takes no parameter")
+    elif name not in ("squares", "logperturbed"):
+        raise UnknownGenerator(f"unknown generator {spec!r}")
+    if radius is None:
+        raise BadArgument(f"a radius is required to materialize {name}")
+    window = (-radius, radius)
+
+    if name == "lattice":
         _check_points(2.0 * (radius / step) + 1.0)
         n_max = int(math.floor(radius / step))
         if n_max < 1:
             raise WindowTooSmall(f"radius {radius:g} is below one lattice step {step:g}")
-        pts = generate(Lattice(step, -n_max, n_max)).points
-        return load_sequence(pts, window=(-radius, radius))
-
-    if has_param:
-        raise UnknownGenerator(f"generator {name!r} takes no parameter")
+        return dataclasses.replace(generate(Lattice(step, -n_max, n_max)), window=window)
 
     if name == "squares":
-        if radius is None:
-            raise ValueError("a radius is required to materialize squares")
         _check_points(2.0 * math.sqrt(radius) + 1.0)
         m = int(math.floor(math.sqrt(radius)))
         if m < 1:
             raise WindowTooSmall(f"radius {radius:g} holds no nonzero square")
-        pts = generate(SymmetricSquares(-m, m)).points
-        return load_sequence(pts, window=(-radius, radius))
+        return dataclasses.replace(generate(SymmetricSquares(-m, m)), window=window)
 
-    if name == "logperturbed":
-        if radius is None:
-            raise ValueError("a radius is required to materialize logperturbed")
-        _check_points(2.0 * radius + 1.0)
-        n_max = int(math.floor(radius))
-        if n_max < 1:
-            raise WindowTooSmall(f"radius {radius:g} holds no perturbed point")
-        base = generate(LogPerturbedLattice(-n_max, n_max))
-        pts = base.points[np.abs(base.points) <= radius]
-        return load_sequence(pts, window=(-radius, radius))
-
-    raise UnknownGenerator(f"unknown generator {spec!r}")
+    _check_points(2.0 * radius + 1.0)
+    n_max = int(math.floor(radius))
+    if n_max < 1:
+        raise WindowTooSmall(f"radius {radius:g} holds no perturbed point")
+    base = generate(LogPerturbedLattice(-n_max, n_max))
+    return load_sequence(base.points[np.abs(base.points) <= radius], window=window)
 
 
 def _check_points(count: float) -> None:
@@ -178,15 +177,6 @@ def _seq_spec(parser, args) -> str:
     parser.error("one of --seq or --input is required")
 
 
-def _radius_arg(parser, args):
-    if not args.radius:
-        return None
-    r = max(args.radius)
-    if not (math.isfinite(r) and r > 0):
-        parser.error("--radius must be positive and finite")
-    return r
-
-
 def _evidence_ladder(parser, args):
     """Explicit radius ladder when --radius is repeated, else None."""
     if args.radius and len(args.radius) > 1:
@@ -199,9 +189,7 @@ def _evidence_ladder(parser, args):
 
 def _build_sequence(parser, args):
     spec = _seq_spec(parser, args)
-    radius = _radius_arg(parser, args)
-    if radius is None and not spec.startswith("file:"):
-        parser.error("--radius is required for built-in generators")
+    radius = max(args.radius) if args.radius else None
     return parse_generator(spec, radius), spec, radius
 
 
@@ -210,12 +198,9 @@ def _parse_pair(parser, text, flag):
     if len(parts) != 2:
         parser.error(f"{flag} expects lo,hi")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        return float(parts[0]), float(parts[1])
     except ValueError:
         parser.error(f"{flag} expects two numbers, got {text!r}")
-    if not lo < hi:
-        parser.error(f"{flag} needs lo < hi")
-    return lo, hi
 
 
 def _single_n(parser, args, default):
@@ -226,16 +211,15 @@ def _single_n(parser, args, default):
     return int(args.n[0])
 
 
-def _y_ladder(parser, args, spacing, min_count=4):
-    if not (args.y_min > 0 and args.y_max > args.y_min):
-        parser.error("need 0 < --y-min < --y-max")
-    if args.y_count < min_count:
-        parser.error(f"--y-count must be at least {min_count}")
+def _y_ladder(parser, args, spacing):
+    """The ladder the flags describe; whether it is a valid one is the engine's call."""
     if args.y_count > Y_COUNT_CAP:
         raise SizeGuard(f"--y-count {args.y_count} beyond the cap {Y_COUNT_CAP}")
-    if spacing == "log":
-        return np.geomspace(args.y_min, args.y_max, args.y_count)
-    return np.linspace(args.y_min, args.y_max, args.y_count)
+    if spacing == "log" and not (args.y_min > 0 and args.y_max > 0):  # what geomspace needs
+        parser.error("a log ladder needs --y-min > 0 and --y-max > 0")
+    build = np.geomspace if spacing == "log" else np.linspace
+    with np.errstate(all="ignore"):  # the engine refuses the non-finite values an overflow or a non-finite end leaves
+        return build(args.y_min, args.y_max, max(args.y_count, 0))
 
 
 def _emit(args, payload) -> None:
@@ -291,25 +275,21 @@ def _witness_dict(witness):
     }
 
 
-def _write_trials(fh, trials) -> None:
-    fh.write("# trials\na,verdict\n")
-    for t in trials:
-        fh.write(f"{t.a!r},{t.verdict}\n")
+def _write_csv(path, *blocks) -> None:
+    """CSV blocks ``(title, header, rows)`` a blank line apart; a title adds a ``# title`` line.
 
-
-def _density_csv(path, rep) -> None:
+    Floats, numpy scalars too, are written as repr(float(v)); labels and sizes as str.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        _write_trials(fh, rep.trials)
-        fh.write("\n# partial_sums\na,radius,partial_sum\n")
-        for t in rep.trials:
-            for r, s in zip(t.shortness.radii, t.shortness.partial_sums):
-                fh.write(f"{t.a!r},{r!r},{s!r}\n")
+        for k, (title, header, rows) in enumerate(blocks):
+            fh.write(("\n" if k else "") + (f"# {title}\n" if title else "") + header + "\n")
+            for row in rows:
+                cells = (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+                fh.write(",".join(cells) + "\n")
 
 
 def _cmd_density(parser, args) -> int:
     seq, spec, radius = _build_sequence(parser, args)
-    if not args.tol > 0:
-        parser.error("--tol must be positive")
     ladder = _evidence_ladder(parser, args)
     rep = interior_density(seq, radii=ladder, a_tolerance=args.tol)
     payload = {
@@ -318,14 +298,14 @@ def _cmd_density(parser, args) -> int:
     }
     _emit(args, payload)
     if args.csv_out:
-        _density_csv(args.csv_out, rep)
+        sums = [(t.a, r, s) for t in rep.trials for r, s in zip(t.shortness.radii, t.shortness.partial_sums)]
+        trials = [(t.a, t.verdict) for t in rep.trials]
+        _write_csv(args.csv_out, ("trials", "a,verdict", trials), ("partial_sums", "a,radius,partial_sum", sums))
     return EXIT_INCONCLUSIVE if rep.polya_class == INCONCLUSIVE else EXIT_OK
 
 
 def _cmd_classify(parser, args) -> int:
     seq, spec, radius = _build_sequence(parser, args)
-    if not args.tol > 0:
-        parser.error("--tol must be positive")
     ladder = _evidence_ladder(parser, args)
     density = interior_density(seq, radii=ladder, a_tolerance=args.tol)
     witness = null_ratio_witness(seq)
@@ -339,26 +319,23 @@ def _cmd_classify(parser, args) -> int:
     }
     _emit(args, payload)
     if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            _write_trials(fh, density.trials)
-            if witness is not None:
-                fh.write("\n# witness\nleft,right,ratio\n")
-                for iv, ratio in zip(witness.family.intervals, witness.ratios):
-                    fh.write(f"{iv.left!r},{iv.right!r},{ratio!r}\n")
+        blocks = [("trials", "a,verdict", [(t.a, t.verdict) for t in density.trials])]
+        if witness is not None:
+            rows = zip(witness.family.left, witness.family.right, witness.ratios)
+            blocks.append(("witness", "left,right,ratio", rows))
+        _write_csv(args.csv_out, *blocks)
     return EXIT_INCONCLUSIVE if polya_class == INCONCLUSIVE else EXIT_OK
 
 
 def _cmd_bm(parser, args) -> int:
     seq, spec, radius = _build_sequence(parser, args)
-    if args.a is None:
-        parser.error("--a is required")
     if args.window:
         window = _parse_pair(parser, args.window, "--window")
     elif radius is not None:
         window = (-radius, radius)
     else:
         window = seq.window
-    fam = bm_family(gamma_line(seq, float(args.a)), window)
+    fam = bm_family(gamma_line(seq, args.a), window)
     payload = {
         "params": {
             "command": "bm",
@@ -399,22 +376,13 @@ def _cmd_short(parser, args) -> int:
     }
     _emit(args, payload)
     if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write("radius,partial_sum\n")
-            for r, s in zip(rep.radii, rep.partial_sums):
-                fh.write(f"{r!r},{s!r}\n")
+        _write_csv(args.csv_out, (None, "radius,partial_sum", zip(rep.radii, rep.partial_sums)))
     return EXIT_INCONCLUSIVE if rep.verdict == INCONCLUSIVE else EXIT_OK
 
 
 def _cmd_gap_probe(parser, args) -> int:
     seq, spec, radius = _build_sequence(parser, args)
-    if args.gap is None or not args.gap > 0:
-        parser.error("--gap must be positive")
-    sizes = sorted(set(int(n) for n in (args.n or (21, 51, 101, 201))))
-    if sizes[0] < 1:
-        parser.error("--n values must be positive")
-    if sizes[-1] > len(seq):
-        parser.error(f"--n {sizes[-1]} exceeds the {len(seq)} available points")
+    sizes = sorted(set(args.n or (21, 51, 101, 201)))
     rep = min_gap_residual(seq, args.gap, sizes)
     payload = {
         "params": {
@@ -437,18 +405,9 @@ def _cmd_gap_probe(parser, args) -> int:
     }
     _emit(args, payload)
     if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write("size,min_eigenvalue,floored,noise_floor,vector_l1,vector_l2\n")
-            rows = zip(
-                rep.sizes,
-                rep.min_eigenvalues,
-                rep.floored_eigenvalues,
-                rep.noise_floors,
-                rep.vector_l1,
-                rep.vector_l2,
-            )
-            for n, lam, fl, nf, l1, l2 in rows:
-                fh.write(f"{n},{lam!r},{fl!r},{nf!r},{l1!r},{l2!r}\n")
+        header = "size,min_eigenvalue,floored,noise_floor,vector_l1,vector_l2"
+        columns = (rep.min_eigenvalues, rep.floored_eigenvalues, rep.noise_floors, rep.vector_l1, rep.vector_l2)
+        _write_csv(args.csv_out, (None, header, zip(rep.sizes, *columns)))
     return EXIT_INCONCLUSIVE if rep.classification == INCONCLUSIVE else EXIT_OK
 
 
@@ -456,26 +415,13 @@ def _parse_smoothness(parser, text):
     if text == "inf":
         return "inf"
     try:
-        k = int(text)
+        return int(text)
     except ValueError:
         parser.error(f"--smoothness must be 'inf' or a nonnegative integer, got {text!r}")
-    if k < 0:
-        parser.error("--smoothness must be nonnegative")
-    return k
-
-
-def _gap_design(parser, args):
-    a = args.gap
-    if a is None or not 0.0 < a < TWO_PI:
-        parser.error("--gap must lie in (0, 2*pi)")
-    n = _single_n(parser, args, 256)
-    if n < 32:
-        parser.error("--n must be at least 32")
-    return a, n
 
 
 def _cmd_gap_measure(parser, args) -> int:
-    a, n = _gap_design(parser, args)
+    a, n = args.gap, _single_n(parser, args, 256)
     smooth = _parse_smoothness(parser, args.smoothness)
     mu = lattice_gap_measure(a, n, smooth)
     payload = {
@@ -493,8 +439,6 @@ def _cmd_gap_measure(parser, args) -> int:
     }
     if args.verify_interval:
         lo, hi = _parse_pair(parser, args.verify_interval, "--verify-interval")
-        if not args.grid_step > 0:
-            parser.error("--grid-step must be positive")
         check = verify_gap(mu, (lo, hi), args.grid_step)
         payload["verify"] = {
             "interval": [lo, hi],
@@ -509,11 +453,7 @@ def _cmd_gap_measure(parser, args) -> int:
 
 
 def _cmd_cauchy(parser, args) -> int:
-    a, n = _gap_design(parser, args)
-    if args.x is None:
-        parser.error("--x is required")
-    if not args.tol > 0:
-        parser.error("--tol must be positive")
+    a, n = args.gap, _single_n(parser, args, 256)
     ys = _y_ladder(parser, args, "linear")
     mu = symmetric_gap_measure(a / 2.0, n)
     rep = cauchy_decay(mu, args.x, ys, args.tol)
@@ -538,15 +478,13 @@ def _cmd_cauchy(parser, args) -> int:
     }
     _emit(args, payload)
     if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write("y,log_abs_plus,log_abs_minus\n")
-            for y, lp, lm in zip(rep.y_values, rep.plus.log_abs, rep.minus.log_abs):
-                fh.write(f"{y!r},{lp!r},{lm!r}\n")
+        rows = zip(rep.y_values, rep.plus.log_abs, rep.minus.log_abs)
+        _write_csv(args.csv_out, (None, "y,log_abs_plus,log_abs_minus", rows))
     return EXIT_OK
 
 
 def _cmd_ftype(parser, args) -> int:
-    ys = _y_ladder(parser, args, "log", min_count=8)
+    ys = _y_ladder(parser, args, "log")
     if args.function == "qcos":
         f, log_modulus = eval_qcos, log_abs_qcos
     else:
@@ -568,10 +506,7 @@ def _cmd_ftype(parser, args) -> int:
     }
     _emit(args, payload)
     if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write("y,log_modulus\n")
-            for y, lg in zip(est.y_values, est.log_moduli):
-                fh.write(f"{y!r},{lg!r}\n")
+        _write_csv(args.csv_out, (None, "y,log_modulus", zip(est.y_values, est.log_moduli)))
     return EXIT_OK
 
 
@@ -613,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bm", help="dump the envelope interval family of a*x - n(x)")
     _add_seq_flags(p)
-    p.add_argument("--a", type=float, help="slope of the test line")
+    p.add_argument("--a", type=float, required=True, help="slope of the test line")
     p.add_argument("--window", help="computation window lo,hi (default -radius,radius)")
     _add_out_flags(p)
 
@@ -629,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap-probe", help="smallest Gram eigenvalue along growing windows")
     _add_seq_flags(p)
-    p.add_argument("--gap", type=float, help="interval length a of the Gram inner product")
+    p.add_argument("--gap", type=float, required=True, help="interval length a of the Gram inner product")
     p.add_argument(
         "--n",
         action="append",
@@ -639,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flags(p)
 
     p = sub.add_parser("gap-measure", help="design an integer-atom measure with a spectral gap")
-    p.add_argument("--gap", type=float, help="designed gap length a in (0, 2*pi)")
+    p.add_argument("--gap", type=float, required=True, help="designed gap length a in (0, 2*pi)")
     p.add_argument("--n", action="append", type=int, help="coefficient cutoff N (default 256)")
     p.add_argument("--smoothness", default="inf", help="'inf' or an integer k for a C^k bump")
     p.add_argument("--verify-interval", help="check max |transform| on lo,hi")
@@ -647,9 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flags(p)
 
     p = sub.add_parser("cauchy", help="Cauchy transform decay test on a symmetric gap measure")
-    p.add_argument("--gap", type=float, help="symmetric gap length; transform vanishes on +-gap/2")
+    p.add_argument("--gap", type=float, required=True, help="symmetric gap length; transform vanishes on +-gap/2")
     p.add_argument("--n", action="append", type=int, help="coefficient cutoff N (default 256)")
-    p.add_argument("--x", type=float, help="test abscissa of the decay criterion")
+    p.add_argument("--x", type=float, required=True, help="test abscissa of the decay criterion")
     p.add_argument("--y-min", type=float, default=2.0)
     p.add_argument("--y-max", type=float, default=20.0)
     p.add_argument("--y-count", type=int, default=10)
@@ -685,7 +620,7 @@ def run(argv) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(parser, args)
-    except UnknownGenerator as exc:
+    except (UnknownGenerator, BadArgument) as exc:
         parser.error(str(exc))
     except (OSError, BadDataFile, DuplicatePoint, NotSeparated, EmptyRange) as exc:
         print(f"{parser.prog}: data error: {exc}", file=sys.stderr)

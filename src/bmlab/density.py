@@ -36,9 +36,10 @@ from .envelope import (
     ShortnessReport,
     ShortnessThresholds,
     classify_short_long,
+    increasing_ladder,
     is_almost_decreasing,
 )
-from .errors import WindowTooSmall
+from .errors import BadArgument, WindowTooSmall
 from .sequences import SeparatedSequence, counting_function, count_in, gamma_line
 
 POLYA = "Polya"
@@ -72,8 +73,8 @@ class DensityReport:
 
 def default_radius_ladder(r_max: float, rungs: int = 8) -> list[float]:
     """Doubling ladder ending at r_max."""
-    if rungs < 4:
-        raise ValueError("need at least 4 rungs")
+    if not (rungs >= 4 and 0.0 < r_max < math.inf):
+        raise BadArgument(f"need at least 4 rungs and a positive finite r_max, got {rungs}, {r_max!r}")
     return [r_max / 2.0 ** (rungs - 1 - j) for j in range(rungs)]
 
 
@@ -94,19 +95,20 @@ def interior_density(
         ending at the largest symmetric radius the window supports.
     a_tolerance : float
         Bracket width at which bisection stops.  The Polya / NotPolya call
-        uses 2*a_tolerance as decision margin.
+        uses 2*a_tolerance as decision margin, so a tolerance above
+        0.5/delta, which no density (at most 1/delta) could pass, is refused.
     """
     if len(seq) < 16:
         raise WindowTooSmall("density needs at least 16 points")
-    if not a_tolerance > 0:
-        raise ValueError("a_tolerance must be positive")
+    if not 0.0 < a_tolerance <= 0.5 / seq.delta:
+        raise BadArgument(f"a_tolerance must lie in (0, 0.5/delta = {0.5 / seq.delta:.17g}], got {a_tolerance!r}")
     lo, hi = seq.window
     if not (lo < 0.0 < hi):
         raise WindowTooSmall("density needs a two-sided window around 0")
     r_max = min(-lo, hi)
     if radii is None:
         radii = default_radius_ladder(r_max)
-    radii = [float(r) for r in radii]
+    radii = increasing_ladder(radii, 4, "radii")
     if radii[-1] > max(-lo, hi):
         raise WindowTooSmall("radius ladder exceeds the data window")
 
@@ -129,6 +131,8 @@ def interior_density(
 
     while not stop and a_upper - a_lower > a_tolerance:
         mid = 0.5 * (a_lower + a_upper)
+        if not a_lower < mid < a_upper:
+            break  # adjacent doubles: a finer tolerance cannot be met
         v = verdict_at(mid)
         if v == YES:
             a_lower = mid
@@ -278,9 +282,7 @@ def strong_regularity_integral(seq: SeparatedSequence, a: float, radii) -> list[
     c*arctan(x), and pieces are split at sign changes of the line, so the
     result carries quadrature-free accuracy.
     """
-    radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii) or any(b <= a_ for a_, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be positive and strictly increasing")
+    radii = increasing_ladder(radii, 1, "radii")
     counting = counting_function(seq)
     gamma = gamma_line(seq, a, counting)  # a*x - n(x); |n - a x| = |gamma|
 

@@ -30,11 +30,12 @@ No (a family containing an unbounded interval is long).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDataFile
+from .errors import BadArgument, BadDataFile
 from .sequences import PiecewiseLinear
 
 INTERIOR = "Interior"
@@ -47,8 +48,8 @@ INCONCLUSIVE = "Inconclusive"
 YES = "Yes"
 NO = "No"
 
-# family files: |endpoint| at most this keeps squared lengths, and the squared
-# partial sums that linear_fit forms, inside double range
+# family file endpoints and ladder values: magnitudes at most this keep squared
+# lengths, and the squared partial sums that linear_fit forms, inside double range
 ENDPOINT_BOUND = 1e50
 
 
@@ -253,6 +254,22 @@ def top_half_slope(x, y, *, too_few: float, flat: float) -> float:
     return fit[0] if fit else flat
 
 
+def increasing_ladder(values, at_least: int, name: str) -> list[float]:
+    """``values`` as floats; BadArgument unless at least ``at_least`` of them
+    increase strictly from above the smallest normal double (whose
+    reciprocal is finite) up to ENDPOINT_BOUND, the largest family-file
+    endpoint.  NaN fails every comparison, so no arithmetic ever runs on a
+    non-finite value.
+    """
+    out = [float(v) for v in values]
+    below = [sys.float_info.min, *out]
+    if not (len(out) >= at_least and all(a < b for a, b in zip(below, out)) and out[-1] <= ENDPOINT_BOUND):
+        raise BadArgument(
+            f"{name} must be {at_least} or more values increasing strictly in (2.2e-308, {ENDPOINT_BOUND:g}]"
+        )
+    return out
+
+
 def _half_index(radii):
     """Index of the largest radius at most half the final one, or None."""
     for i in range(len(radii) - 1, -1, -1):
@@ -274,9 +291,7 @@ def classify_short_long(family_at_radius, radii, thresholds: ShortnessThresholds
         one doubling.
     """
     th = thresholds or ShortnessThresholds()
-    radii = [float(r) for r in radii]
-    if len(radii) < 4 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing with at least 4 values")
+    radii = increasing_ladder(radii, 4, "radii")
     families = [family_at_radius(r) for r in radii]
     sums = [shortness_partial_sum(f, r) for f, r in zip(families, radii)]
 
@@ -372,7 +387,7 @@ def is_almost_decreasing(
     * Inconclusive otherwise.
     """
     th = thresholds or ShortnessThresholds()
-    radii = [float(r) for r in radii]
+    radii = increasing_ladder(radii, 4, "radii")
     families = {r: bm_family(gamma, (-r, r)) for r in radii}
 
     report = classify_short_long(lambda r: families[r].interior_part(), radii, th)

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 Every error raised on bad input derives from BmLabError so callers (and the
-command line driver) can distinguish data problems from genuine bugs.
+``bm-lab`` command) can distinguish data problems from genuine bugs.  An
+argument outside the domain a function accepts raises BadArgument, also a
+ValueError, which the command line maps to exit code 64; broken data class
+invariants stay plain ValueError, so they show as bugs.
 """
 
 
@@ -33,7 +36,11 @@ class WindowTooSmall(BmLabError):
     """The data window cannot support the requested density decision."""
 
 
-class BadGap(BmLabError):
+class BadArgument(BmLabError, ValueError):
+    """An argument outside the domain the function accepts."""
+
+
+class BadGap(BadArgument):
     """A gap length outside the supported open interval (0, 2*pi)."""
 
 

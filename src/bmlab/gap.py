@@ -31,12 +31,13 @@ Two independent diagnostics accompany the construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import INCONCLUSIVE, top_half_slope
-from .errors import BadDataFile, BadGap, NumericalBreakdown, SizeGuard
+from .envelope import ENDPOINT_BOUND, INCONCLUSIVE, increasing_ladder, top_half_slope
+from .errors import BadArgument, BadDataFile, BadGap, NumericalBreakdown, SizeGuard
 from .sequences import SeparatedSequence, as_bounds
 
 TWO_PI = 2.0 * math.pi
@@ -146,9 +147,10 @@ def _bump(t, width: float, smoothness) -> np.ndarray:
         out[inside] = np.exp(-1.0 / ts) * np.exp(-1.0 / (width - ts))
     else:
         k = int(smoothness)
-        if k < 0:
-            raise ValueError("smoothness must be a nonnegative int or 'inf'")
-        out[inside] = (ts * (width - ts)) ** (k + 1)
+        if not 0 <= k <= sys.float_info.max:  # numpy takes the power as a double
+            raise BadArgument(f"smoothness must be 'inf' or an integer in [0, 1.8e308], got {k}")
+        with np.errstate(over="ignore"):  # lattice_gap_measure refuses an infinite bump
+            out[inside] = (ts * (width - ts)) ** (k + 1)
     return out
 
 
@@ -181,7 +183,7 @@ def lattice_gap_measure(a: float, n_terms: int, smoothness="inf") -> DiscreteMea
     if not 0.0 < a < TWO_PI:
         raise BadGap(f"gap length must be in (0, 2*pi), got {a:g}")
     if n_terms < 32:
-        raise ValueError("n_terms must be at least 32")
+        raise BadArgument(f"n_terms must be at least 32, got {n_terms}")
     if n_terms > TERMS_CAP:
         raise SizeGuard(f"n_terms {n_terms} beyond the cap {TERMS_CAP}")
     margin = (TWO_PI - a) / 8.0
@@ -192,10 +194,11 @@ def lattice_gap_measure(a: float, n_terms: int, smoothness="inf") -> DiscreteMea
     g = _bump(t - lo, width, smoothness)
     n = np.arange(-n_terms, n_terms + 1)
     # rectangle rule on the full period; negative n index from the end
-    coeff = np.fft.fft(g)[n] / nodes
-    tv = float(np.abs(coeff).sum())
-    if tv == 0.0:
-        raise ValueError("bump quadrature produced a zero measure")
+    with np.errstate(invalid="ignore", over="ignore"):
+        coeff = np.fft.fft(g)[n] / nodes
+        tv = float(np.abs(coeff).sum())
+    if not 0.0 < tv < math.inf:
+        raise BadArgument(f"the smoothness {smoothness} bump on this gap has total variation {tv:g}")
     return DiscreteMeasure(n.astype(float), coeff / tv)
 
 
@@ -257,8 +260,8 @@ def verify_gap(mu: DiscreteMeasure, interval, grid_step: float) -> GapCheck:
     some 36 MB at the GRID_POINTS_CAP grid whatever the atom count.
     """
     lo, hi = as_bounds(interval)
-    if not (lo < hi and grid_step > 0):
-        raise ValueError("need lo < hi and a positive grid step")
+    if not (-math.inf < lo < hi < math.inf and 0.0 < grid_step < math.inf):
+        raise BadArgument(f"need finite lo < hi and a positive finite step, got {lo!r}, {hi!r}, {grid_step!r}")
     steps = (hi - lo) / grid_step
     if not steps < GRID_POINTS_CAP:
         raise SizeGuard(f"grid of {steps + 1:.3g} points beyond the cap {GRID_POINTS_CAP}")
@@ -311,9 +314,9 @@ def cauchy_decay(mu: DiscreteMeasure, x: float, y_values, tolerance: float = 1e-
     fitted exponential rates; the verdict is VanishesCompatible when both
     terminal magnitudes fall below the tolerance.
     """
-    ys = np.asarray([float(y) for y in y_values], dtype=float)
-    if ys.size < 4 or np.any(np.diff(ys) <= 0) or ys[0] <= 0:
-        raise ValueError("y_values must be positive and strictly increasing, at least 4")
+    ys = np.asarray(increasing_ladder(y_values, 4, "y_values"))
+    if not (abs(x) <= ENDPOINT_BOUND and 0.0 < tolerance < math.inf):
+        raise BadArgument(f"need |x| <= {ENDPOINT_BOUND:g} and a positive finite tol, got {x!r}, {tolerance!r}")
     plus = _cauchy_branch(mu, x, ys, +1.0)
     minus = _cauchy_branch(mu, x, ys, -1.0)
     log_tol = math.log(tolerance)
@@ -333,13 +336,13 @@ def gram_matrix(points, a: float) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size == 0:
-        raise ValueError("points must be a nonempty 1d array")
+        raise BadArgument("points must be a nonempty 1d array")
     if pts.size > GRAM_SIZE_CAP:
         raise SizeGuard(f"dense Gram matrix limited to {GRAM_SIZE_CAP} points")
-    if not a > 0:
-        raise ValueError("interval length a must be positive")
+    if not 0.0 < a < math.inf:
+        raise BadArgument(f"interval length a must be positive and finite, got {a!r}")
     if np.unique(pts).size != pts.size:
-        raise ValueError("points must be distinct")
+        raise BadArgument("points must be distinct")
     # (exp(1j*d*a) - 1) / (1j*d) with d = -(pts - pts'), in one buffer
     den = np.subtract.outer(pts, pts)
     np.negative(den, out=den)
@@ -393,12 +396,12 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
     of Inconclusive.
     """
     sizes = [int(n) for n in sizes]
-    if any(b <= a_ for a_, b in zip(sizes, sizes[1:])) or len(sizes) == 0:
-        raise ValueError("sizes must be strictly increasing")
+    if not sizes or sizes[0] < 1 or any(b <= a_ for a_, b in zip(sizes, sizes[1:])):
+        raise BadArgument(f"sizes must be positive and strictly increasing, got {sizes}")
     if sizes[-1] > GRAM_SIZE_CAP:
         raise SizeGuard(f"size {sizes[-1]} beyond dense solver cap {GRAM_SIZE_CAP}")
     if sizes[-1] > len(seq):
-        raise ValueError("sizes exceed the number of available points")
+        raise BadArgument(f"size {sizes[-1]} exceeds the {len(seq)} available points")
 
     raw, floored, floors, l1s, l2s = [], [], [], [], []
     breakdown = False

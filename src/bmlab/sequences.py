@@ -22,11 +22,13 @@ first non-space character is ``#`` are ignored; point order is arbitrary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    BadArgument,
     BadDataFile,
     DuplicatePoint,
     EmptyRange,
@@ -78,7 +80,8 @@ def load_sequence(points, window=None, min_delta=None) -> SeparatedSequence:
     window : (float, float), optional
         Data window; defaults to [min(points), max(points)].
     min_delta : float, optional
-        Required minimal gap.  Raises NotSeparated when violated.
+        Required minimal gap.  Raises NotSeparated when violated, and for
+        a gap below the smallest normal double, whose reciprocal overflows.
     """
     pts = np.sort(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -89,12 +92,16 @@ def load_sequence(points, window=None, min_delta=None) -> SeparatedSequence:
     if np.any(gaps == 0.0):
         raise DuplicatePoint("duplicate point in input")
     delta = math.inf if gaps.size == 0 else float(gaps.min())
+    if delta < sys.float_info.min:
+        raise NotSeparated(f"minimum gap {delta:g} below the smallest normal double")
     if min_delta is not None and delta < min_delta:
         raise NotSeparated(f"minimum gap {delta:g} below required {min_delta:g}")
     if window is None:
         if pts.size == 1:
-            # a degenerate window carries no information; pad by a unit ball
-            window = (float(pts[0]) - 1.0, float(pts[0]) + 1.0)
+            # a degenerate window carries no information; pad by a unit ball,
+            # widened where a unit is below the point's resolution
+            pad = max(1.0, abs(float(pts[0])) * 2.0**-52)
+            window = (float(pts[0]) - pad, float(pts[0]) + pad)
         else:
             window = (float(pts[0]), float(pts[-1]))
     return SeparatedSequence(pts, delta, (float(window[0]), float(window[1])))
@@ -201,14 +208,16 @@ class PiecewiseLinear:
 
         Returns (xs, ys) where xs[0] and xs[-1] are exactly the window ends
         and the interior nodes are the breakpoints strictly inside, one
-        contiguous slice of the sorted breakpoints.
+        contiguous slice of the sorted breakpoints.  The window needs lo <
+        hi and finite function values at both ends.
         """
         lo, hi = float(window[0]), float(window[1])
-        if not lo < hi:
-            raise ValueError("window must satisfy lo < hi")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            ends = self(np.array([lo, hi]))
+        if not (lo < hi and np.isfinite(ends).all()):
+            raise BadArgument(f"window must satisfy lo < hi with finite values at both ends, got {lo!r}, {hi!r}")
         i = np.searchsorted(self.x, lo, side="right")
         j = np.searchsorted(self.x, hi, side="left")
-        ends = self(np.array([lo, hi]))
         xs = np.concatenate(([lo], self.x[i:j], [hi]))
         ys = np.concatenate((ends[:1], self.y[i:j], ends[1:]))
         return xs, ys
@@ -263,9 +272,13 @@ def gamma_line(seq: SeparatedSequence, a: float, counting: PiecewiseLinear | Non
 
     Breakpoint ordinates are formed directly from the point array so no
     resampling error enters; the a*x term is absorbed into the slopes.
+    The slope must keep a*x finite on the sequence.
     """
     if counting is None:
         counting = counting_function(seq)
+    reach = max(-float(counting.x[0]), float(counting.x[-1]), 0.0)
+    if not abs(a) * reach < math.inf:
+        raise BadArgument(f"the slope a must keep a*x finite on the sequence, got {a!r}")
     y = a * counting.x - counting.y
     return PiecewiseLinear(
         counting.x,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import top_half_slope
+from .envelope import increasing_ladder, top_half_slope
 from .errors import EmptyWindow
 from .sequences import SeparatedSequence, as_bounds
 
@@ -141,9 +141,7 @@ def type_estimate(f, y_values, log_modulus=None) -> TypeEstimate:
     pass log_modulus to sample in log scale instead.  OverflowError is
     raised, not masked, when direct evaluation leaves double range.
     """
-    ys = np.asarray([float(y) for y in y_values], dtype=float)
-    if ys.size < 8 or np.any(np.diff(ys) <= 0) or ys[0] <= 0:
-        raise ValueError("y_values must be positive and strictly increasing, at least 8")
+    ys = np.asarray(increasing_ladder(y_values, 8, "y_values"))
     logs = np.empty(ys.size, dtype=float)
     for k, y in enumerate(ys):
         if log_modulus is not None:

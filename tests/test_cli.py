@@ -395,3 +395,83 @@ def test_gap_probe_csv(tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "size,min_eigenvalue,floored,noise_floor,vector_l1,vector_l2"
     assert len(lines) == 5
+
+
+# --------------------------------------------------------- argument domains
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ftype", "--y-min", 1, "--y-max", 1.0000000000000002, "--y-count", 64],
+        ["ftype", "--y-min", 0],
+        ["short", "--family", "{fam}", "--radius", 0],
+        ["density", "--seq", "lattice:1", "--radius=-10", "--radius", 20, "--radius", 40, "--radius", 80],
+        ["cauchy", "--gap", 3, "--x", 1, "--y-max", "inf"],
+        ["gap-measure", "--gap", 3, "--verify-interval", "0.4,2.6", "--grid-step", "inf"],
+        ["bm", "--seq", "lattice:1", "--radius", 10, "--a", "nan"],
+        ["cauchy", "--gap", 3, "--x", "nan"],
+        ["cauchy", "--gap", 3, "--x", 1, "--y-min=-1e308", "--y-max=1e308"],
+        ["density", "--seq", "lattice:1", "--radius", 1000, "--tol", 1],
+        ["gap-measure", "--gap", 3, "--n", 64, "--smoothness", 100000],
+        ["gap-measure", "--gap", 5.5, "--n", 64, "--smoothness", 100000],
+        ["gap-probe", "--seq", "lattice:1", "--radius", 101, "--gap", "inf"],
+        ["bm", "--seq", "lattice:1", "--radius", 10, "--a", 1, "--window=-inf,1"],
+    ],
+)
+def test_domain_errors_exit_sixtyfour(tmp_path, recwarn, argv):
+    fam = tmp_path / "fam.csv"
+    fam.write_text("left,right\n1,2\n")
+    code, out, err = run_cli([str(a).format(fam=fam) for a in argv])
+    assert code == 64
+    assert out == ""
+    assert err.count("error:") == 1 and "usage:" in err and "generator grammar" in err
+    assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_tolerance_above_half_inverse_delta_is_refused():
+    # D_* <= 1/delta, so a_lower >= 2*tol cannot hold once tol > 0.5/delta
+    code, out, err = run_cli(["density", "--seq", "lattice:1", "--radius", 1000, "--tol", 1])
+    assert code == 64 and "0.5/delta" in err
+    code, payload = run_json(["density", "--seq", "lattice:1", "--radius", 1000, "--tol", 0.5])
+    assert code == 0
+    assert payload["polya_class"] == "Polya"
+
+
+def test_default_tolerance_on_a_sparse_sequence_is_refused():
+    # delta = 20 puts the default --tol 0.05 above 0.5/delta = 0.025
+    code, out, err = run_cli(["density", "--seq", "lattice:20", "--radius", 100000])
+    assert code == 64 and out == "" and "0.5/delta" in err
+
+
+def test_family_endpoints_at_the_bound_are_classified(tmp_path):
+    # the default ladder ends at the largest endpoint, 1e50, which a family file may hold
+    fam = tmp_path / "fam.csv"
+    fam.write_text("left,right\n-1e50,-1e49\n1,2\n1e49,1e50\n")
+    code, payload = run_json(["short", "--family", fam])
+    assert code == 2
+    assert payload["radii"][-1] == 1e50 and payload["verdict"] == "Inconclusive"
+
+
+def test_every_csv_cell_is_a_label_or_a_float(tmp_path):
+    fam = tmp_path / "fam.csv"
+    fam.write_text("left,right\n" + "\n".join(f"{2**k},{2**k + 1}" for k in range(2, 12)) + "\n")
+    csv = tmp_path / "out.csv"
+    for argv in (
+        ["density", "--seq", "lattice:1", "--radius", 100],
+        ["classify", "--seq", "squares", "--radius", 10000],
+        ["bm", "--seq", "lattice:1", "--radius", 10, "--a", 1.5],
+        ["short", "--family", fam],
+        ["gap-probe", "--seq", "lattice:1", "--radius", 101, "--gap", 7.0],
+        ["gap-measure", "--gap", 3, "--n", 32],
+        ["cauchy", "--gap", 3.0, "--x", 0.75],
+        ["ftype", "--y-count", 8],
+    ):
+        code, _, err = run_cli(argv + ["--csv-out", csv])
+        assert code in (0, 2), err
+        rows = [line for line in csv.read_text().splitlines() if line and not line.startswith("#")]
+        assert len(rows) > 1, argv
+        for cell in ",".join(rows).split(","):
+            if not cell.isidentifier():  # a label or a header name
+                float(cell)

@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 
 from bmlab import (
+    BadArgument,
     INCONCLUSIVE,
     LONG,
     NO,
@@ -239,3 +240,20 @@ def test_witness_agrees_with_density(spec):
         assert rep.polya_class != POLYA
     elif rep.polya_class == NOT_POLYA:
         pytest.fail("NotPolya without witness")
+
+
+def test_tolerance_domain():
+    seq = generate(Lattice(1.0, -100, 100))
+    for tol in (0.0, 0.5000001, math.inf, math.nan):
+        with pytest.raises(BadArgument):
+            interior_density(seq, a_tolerance=tol)
+    with pytest.raises(BadArgument):
+        default_radius_ladder(0.0)
+
+
+def test_bisection_stops_at_adjacent_doubles():
+    # a tolerance finer than the double spacing at the bracket ends
+    rep = interior_density(generate(Lattice(1.0, -100, 100)), a_tolerance=1e-320)
+    assert len(rep.trials) < 64
+    assert rep.a_upper == np.nextafter(rep.a_lower, math.inf)
+    assert rep.polya_class == INCONCLUSIVE  # below the window resolution

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmlab import (
+    BadArgument,
     INCONCLUSIVE,
     INTERIOR,
     LONG,
@@ -446,3 +447,20 @@ def test_flat_gamma_inconclusive_is_allowed():
     verdict, report = is_almost_decreasing(line(0.0), RADII)
     assert verdict in (YES, INCONCLUSIVE)
     assert report.degenerate
+
+
+def test_ladders_refuse_values_outside_their_range():
+    def fam_at(_r):
+        return IntervalFamily([], [])
+
+    for radii in (
+        [1.0, 2.0, 4.0, np.inf],
+        [np.nan, 1.0, 2.0, 4.0],
+        [1e-320, 1.0, 2.0, 4.0],
+        [1.0, 2.0, 4.0, 1e60],
+    ):
+        with pytest.raises(BadArgument):
+            classify_short_long(fam_at, radii)
+    # the top end is inclusive: a ladder may reach the largest family-file endpoint
+    assert classify_short_long(fam_at, [1e47, 1e48, 1e49, 1e50]).radii[-1] == 1e50
+

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmlab import (
+    BadArgument,
     BadDataFile,
     BadGap,
     DiscreteMeasure,
@@ -592,3 +593,30 @@ def test_gap_probe_guards(lattice301):
         min_gap_residual(lattice301, 1.0, [21, 600])
     with pytest.raises(ValueError):
         min_gap_residual(lattice301, 1.0, [21, 302])
+
+
+def test_gap_preconditions_raise_bad_argument():
+    mu = lattice_gap_measure(3.0, 32)
+    for call in (
+        lambda: lattice_gap_measure(3.0, 31),
+        lambda: lattice_gap_measure(3.0, 32, -1),
+        lambda: lattice_gap_measure(3.0, 32, 10**400),
+        lambda: verify_gap(mu, (0.4, 2.6), math.inf),
+        lambda: verify_gap(mu, (0.4, math.nan), 1e-3),
+        lambda: cauchy_decay(mu, math.nan, [1.0, 2.0, 3.0, 4.0]),
+        lambda: cauchy_decay(mu, 1e300, [1.0, 2.0, 3.0, 4.0]),  # the fit would square x*y
+        lambda: cauchy_decay(mu, 0.5, [1.0, 2.0, 3.0, 4.0], math.inf),
+        lambda: cauchy_decay(mu, 0.5, [1.0, 2.0, 3.0, math.inf]),
+        lambda: gram_matrix(np.arange(4.0), math.inf),
+        lambda: min_gap_residual(generate(Lattice(1.0, -10, 10)), 1.0, [0, 5]),
+    ):
+        with pytest.raises(BadArgument):
+            call()
+
+
+@pytest.mark.parametrize("gap", [3.0, 5.5])
+def test_bump_beyond_double_range_is_refused(gap, recwarn):
+    # at gap 3 the C^k bump overflows to inf, at 5.5 it underflows to 0
+    with pytest.raises(BadArgument, match="smoothness 100000"):
+        lattice_gap_measure(gap, 64, 100000)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

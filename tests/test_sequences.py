@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmlab import (
+    BadArgument,
     DuplicatePoint,
     EmptyRange,
     Lattice,
@@ -261,3 +262,20 @@ def test_pwl_grid_includes_breakpoints():
     assert xs[0] == -3.0 and xs[-1] == 3.0
     assert {-1.0, 0.5, 2.0} <= set(xs.tolist())
     assert np.allclose(ys, f(xs))
+
+
+def test_sequence_preconditions_raise_bad_argument():
+    seq = generate(Lattice(1.0, -5, 5))
+    f = counting_function(seq)
+    for window in ((1.0, 1.0), (-math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(BadArgument):
+            f.grid_on(window)
+    for a in (math.nan, math.inf, 1e308):
+        with pytest.raises(BadArgument):
+            gamma_line(seq, a)
+
+
+def test_subnormal_gap_is_not_separated():
+    # the counting function divides by the edge gaps
+    with pytest.raises(NotSeparated):
+        load_sequence([0.0, 1e-320, 1.0])

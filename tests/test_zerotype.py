@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmlab import (
+    BadArgument,
     EmptyWindow,
     eval_qcos,
     interior_density,
@@ -284,3 +285,9 @@ def test_zero_set_density_not_polya():
     seq = zero_set_qcos((-1e6, 1e6))
     rep = interior_density(seq)
     assert rep.polya_class == "NotPolya"
+
+
+def test_type_estimate_refuses_non_finite_ladder(recwarn):
+    with pytest.raises(BadArgument):
+        type_estimate(cmath.cos, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, math.inf])
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
