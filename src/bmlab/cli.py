@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import math
 import sys
 
@@ -51,6 +52,7 @@ from .errors import (
 from .gap import (
     TWO_PI,
     cauchy_decay,
+    check_grid_step,
     lattice_gap_measure,
     measure_to_csv,
     min_gap_residual,
@@ -446,6 +448,8 @@ def _cmd_gap_measure(parser, args) -> int:
             "max_abs": check.max_abs,
             "argmax": check.argmax,
         }
+    else:
+        check_grid_step(args.grid_step)  # unused, but echoed under params
     _emit(args, payload)
     if args.csv_out:
         measure_to_csv(mu, args.csv_out)
@@ -526,6 +530,7 @@ def _add_seq_flags(p) -> None:
     )
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bm-lab",

@@ -20,12 +20,15 @@ Two independent diagnostics accompany the construction.
   in log scale so the exponential factor never overflows.
 
 * Gram matrices of exponentials on [0, a]:
-  G[m][n] = integral_0^a exp(i (lambda_m - lambda_n) t) dt in closed
+  G[m][n] = integral_0^a exp(i (lambda_n - lambda_m) t) dt in closed
   form.  The decay of the smallest eigenvalue along growing centered
   point windows is finite-section evidence about the gap; it is evidence
   only, not a decision procedure, and the probe records both the l1 and
   l2 norms of the minimizing coefficient vectors (the classical problem
-  normalizes mass in l1 while eigenvalues minimize in l2).
+  normalizes mass in l1 while eigenvalues minimize in l2).  The probe
+  solves the real sinc kernel, the Gram matrix on [-a/2, a/2], which is
+  unitarily similar to G.  At a floored eigenvalue the minimizing vector
+  is not unique, and its l1 norm is not reproducible across solvers.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .sequences import SeparatedSequence, as_bounds
 
 TWO_PI = 2.0 * math.pi
 
-GRAM_SIZE_CAP = 512        # refuse dense Hermitian solves beyond this
+GRAM_SIZE_CAP = 512        # refuse dense eigensolves beyond this
 TERMS_CAP = 1 << 16        # n_terms cap: an FFT of at most 2^20 nodes
 GRID_POINTS_CAP = 1 << 20  # verify_gap grid points
 TRANSFORM_BLOCK = 1 << 18  # exponentials per block in fourier_transform and verify_gap
@@ -249,6 +252,12 @@ def _grid_transform(mu: DiscreteMeasure, lo: float, step: float, count: int) -> 
     return table.ravel()[:count]
 
 
+def check_grid_step(grid_step: float) -> None:
+    """Refuse a verify_gap grid step that is not positive and finite."""
+    if not 0.0 < grid_step < math.inf:
+        raise BadArgument(f"grid step must be positive and finite, got {grid_step!r}")
+
+
 def verify_gap(mu: DiscreteMeasure, interval, grid_step: float) -> GapCheck:
     """Maximum of |mu^| on a uniform grid over the interval, with argmax.
 
@@ -260,8 +269,9 @@ def verify_gap(mu: DiscreteMeasure, interval, grid_step: float) -> GapCheck:
     some 36 MB at the GRID_POINTS_CAP grid whatever the atom count.
     """
     lo, hi = as_bounds(interval)
-    if not (-math.inf < lo < hi < math.inf and 0.0 < grid_step < math.inf):
-        raise BadArgument(f"need finite lo < hi and a positive finite step, got {lo!r}, {hi!r}, {grid_step!r}")
+    if not -math.inf < lo < hi < math.inf:
+        raise BadArgument(f"need a finite interval lo < hi, got {lo!r}, {hi!r}")
+    check_grid_step(grid_step)
     steps = (hi - lo) / grid_step
     if not steps < GRID_POINTS_CAP:
         raise SizeGuard(f"grid of {steps + 1:.3g} points beyond the cap {GRID_POINTS_CAP}")
@@ -325,14 +335,20 @@ def cauchy_decay(mu: DiscreteMeasure, x: float, y_values, tolerance: float = 1e-
     return CauchyDecayReport(x, ys, plus, minus, tolerance, verdict)
 
 
-def gram_matrix(points, a: float) -> np.ndarray:
+def gram_matrix(points, a: float, centered: bool = False) -> np.ndarray:
     """Gram matrix of exponentials exp(i lambda t) on [0, a], closed form.
 
     G[m][n] = integral of exp(i (lambda_n - lambda_m) t) over [0, a]
-            = (exp(i (lambda_n - lambda_m) a) - 1) / (i (lambda_n - lambda_m))
-    off the diagonal and a on it, for distinct points.  Hermitian positive
-    definite, and oriented so that c* G c equals the L^2[0, a] energy of
-    t -> sum c_n exp(i lambda_n t).
+            = exp(i d a/2) * S[m][n],  d = lambda_n - lambda_m,
+    where S[m][n] = 2 sin(d a/2) / d off the diagonal and a on it, for
+    distinct points.  G is Hermitian positive definite, and oriented so that
+    c* G c equals the L^2[0, a] energy of t -> sum c_n exp(i lambda_n t).
+
+    With centered=True the interval is [-a/2, a/2] and the matrix is S,
+    the real symmetric sinc (prolate) kernel of Landau, Pollak and Slepian.
+    G = D* S D with D = diag(exp(i lambda a/2)) unitary, so the two share
+    their eigenvalues and the moduli of their eigenvector entries.  G's
+    phase is formed from d: per-point phases lose accuracy at large |lambda|.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size == 0:
@@ -341,19 +357,24 @@ def gram_matrix(points, a: float) -> np.ndarray:
         raise SizeGuard(f"dense Gram matrix limited to {GRAM_SIZE_CAP} points")
     if not 0.0 < a < math.inf:
         raise BadArgument(f"interval length a must be positive and finite, got {a!r}")
+    half = 0.5 * a
+    with np.errstate(over="ignore"):
+        spread = (pts.max() - pts.min()) * half
+    if not spread < math.inf:
+        raise BadArgument(f"(max - min) * a/2 of the points overflows or is not finite, got a = {a!r}")
     if np.unique(pts).size != pts.size:
         raise BadArgument("points must be distinct")
-    # (exp(1j*d*a) - 1) / (1j*d) with d = -(pts - pts'), in one buffer
-    den = np.subtract.outer(pts, pts)
-    np.negative(den, out=den)
-    den = 1j * den
-    out = den * a
-    np.exp(out, out=out)
-    out -= 1.0
+    diff = np.subtract.outer(pts, pts)  # -d; S is even in d
+    out = diff * half
+    np.sin(out, out=out)
     with np.errstate(invalid="ignore"):
-        out /= den  # 0/0 on the diagonal, overwritten below
+        out /= diff  # 0/0 on the diagonal, overwritten below
+    out *= 2.0
     np.fill_diagonal(out, a)
-    return out
+    if centered:
+        return out
+    diff *= -half
+    return np.exp(1j * diff) * out
 
 
 @dataclass
@@ -375,11 +396,14 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
     """Smallest Gram eigenvalue along growing centered point windows.
 
     For each N the centered window of N points is selected and the
-    smallest eigenvalue of the exponential Gram matrix on [0, a] computed
-    with a dense Hermitian solver.  The windows are nested, so one Gram
-    matrix is built on the largest and each smaller one is its contiguous
-    centered block.  Raw eigenvalues below the backward
-    error scale N * eps * lambda_max are floored before classification:
+    smallest eigenvalue of the exponential Gram matrix computed with a
+    dense real symmetric solver, on [-a/2, a/2] where the matrix is the
+    real sinc kernel S (gram_matrix with centered=True).  S is unitarily
+    similar to the Gram matrix on [0, a], so the eigenvalues and the
+    eigenvector norms are those of [0, a].  The windows are nested, so S
+    is built once on the largest and each smaller one is its contiguous
+    centered block.  Raw eigenvalues below the backward error scale
+    N * eps * lambda_max are floored before classification:
 
     * DecaysToZero   when the final raw eigenvalue sits at or below its
       noise floor (the centered windows are nested, so the exact value is
@@ -394,6 +418,9 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
     coarse size ladders the eigenvalue can be at machine zero already at
     the first window; the terminal-floor rule is what keeps that case out
     of Inconclusive.
+    At a floored eigenvalue the minimizing vector lies in a numerically
+    degenerate eigenspace, so its l1 norm is not reproducible across
+    solvers.
     """
     sizes = [int(n) for n in sizes]
     if not sizes or sizes[0] < 1 or any(b <= a_ for a_, b in zip(sizes, sizes[1:])):
@@ -406,7 +433,7 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
     raw, floored, floors, l1s, l2s = [], [], [], [], []
     breakdown = False
     base = (len(seq) - sizes[-1]) // 2
-    big = gram_matrix(seq.points[base : base + sizes[-1]], a)
+    big = gram_matrix(seq.points[base : base + sizes[-1]], a, centered=True)
     for n in sizes:
         s = (len(seq) - n) // 2 - base
         try:

@@ -2,9 +2,14 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bmlab
 from bmlab.cli import GENERATOR_GRAMMAR, parse_generator, run
 
 PI = math.pi
@@ -417,6 +422,9 @@ def test_gap_probe_csv(tmp_path):
         ["gap-measure", "--gap", 5.5, "--n", 64, "--smoothness", 100000],
         ["gap-probe", "--seq", "lattice:1", "--radius", 101, "--gap", "inf"],
         ["bm", "--seq", "lattice:1", "--radius", 10, "--a", 1, "--window=-inf,1"],
+        ["gap-measure", "--gap", 3, "--grid-step", "inf"],
+        ["gap-measure", "--gap", 3, "--n", 64, "--grid-step", 0],
+        ["gap-probe", "--seq", "lattice:1", "--radius", 101, "--gap", 1e308],
     ],
 )
 def test_domain_errors_exit_sixtyfour(tmp_path, recwarn, argv):
@@ -475,3 +483,30 @@ def test_every_csv_cell_is_a_label_or_a_float(tmp_path):
         for cell in ",".join(rows).split(","):
             if not cell.isidentifier():  # a label or a header name
                 float(cell)
+
+
+VALID_PROBE = ["gap-probe", "--seq", "lattice:1", "--radius", "101", "--gap", "7.0"]
+
+
+@pytest.fixture(scope="module")
+def probe_in_fresh_process():
+    src = str(Path(bmlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    alone = subprocess.run([sys.executable, "-m", "bmlab.cli", *VALID_PROBE], capture_output=True, text=True, env=env)
+    return alone.returncode, alone.stdout, alone.stderr
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["gap-probe", "--seq", "lattice:1", "--radius", 50, "--radius", 60, "--gap", "inf", "--n", 5],
+        ["gap-probe", "--seq", "lattice:1", "--radius", 101, "--gap", 7.0, "--no-such-flag"],
+        ["gap-probe", "--seq", "nosuch", "--radius", 101, "--gap", 7.0, "--n", 31],
+        ["density", "--seq", "lattice:1", "--radius", 100, "--tol", 1],
+    ],
+)
+def test_an_erroring_run_leaves_nothing_for_the_next(probe_in_fresh_process, bad):
+    # the parser is built once per process; a valid call after an error must
+    # give the bytes and exit code of the same call in a fresh process
+    assert run_cli(bad)[0] in (1, 64)
+    assert run_cli(VALID_PROBE) == probe_in_fresh_process

@@ -191,6 +191,7 @@ def _run(argv):
 )
 @example(argv=["cauchy", "--gap", "3", "--x", "1", "--y-max", "inf"], seq_text="", fam_text="")
 @example(argv=["gap-measure", "--gap=3", "--verify-interval=0.4,2.6", "--grid-step=inf"], seq_text="", fam_text="")
+@example(argv=["gap-measure", "--gap=3", "--grid-step=inf"], seq_text="", fam_text="")
 @example(argv=["cauchy", "--gap", "3", "--x", "1", "--y-min=-1e308", "--y-max=1e308"], seq_text="", fam_text="")
 @example(argv=["short", "--family", "{fam}"], seq_text="", fam_text="1e49,1e50")
 @example(argv=["bm", "--seq", "lattice:1", "--radius", "10", "--a", "nan"], seq_text="", fam_text="")

@@ -15,6 +15,7 @@ from bmlab import (
     BadGap,
     DiscreteMeasure,
     Lattice,
+    LogPerturbedLattice,
     NumericalBreakdown,
     SizeGuard,
     cauchy_decay,
@@ -488,6 +489,44 @@ def test_gram_quadratic_form_is_transform_energy():
     assert quad_form <= chk.max_abs**2 * a * (1.0 + 1e-6) + 1e-18
 
 
+def test_sinc_kernel_entries_match_mpmath():
+    # centered: 2 sin(d a/2)/d = a sinc(d a/2), and a on the diagonal
+    pts = np.sort(np.random.default_rng(5).uniform(-300.0, 300.0, 40))
+    for a in (0.5, math.pi, 7.0):
+        s = gram_matrix(pts, a, centered=True)
+        assert s.dtype == np.float64 and np.array_equal(s, s.T)
+        with mpmath.workdps(40):
+            want = [
+                [a * mpmath.sinc((mpmath.mpf(q) - mpmath.mpf(p)) * mpmath.mpf(a) / 2) for q in pts]
+                for p in pts
+            ]
+        err = max(abs(s[m, n] - float(want[m][n])) for m in range(pts.size) for n in range(pts.size))
+        assert err <= 8 * EPS * a
+
+
+@pytest.mark.parametrize(
+    "points, a",
+    [
+        (np.arange(-100.0, 101.0), math.pi),
+        (np.arange(-100.0, 101.0), 7.0),
+        (np.cumsum(np.full(300, 1.1)) + 0.37 * np.sin(np.arange(300)), 2.0),
+        (np.sign(np.arange(-20.0, 21.0)) * np.arange(-20.0, 21.0) ** 2, 0.5),
+    ],
+)
+def test_sinc_kernel_spectrum_matches_gram_on_zero_a(points, a):
+    # G = D* S D with D unitary: the [0, a] form has the same eigenvalues
+    want = np.linalg.eigvalsh(gram_matrix(points, a))
+    got = np.linalg.eigvalsh(gram_matrix(points, a, centered=True))
+    assert np.max(np.abs(got - want)) <= points.size * EPS * want[-1]
+
+
+def test_gram_refuses_an_overflowing_phase():
+    # d*a/2 must stay finite, or sin(inf) leaves NaN in the matrix
+    with pytest.raises(BadArgument, match="overflows"):
+        gram_matrix(np.array([-100.0, 100.0]), 1e307)
+    assert np.all(np.isfinite(gram_matrix(np.array([-100.0, 100.0]), 1e305)))
+
+
 def test_gram_rejects_repeated_points():
     # a repeated point would leave 0/0 off the diagonal
     with pytest.raises(ValueError, match="distinct"):
@@ -558,11 +597,11 @@ def test_gap_probe_eigenvector_norms_recorded(lattice301):
 
 
 def _per_window_probe(seq, a, sizes):
-    """Raw eigenvalue, floor and vector norms from a fresh Gram matrix per window."""
+    """Raw eigenvalue, floor and vector norms from a fresh sinc kernel per window."""
     rows = []
     for n in sizes:
         start = (len(seq) - n) // 2
-        vals, vecs = np.linalg.eigh(gram_matrix(seq.points[start : start + n], a))
+        vals, vecs = np.linalg.eigh(gram_matrix(seq.points[start : start + n], a, centered=True))
         floor = n * np.finfo(float).eps * max(float(vals[-1]), 1.0)
         vec = vecs[:, 0]
         rows.append((float(vals[0]), float(floor), float(np.abs(vec).sum()), float(np.linalg.norm(vec))))
@@ -584,6 +623,24 @@ def test_min_gap_residual_matches_per_window_gram_bit_for_bit(points, a, sizes):
     assert rep.noise_floors == [r[1] for r in want]
     assert rep.vector_l1 == [r[2] for r in want]
     assert rep.vector_l2 == [r[3] for r in want]
+
+
+def test_probe_vector_norms_match_complex_solve_at_isolated_eigenvalue():
+    # logperturbed at a = 7: lambda_min is well separated from the rest of
+    # the spectrum, so the minimizing vector is determined up to a phase and
+    # its norms do not depend on the solver (at a floored eigenvalue they do)
+    seq = generate(LogPerturbedLattice(-300, 300))
+    sizes = [21, 101, 256, 512]
+    rep = min_gap_residual(seq, 7.0, sizes)
+    assert rep.classification == "BoundedBelow"
+    for k, n in enumerate(sizes):
+        start = (len(seq) - n) // 2
+        vals, vecs = np.linalg.eigh(gram_matrix(seq.points[start : start + n], 7.0))
+        assert vals[1] - vals[0] >= 0.01 * vals[-1]
+        assert rep.min_eigenvalues[k] > rep.noise_floors[k]
+        assert abs(rep.min_eigenvalues[k] - vals[0]) <= n * EPS * vals[-1]
+        assert rep.vector_l1[k] == pytest.approx(float(np.abs(vecs[:, 0]).sum()), rel=1e-9)
+        assert rep.vector_l2[k] == pytest.approx(float(np.linalg.norm(vecs[:, 0])), rel=1e-9)
 
 
 def test_gap_probe_guards(lattice301):

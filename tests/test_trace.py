@@ -1,0 +1,37 @@
+"""The bench tracer still finds every layer it times.
+
+``bench/spans.py`` wraps named functions of the program; a function that
+is renamed or moved leaves its per-layer metric null.  The tracer is
+imported by path, as the bench harness runs it, and left unedited.
+"""
+
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+from bmlab.cli import run
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gap_probe_records_a_gram_span():
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    with tracer, contextlib.redirect_stdout(io.StringIO()):
+        code = run(["gap-probe", "--seq", "lattice:1", "--radius", "101", "--gap", "7.0"])
+    assert code == 0
+    assert tracer.unwrapped == []
+    names = [s.name for s in tracer.spans]
+    assert "gap.gram" in names and "gap.probe" in names
+    metrics = spans.layer_metrics(tracer.spans, tracer.missing)
+    assert metrics["gap.gram_s"] > 0 and metrics["gap.probe_self_s"] > 0
