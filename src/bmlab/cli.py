@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
 import functools
 import math
 import sys
@@ -63,9 +62,9 @@ from .sequences import (
     Lattice,
     LogPerturbedLattice,
     SymmetricSquares,
+    check_points,
     gamma_line,
     generate,
-    load_sequence,
     read_sequence_file,
 )
 from .zerotype import eval_qcos, log_abs_cos, log_abs_qcos, type_estimate
@@ -76,7 +75,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
-GENERATOR_POINTS_CAP = 1 << 23  # points a built-in generator may materialize
 Y_COUNT_CAP = 1 << 16           # --y-count of cauchy and ftype
 
 GENERATOR_GRAMMAR = """\
@@ -106,8 +104,9 @@ def parse_generator(spec: str, radius: float | None = None):
     generators (their index ranges are derived from it) and is required
     for them; for file sources it optionally cuts the points to [-radius,
     radius].  The data window of a radius-bounded sequence is (-radius,
-    radius).  A built-in generator of more than GENERATOR_POINTS_CAP
-    points raises SizeGuard before anything is allocated.
+    radius).  A built-in generator of more than POINTS_CAP points, and a
+    file of more than POINTS_CAP lines, raise SizeGuard before anything is
+    allocated or parsed.
     """
     name, _, param = spec.partition(":")
     name = name.strip()
@@ -120,10 +119,10 @@ def parse_generator(spec: str, radius: float | None = None):
         base = read_sequence_file(param)
         if radius is None:
             return base
-        pts = base.points[np.abs(base.points) <= radius]
-        if pts.size == 0:
-            raise EmptyRange(f"no points of {param} within radius {radius:g}")
-        return load_sequence(pts, window=(-radius, radius))
+        try:
+            return base.within(radius)
+        except EmptyRange:
+            raise EmptyRange(f"no points of {param} within radius {radius:g}") from None
 
     if name == "lattice":
         if not param:
@@ -143,30 +142,24 @@ def parse_generator(spec: str, radius: float | None = None):
     window = (-radius, radius)
 
     if name == "lattice":
-        _check_points(2.0 * (radius / step) + 1.0)
+        check_points(2.0 * (radius / step) + 1.0)
         n_max = int(math.floor(radius / step))
         if n_max < 1:
             raise WindowTooSmall(f"radius {radius:g} is below one lattice step {step:g}")
-        return dataclasses.replace(generate(Lattice(step, -n_max, n_max)), window=window)
+        return generate(Lattice(step, -n_max, n_max)).on_window(window)
 
     if name == "squares":
-        _check_points(2.0 * math.sqrt(radius) + 1.0)
+        check_points(2.0 * math.sqrt(radius) + 1.0)
         m = int(math.floor(math.sqrt(radius)))
         if m < 1:
             raise WindowTooSmall(f"radius {radius:g} holds no nonzero square")
-        return dataclasses.replace(generate(SymmetricSquares(-m, m)), window=window)
+        return generate(SymmetricSquares(-m, m)).on_window(window)
 
-    _check_points(2.0 * radius + 1.0)
+    check_points(2.0 * radius + 1.0)
     n_max = int(math.floor(radius))
     if n_max < 1:
         raise WindowTooSmall(f"radius {radius:g} holds no perturbed point")
-    base = generate(LogPerturbedLattice(-n_max, n_max))
-    return load_sequence(base.points[np.abs(base.points) <= radius], window=window)
-
-
-def _check_points(count: float) -> None:
-    if not count <= GENERATOR_POINTS_CAP:
-        raise SizeGuard(f"{count:.3g} generator points beyond the cap {GENERATOR_POINTS_CAP}")
+    return generate(LogPerturbedLattice(-n_max, n_max)).within(radius)
 
 
 def _seq_spec(parser, args) -> str:

@@ -9,6 +9,16 @@ a), so a bisection on [0, 2/delta] brackets the supremum.  Every trial
 records its shortness evidence; the bracket stops refining at the
 requested tolerance or at the first Inconclusive verdict.
 
+Many trials are decided by the counting bound alone.  On the segment
+between neighbouring points, g_a has slope a - 1/gap.  For a > 1/delta
+every segment rises, g_a increases strictly and BM(g_a) on any window is
+the whole window, one edge-flagged interval; for a below 1/(largest
+gap) every segment falls and BM(g_a) is empty.  ``bm_family`` uses this
+without a sweep, but decides it on the computed ordinates of g_a (one
+check per trial, two end comparisons per window), not on a versus
+1/delta: rounding can make neighbouring ordinates tie or dip when a is
+within a few ulps of 1/delta, and the sweep's answer is kept bit for bit.
+
 The classification of the bracket is honest about window resolution: a
 window of radius R cannot certify slopes finer than about delta/R, so the
 verdict degrades to Inconclusive when the requested tolerance is below

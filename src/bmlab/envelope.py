@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadArgument, BadDataFile
-from .sequences import PiecewiseLinear
+from .sequences import PiecewiseLinear, check_file_size
 
 INTERIOR = "Interior"
 TOUCHES_WINDOW_EDGE = "TouchesWindowEdge"
@@ -151,8 +151,10 @@ def family_to_csv(family: IntervalFamily, path) -> None:
 def family_from_csv(path) -> IntervalFamily:
     """Read a family from CSV lines ``left,right[,flag]``; header optional.
 
-    Endpoints must be finite with magnitude at most ENDPOINT_BOUND.
+    Endpoints must be finite with magnitude at most ENDPOINT_BOUND.  The
+    file's size is checked before it is read (``check_file_size``).
     """
+    check_file_size(path)
     rows = []
     first_data_line = True
     with open(path, "r", encoding="utf-8") as fh:
@@ -339,7 +341,24 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     set iff gamma(x) < M_j: either the whole half-open segment qualifies
     (left node value below M_j) or the part right of the exact crossing of
     the segment line with level M_j.
+
+    A monotone gamma needs no sweep.  When the window's ordinates
+    [gamma(lo), nodes strictly inside, gamma(hi)] increase strictly, every
+    point has a higher one to its right and the family is [lo, hi],
+    flagged; when they never increase, no point has, and the family is
+    empty.  That is decided on the computed ordinates, not on the slopes
+    that make them monotone in exact arithmetic: ``gamma.trend`` checks the
+    nodes once, and each window compares only its two ends with the
+    neighbouring nodes, so the result is the sweep's bit for bit even
+    where rounding makes neighbours tie.
     """
+    lo, hi, ends, i, j = gamma.window_ends(window)
+    trend = _window_trend(gamma, ends, i, j)
+    if trend == 1:
+        return IntervalFamily._columns(np.array([lo]), np.array([hi]), np.array([True]))
+    if trend == -1:
+        return IntervalFamily._columns(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+
     xs, ys = gamma.grid_on(window)
     suffix = np.maximum.accumulate(ys[::-1])[::-1]
     m_seg = suffix[1:]  # per segment: max over nodes strictly to its right
@@ -366,6 +385,20 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     right = xs[last + 1]
     edge = (left == xs[0]) | (right == xs[-1])
     return IntervalFamily._columns(left, right, edge)
+
+
+def _window_trend(gamma: PiecewiseLinear, ends, i: int, j: int) -> int:
+    """1 when [ends[0], gamma.y[i:j], ends[1]] increase strictly, -1 when
+    they never increase, 0 when the node trend leaves it open."""
+    if i == j:  # one segment
+        return 1 if ends[0] < ends[1] else -1
+    first, last = gamma.y[i], gamma.y[j - 1]
+    trend = gamma.trend
+    if trend == 1 and ends[0] < first and last < ends[1]:
+        return 1
+    if trend == -1 and ends[0] >= first and last >= ends[1]:
+        return -1
+    return 0
 
 
 def is_almost_decreasing(

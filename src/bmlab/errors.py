@@ -45,7 +45,7 @@ class BadGap(BadArgument):
 
 
 class SizeGuard(BmLabError):
-    """A dense matrix operation was refused because the size cap was exceeded."""
+    """An input was refused before allocation because it exceeds a size cap."""
 
 
 class NumericalBreakdown(BmLabError):

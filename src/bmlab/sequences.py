@@ -15,12 +15,20 @@ Built-in generators cover the desk examples used throughout:
 * ``SymmetricSquares(n_min, n_max)``   points sign(n)*n**2
 * ``LogPerturbedLattice(n_min, n_max)`` points n + n/log(|n| + 2)
 
-Sequence files hold one decimal real per line; blank lines and lines whose
-first non-space character is ``#`` are ignored; point order is arbitrary.
+Sequence files hold one decimal real per line, as Python's ``float``
+reads it once the line is stripped of white space (so ``1_0`` and
+non-ASCII digits parse, ``3 # c`` and ``1 2`` do not).  Lines end at
+``\\n``, ``\\r`` or ``\\r\\n``, as a text file iterates them.  Blank lines and
+lines whose first non-space character is ``#`` are ignored; point order
+is arbitrary.  A value that does not parse or is not finite is refused
+with BadDataFile naming ``path:line``.  A file of more than POINTS_CAP
+(2^23) lines or 64*POINTS_CAP bytes raises SizeGuard before anything is
+parsed; the command line exits 1 on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -35,7 +43,52 @@ from .errors import (
     NotSeparated,
     OutOfWindow,
     SinglePoint,
+    SizeGuard,
 )
+
+POINTS_CAP = 1 << 23  # points a generator may materialize, lines a data file may hold
+FILE_CHUNK = 1 << 16  # bytes (characters, when parsing) read from a data file at a time
+
+
+def check_points(count: float) -> None:
+    """SizeGuard when ``count`` (a NaN too) is beyond POINTS_CAP."""
+    if not count <= POINTS_CAP:
+        raise SizeGuard(f"{count:.3g} generator points beyond the cap {POINTS_CAP}")
+
+
+def check_file_size(path) -> None:
+    """SizeGuard for a data file of more than POINTS_CAP lines or 64*POINTS_CAP bytes.
+
+    Lines end at ``\\n``, ``\\r`` or ``\\r\\n``, as a text file iterates them.
+    They are counted over fixed-size binary chunks, so nothing is parsed
+    and at most FILE_CHUNK bytes are held; the count stops at the cap.
+    """
+    max_bytes = 64 * POINTS_CAP
+    lines = size = 0
+    tail = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(FILE_CHUNK):
+            size += len(chunk)
+            cr = chunk.count(b"\r")
+            lines += chunk.count(b"\n") + cr - (cr and chunk.count(b"\r\n"))
+            lines -= tail == b"\r" and chunk.startswith(b"\n")  # a CR LF pair split across chunks
+            tail = chunk[-1:]
+            if size > max_bytes:
+                raise SizeGuard(f"{path}: more than {max_bytes} bytes, the cap for a data file")
+            if lines > POINTS_CAP:
+                break
+    lines += tail not in (b"", b"\n", b"\r")  # a last line without its end
+    if lines > POINTS_CAP:
+        raise SizeGuard(f"{path}: more than {POINTS_CAP} lines, the cap for a data file")
+
+
+def _checked_window(points: np.ndarray, window) -> tuple[float, float]:
+    lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise ValueError("window must satisfy lo < hi")
+    if points[0] < lo or points[-1] > hi:
+        raise OutOfWindow("window does not contain all points")
+    return lo, hi
 
 
 @dataclass
@@ -55,19 +108,43 @@ class SeparatedSequence:
             raise DuplicatePoint("duplicate point in sequence")
         if np.any(gaps < 0.0):
             raise ValueError("points must be sorted increasingly")
-        lo, hi = float(self.window[0]), float(self.window[1])
-        if not lo < hi:
-            raise ValueError("window must satisfy lo < hi")
-        if self.points[0] < lo or self.points[-1] > hi:
-            raise OutOfWindow("window does not contain all points")
-        self.window = (lo, hi)
+        self.window = _checked_window(self.points, self.window)
         exact = math.inf if gaps.size == 0 else float(gaps.min())
         # delta is the exact minimum consecutive gap, not an estimate
         if not math.isclose(self.delta, exact, rel_tol=1e-12, abs_tol=0.0):
             raise ValueError("delta must equal the minimum consecutive gap")
 
+    @classmethod
+    def _trusted(cls, points: np.ndarray, delta: float, window) -> "SeparatedSequence":
+        """Wrap points that are sorted, separated and finite, with their exact
+        minimal gap, by construction; only the window is checked."""
+        if points.ndim != 1:
+            raise EmptyRange("a sequence needs at least one point")
+        seq = cls.__new__(cls)
+        seq.points, seq.delta, seq.window = points, delta, _checked_window(points, window)
+        return seq
+
     def __len__(self):
         return int(self.points.size)
+
+    def on_window(self, window) -> "SeparatedSequence":
+        """The same points on another data window; only the window is checked."""
+        return SeparatedSequence._trusted(self.points, self.delta, window)
+
+    def within(self, radius: float) -> "SeparatedSequence":
+        """The points with |x| <= radius on the data window (-radius, radius).
+
+        They are one contiguous slice of the sorted points, so they are
+        neither sorted nor checked again; only their minimal gap is taken.
+        Raises EmptyRange when no point lies that close to 0.
+        """
+        i = np.searchsorted(self.points, -radius, side="left")
+        j = np.searchsorted(self.points, radius, side="right")
+        if i == j:
+            raise EmptyRange(f"no points within radius {radius:g}")
+        points = self.points[i:j]
+        delta = math.inf if points.size < 2 else float(np.diff(points).min())
+        return SeparatedSequence._trusted(points, delta, (-radius, radius))
 
 
 def load_sequence(points, window=None, min_delta=None) -> SeparatedSequence:
@@ -83,7 +160,9 @@ def load_sequence(points, window=None, min_delta=None) -> SeparatedSequence:
         Required minimal gap.  Raises NotSeparated when violated, and for
         a gap below the smallest normal double, whose reciprocal overflows.
     """
-    pts = np.sort(np.asarray(points, dtype=float))
+    pts = np.array(points, dtype=float)
+    if pts.ndim != 1 or not np.all(pts[:-1] < pts[1:]):  # strictly increasing input is already sorted
+        pts = np.sort(pts)
     if pts.size == 0:
         raise EmptyRange("no points given")
     if np.any(~np.isfinite(pts)):
@@ -104,27 +183,68 @@ def load_sequence(points, window=None, min_delta=None) -> SeparatedSequence:
             window = (float(pts[0]) - pad, float(pts[0]) + pad)
         else:
             window = (float(pts[0]), float(pts[-1]))
-    return SeparatedSequence(pts, delta, (float(window[0]), float(window[1])))
+    return SeparatedSequence._trusted(pts, delta, window)
 
 
 def read_sequence_file(path, window=None, min_delta=None) -> SeparatedSequence:
-    """Load a sequence from a text file, one decimal real per line."""
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise BadDataFile(f"{path}:{lineno}: not a finite decimal real: {line!r}")
-            values.append(value)
-    if not values:
+    """Load a sequence from a text file, one decimal real per line.
+
+    The file's size is checked first (``check_file_size``).  Lines are
+    then read in blocks of about FILE_CHUNK characters, and a block of
+    data lines only is converted in one pass of ``float``.  Any other
+    block (a blank or ``#`` line, a value that does not parse or is not
+    finite) goes through the line loop, the one place that reports
+    errors.  A file that is not UTF-8 goes through the loop whole, so the
+    first of its faults is the one reported.
+    """
+    check_file_size(path)
+    try:
+        values = _read_blocks(path)
+    except UnicodeDecodeError:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = _parse_lines(path, fh, 1)
+    if len(values) == 0:
         raise BadDataFile(f"{path}: no data lines")
     return load_sequence(values, window=window, min_delta=min_delta)
+
+
+def _read_blocks(path) -> np.ndarray:
+    """The file's values, block by block.
+
+    ``readlines`` splits where file iteration splits: at ``\\n``, ``\\r`` and
+    ``\\r\\n``, not at ``\\x0c`` or ``\\u2028`` as ``str.splitlines`` would.
+    ``float`` skips the white space ``strip`` removes around a number, or
+    refuses the line, so a value read in one pass is the one the loop reads.
+    """
+    blocks, first = [], 1
+    with open(path, "r", encoding="utf-8") as fh:
+        while lines := fh.readlines(FILE_CHUNK):
+            try:
+                block = np.fromiter(map(float, lines), dtype=float, count=len(lines))
+            except ValueError:
+                block = None
+            if block is None or not np.isfinite(block).all():
+                block = np.array(_parse_lines(path, lines, first), dtype=float)
+            blocks.append(block)
+            first += len(lines)
+    return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _parse_lines(path, lines, first: int) -> list[float]:
+    """The values of the data lines; ``first`` numbers the first line."""
+    values = []
+    for lineno, raw in enumerate(lines, first):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise BadDataFile(f"{path}:{lineno}: not a finite decimal real: {line!r}")
+        values.append(value)
+    return values
 
 
 @dataclass(frozen=True)
@@ -190,6 +310,24 @@ class PiecewiseLinear:
         if np.any(np.diff(self.x) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
 
+    @classmethod
+    def _trusted(cls, x: np.ndarray, y: np.ndarray, left_slope: float, right_slope: float) -> "PiecewiseLinear":
+        """Wrap float arrays whose breakpoints increase strictly by construction."""
+        f = cls.__new__(cls)
+        f.x, f.y, f.left_slope, f.right_slope = x, y, left_slope, right_slope
+        return f
+
+    @functools.cached_property
+    def trend(self) -> int:
+        """1 when the node ordinates increase strictly, -1 when they never
+        increase, 0 otherwise.  Computed once, on the ordinates as stored."""
+        before, after = self.y[:-1], self.y[1:]
+        if np.all(before < after):
+            return 1
+        if np.all(before >= after):
+            return -1
+        return 0
+
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         out = np.interp(t_arr, self.x, self.y)
@@ -203,13 +341,11 @@ class PiecewiseLinear:
             return float(out)
         return out
 
-    def grid_on(self, window):
-        """Breakpoints clipped to a window, with the window ends appended.
+    def window_ends(self, window):
+        """(lo, hi, ends, i, j): the window, the function values at its two
+        ends, and the slice x[i:j] of the breakpoints strictly inside.
 
-        Returns (xs, ys) where xs[0] and xs[-1] are exactly the window ends
-        and the interior nodes are the breakpoints strictly inside, one
-        contiguous slice of the sorted breakpoints.  The window needs lo <
-        hi and finite function values at both ends.
+        The window needs lo < hi and finite function values at both ends.
         """
         lo, hi = float(window[0]), float(window[1])
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
@@ -218,6 +354,16 @@ class PiecewiseLinear:
             raise BadArgument(f"window must satisfy lo < hi with finite values at both ends, got {lo!r}, {hi!r}")
         i = np.searchsorted(self.x, lo, side="right")
         j = np.searchsorted(self.x, hi, side="left")
+        return lo, hi, ends, i, j
+
+    def grid_on(self, window):
+        """Breakpoints clipped to a window, with the window ends appended.
+
+        Returns (xs, ys) where xs[0] and xs[-1] are exactly the window ends
+        and the interior nodes are the breakpoints strictly inside, one
+        contiguous slice of the sorted breakpoints (see ``window_ends``).
+        """
+        lo, hi, ends, i, j = self.window_ends(window)
         xs = np.concatenate(([lo], self.x[i:j], [hi]))
         ys = np.concatenate((ends[:1], self.y[i:j], ends[1:]))
         return xs, ys
@@ -240,7 +386,7 @@ def counting_function(seq: SeparatedSequence) -> PiecewiseLinear:
     right_slope = 1.0 / (pts[-1] - pts[-2])
     unanchored = PiecewiseLinear(pts, raw, left_slope, right_slope)
     anchor = unanchored(0.0)
-    return PiecewiseLinear(pts, raw - anchor, left_slope, right_slope)
+    return PiecewiseLinear._trusted(unanchored.x, raw - anchor, left_slope, right_slope)
 
 
 def as_bounds(interval) -> tuple[float, float]:
@@ -279,10 +425,6 @@ def gamma_line(seq: SeparatedSequence, a: float, counting: PiecewiseLinear | Non
     reach = max(-float(counting.x[0]), float(counting.x[-1]), 0.0)
     if not abs(a) * reach < math.inf:
         raise BadArgument(f"the slope a must keep a*x finite on the sequence, got {a!r}")
-    y = a * counting.x - counting.y
-    return PiecewiseLinear(
-        counting.x,
-        y,
-        a - counting.left_slope,
-        a - counting.right_slope,
-    )
+    y = a * counting.x
+    y -= counting.y
+    return PiecewiseLinear._trusted(counting.x, y, a - counting.left_slope, a - counting.right_slope)

@@ -510,3 +510,21 @@ def test_an_erroring_run_leaves_nothing_for_the_next(probe_in_fresh_process, bad
     # give the bytes and exit code of the same call in a fresh process
     assert run_cli(bad)[0] in (1, 64)
     assert run_cli(VALID_PROBE) == probe_in_fresh_process
+
+
+@pytest.mark.parametrize("flag", ["--input", "--seq", "--family"])
+def test_data_files_beyond_the_line_cap_exit_one(tmp_path, monkeypatch, flag):
+    monkeypatch.setattr(bmlab.sequences, "POINTS_CAP", 64)
+    path = tmp_path / "data.txt"
+    path.write_text("".join(f"{k},{k + 0.5}\n" if flag == "--family" else f"{k}\n" for k in range(65)))
+    if flag == "--family":
+        argv = ["short", "--family", path]
+    else:
+        argv = ["density", flag, path if flag == "--input" else f"file:{path}", "--radius", 100]
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "SizeGuard" in err
+    path.write_text("".join(f"{k},{k + 0.5}\n" if flag == "--family" else f"{k}\n" for k in range(64)))
+    code, _, err = run_cli(argv)
+    assert "SizeGuard" not in err

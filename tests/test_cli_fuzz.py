@@ -200,6 +200,9 @@ def _run(argv):
 @example(argv=["density", "--seq", "lattice:1", "--radius", "100", "--tol", "1e-320"], seq_text="", fam_text="")
 @example(argv=["gap-measure", "--gap", "3", "--n", "64", "--smoothness", "100000"], seq_text="", fam_text="")
 @example(argv=["gap-measure", "--gap", "5.5", "--n", "64", "--smoothness", "100000"], seq_text="", fam_text="")
+@example(argv=["density", "--input", "{seq}", "--radius", "20"], seq_text="1\r2\r\n3\x0c4\n# c\r\n5", fam_text="")
+@example(argv=["density", "--input", "{seq}", "--radius", "20"], seq_text="-3\r-1_0\r\n2\r\n\u0663\n7", fam_text="")
+@example(argv=["short", "--family", "{fam}"], seq_text="", fam_text="left,right\r1,2\r\n3,4\r")
 def test_every_argv_ends_with_a_documented_exit_code(tmp_path_factory, argv, seq_text, fam_text):
     work = tmp_path_factory.mktemp("fuzz")
     seq, fam = work / "seq.txt", work / "fam.csv"

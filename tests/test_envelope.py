@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from bmlab import (
     YES,
     Interval,
     IntervalFamily,
+    Lattice,
     PiecewiseLinear,
     SymmetricSquares,
     bm_family,
@@ -464,3 +467,139 @@ def test_ladders_refuse_values_outside_their_range():
     # the top end is inclusive: a ladder may reach the largest family-file endpoint
     assert classify_short_long(fam_at, [1e47, 1e48, 1e49, 1e50]).radii[-1] == 1e50
 
+
+
+# ------------------------------------------- monotone gamma against the sweep
+
+
+def sweep_reference(gamma, window):
+    """BM(gamma) on the window by a plain suffix-max loop over the segments.
+
+    Returns (left, right, edge) lists.  A segment is in the set whole when
+    its left node lies below the maximum of the nodes right of it, from
+    the crossing with that level when only its right node does; a piece
+    joins the previous one unless it starts at a crossing.
+    """
+    xs, ys = (v.tolist() for v in gamma.grid_on(window))
+    pieces = [None] * (len(xs) - 1)
+    level = -math.inf
+    for j in range(len(xs) - 2, -1, -1):
+        level = max(level, ys[j + 1])
+        if ys[j] < level:
+            pieces[j] = (xs[j], False)
+        elif ys[j + 1] < level:
+            t = (ys[j] - level) / (ys[j] - ys[j + 1])
+            pieces[j] = (xs[j] + t * (xs[j + 1] - xs[j]), True)
+    components = []
+    for j, piece in enumerate(pieces):
+        if piece is None:
+            continue
+        start, crossing = piece
+        if components and j > 0 and pieces[j - 1] is not None and not crossing:
+            components[-1][1] = xs[j + 1]
+        else:
+            components.append([start, xs[j + 1]])
+    left = [c[0] for c in components]
+    right = [c[1] for c in components]
+    return left, right, [a == xs[0] or b == xs[-1] for a, b in components]
+
+
+def _nudge(x, steps):
+    """x moved by ``steps`` ulps."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.copysign(math.inf, steps))
+    return float(x)
+
+
+@st.composite
+def shaped_gamma(draw):
+    """A gamma whose nodes increase strictly, stay flat, never increase,
+    tie once, wander, or come from gamma_line on a lattice at a slope a few
+    ulps above 1/delta, where rounding makes neighbours tie."""
+    shape = draw(st.sampled_from(["increasing", "flat", "non-increasing", "one tie", "random", "lattice"]))
+    if shape == "lattice":
+        step = draw(st.sampled_from([1.0, 0.5, 0.1, 0.3, 0.7, 2.5]))
+        seq = generate(Lattice(step, -draw(st.integers(2, 200)), draw(st.integers(2, 200))))
+        return gamma_line(seq, _nudge(1.0 / seq.delta, draw(st.integers(-1, 3))))
+    k = draw(st.integers(2, 24))
+    gaps = draw(st.lists(st.floats(0.01, 4.0), min_size=k - 1, max_size=k - 1))
+    xs = np.cumsum([draw(st.floats(-20.0, 20.0))] + gaps)
+    rises = np.array(draw(st.lists(st.floats(1e-9, 3.0), min_size=k - 1, max_size=k - 1)))
+    y0 = draw(st.floats(-10.0, 10.0))
+    if shape == "flat":
+        ys = np.full(k, y0)
+    elif shape == "non-increasing":
+        keep = np.array(draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1)))
+        ys = y0 - np.concatenate(([0.0], np.cumsum(rises * keep)))
+    elif shape == "random":
+        ys = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k)))
+    else:
+        ys = y0 + np.concatenate(([0.0], np.cumsum(rises)))
+        if shape == "one tie":
+            j = draw(st.integers(1, k - 1))
+            ys[j] = ys[j - 1]
+    slopes = draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+    return PiecewiseLinear(xs, ys, *slopes)
+
+
+@st.composite
+def windows_for(draw, gamma):
+    """Nested symmetric windows, windows past the nodes, and windows whose
+    ends lie on a node or within an ulp of one.  Among the last are
+    windows ending next to a node at or below its left neighbour: there
+    a node at the top may leave the set, and the end comparison decides."""
+    xs, ys = gamma.x, gamma.y
+    out = [(-r, r) for r in sorted(draw(st.lists(st.floats(0.5, 80.0), min_size=1, max_size=4)))]
+    out.append((float(xs[0]) - 5.0, float(xs[-1]) + 5.0))
+    ends = draw(st.lists(st.integers(0, xs.size - 1), max_size=3))
+    not_rising = np.flatnonzero(ys[1:] <= ys[:-1])
+    if not_rising.size:
+        for k in draw(st.lists(st.sampled_from(not_rising.tolist()), max_size=6, unique=True)):
+            ends += [q for q in (k, k + 1, k + 2) if q < xs.size]
+    for q in ends:
+        for d in (-1, 0, 1):
+            hi = _nudge(xs[q], d)
+            lo = draw(st.sampled_from([float(xs[0]) - 1.0, _nudge(xs[0], 1), -abs(hi) - 1.0]))
+            if lo < hi:
+                out.append((lo, hi))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bm_family_equals_the_plain_sweep(data):
+    gamma = data.draw(shaped_gamma())
+    for window in data.draw(windows_for(gamma)):
+        fam = bm_family(gamma, window)
+        left, right, edge = sweep_reference(gamma, window)
+        assert fam.left.tolist() == left, window
+        assert fam.right.tolist() == right, window
+        assert fam.edge.tolist() == edge, window
+
+
+@pytest.mark.parametrize(
+    "step, m, ulps, window",
+    [(0.7, 20, 2, (-15.0, 11.9)), (0.7, 20, 2, (-15.0, -10.499999999999998)), (0.3, 200, 3, (-61.0, 38.7))],
+)
+def test_slope_above_one_over_delta_does_not_decide(step, m, ulps, window):
+    # a is a few ulps above 1/delta, so gamma_a increases in exact
+    # arithmetic, but its computed ordinates dip below a node near the
+    # window end: the family has two components, not the whole window
+    seq = generate(Lattice(step, -m, m))
+    gamma = gamma_line(seq, _nudge(1.0 / seq.delta, ulps))
+    fam = bm_family(gamma, window)
+    assert gamma.trend == 0 and len(fam) == 2
+    assert (fam.left.tolist(), fam.right.tolist(), fam.edge.tolist()) == sweep_reference(gamma, window)
+
+
+def test_monotone_gamma_needs_no_sweep(monkeypatch):
+    seq = generate(Lattice(1.0, -50, 50))
+    rising, falling = gamma_line(seq, 2.0), gamma_line(seq, 0.5)
+    assert (rising.trend, falling.trend) == (1, -1)
+    monkeypatch.setattr(PiecewiseLinear, "grid_on", None)  # a sweep would call it
+    for r in (0.5, 10.0, 30.5):
+        fam = bm_family(rising, (-r, r))
+        assert (fam.left.tolist(), fam.right.tolist(), fam.edge.tolist()) == ([-r], [r], [True])
+        assert len(bm_family(falling, (-r, r))) == 0
+    with pytest.raises(BadArgument):
+        bm_family(rising, (0.0, math.inf))

@@ -1,8 +1,10 @@
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bmlab import (
@@ -23,7 +25,8 @@ from bmlab import (
     load_sequence,
     read_sequence_file,
 )
-from bmlab.errors import BadDataFile
+from bmlab import sequences
+from bmlab.errors import BadDataFile, BmLabError, SizeGuard
 
 
 # ---------------------------------------------------------------- sequences
@@ -279,3 +282,146 @@ def test_subnormal_gap_is_not_separated():
     # the counting function divides by the edge gaps
     with pytest.raises(NotSeparated):
         load_sequence([0.0, 1e-320, 1.0])
+
+
+# ---------------------------------------------------------------- file reading
+
+
+def reference_read(path):
+    """The line loop of the file reader, kept here as the reference."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise BadDataFile(f"{path}:{lineno}: not a finite decimal real: {line!r}")
+            values.append(value)
+    if not values:
+        raise BadDataFile(f"{path}: no data lines")
+    return values
+
+
+def _outcome(read):
+    """Point bits of a read, or the type and text of what it raised."""
+    try:
+        return read().points.tobytes()
+    except (BmLabError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        return type(exc).__name__, str(exc)
+
+
+# lines the loop reads, skips or refuses, some of which float() and
+# np.loadtxt treat differently
+LINES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f" {v:.6e}\t"),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(
+        [
+            "1_0", "2_5.0_1", "1__0", "١٢", "１２.５", "٣",
+            "nan", "-inf", "Infinity", "1e400", "-1e400", "1e-400",
+            "3 # c", "1 2", "0x10", "", "   ", "# note", "#", "\x0c", "7\x0c", "\x1c8", "\u20289", "\x85",
+        ]
+    ),
+)
+# \x0c, \x1c, \u2028 and \x85 end a line for str.splitlines, not for the file
+SEPARATORS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028", "\x85"])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    pieces=st.lists(st.tuples(LINES, SEPARATORS), max_size=30),
+    trailing=st.booleans(),
+    bad_byte=st.booleans(),
+    chunk=st.sampled_from([1, 8, 40, 1 << 16]),
+)
+def test_fast_parse_agrees_with_the_line_loop(tmp_path_factory, monkeypatch, pieces, trailing, bad_byte, chunk):
+    text = "".join(line + sep for line, sep in pieces)
+    if pieces and not trailing:
+        text = text[: -len(pieces[-1][1])]  # no end after the last line
+    data = text.encode("utf-8") + (b"\xff1\n" if bad_byte else b"")
+    path = tmp_path_factory.mktemp("parse") / "seq.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(sequences, "FILE_CHUNK", chunk)  # blocks of a few lines each
+    assert _outcome(lambda: read_sequence_file(path)) == _outcome(lambda: load_sequence(reference_read(path)))
+
+
+def test_only_unusual_blocks_take_the_line_loop(tmp_path, monkeypatch):
+    looped = []
+    parse_lines = sequences._parse_lines
+
+    def spy(path, lines, first):
+        looped.append(len(lines))
+        return parse_lines(path, lines, first)
+
+    monkeypatch.setattr(sequences, "_parse_lines", spy)
+    monkeypatch.setattr(sequences, "FILE_CHUNK", 64)
+    path = tmp_path / "seq.txt"
+    path.write_text("".join(f"{k}.5\r\n" for k in range(1000)))
+    assert read_sequence_file(path).points.size == 1000 and looped == []
+    path.write_text("".join(f"{k}.5\n" for k in range(1000)) + "# end\n\n")
+    assert read_sequence_file(path).points.size == 1000
+    assert len(looped) == 1 and looped[0] < 20
+
+
+def _lines_as_iterated(data: bytes) -> int:
+    return len(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines())
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"1", b"1\n", b"1\r\n2\r\n", b"1\r2\r3", b"1\r\r\n\n2", b"\r\n\r\n\r", b"1\x0c2\n3\x1c\n", b"\n\n\n1"],
+)
+def test_file_line_count_matches_text_iteration(tmp_path, monkeypatch, chunk, data):
+    # the cap refuses one line more than the file iterates, and not exactly that many
+    path = tmp_path / "seq.txt"
+    path.write_bytes(data)
+    lines = _lines_as_iterated(data)
+    monkeypatch.setattr(sequences, "FILE_CHUNK", chunk)
+    monkeypatch.setattr(sequences, "POINTS_CAP", lines)
+    sequences.check_file_size(path)
+    if lines > 1:  # a cap of 0 lines is also one of 0 bytes
+        monkeypatch.setattr(sequences, "POINTS_CAP", lines - 1)
+        with pytest.raises(SizeGuard, match="lines"):
+            sequences.check_file_size(path)
+
+
+def test_file_beyond_the_caps_is_refused_before_parsing(tmp_path, monkeypatch):
+    monkeypatch.setattr(sequences, "POINTS_CAP", 4096)
+    many = tmp_path / "many.txt"
+    many.write_bytes(b"1\n" * 100_000)  # would be DuplicatePoint if parsed
+    wide = tmp_path / "wide.txt"
+    wide.write_bytes(b"1" + b"0" * (64 * 4096) + b"\n2\n")  # two lines, one byte past the cap
+    for path, what in ((many, "lines"), (wide, "bytes")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuard, match=what):
+                read_sequence_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * sequences.FILE_CHUNK
+    at_cap = tmp_path / "at_cap.txt"
+    at_cap.write_bytes(b"1\n" * 4096)
+    with pytest.raises(DuplicatePoint):
+        read_sequence_file(at_cap)
+
+
+def test_restricted_sequences_keep_their_points_and_gap():
+    seq = load_sequence([-7.0, -2.0, -1.5, 0.0, 3.0, 3.25, 9.0])
+    near = seq.within(3.0)
+    assert near.points.tolist() == [-2.0, -1.5, 0.0, 3.0]
+    assert near.delta == 0.5 and near.window == (-3.0, 3.0)
+    assert seq.within(0.1).delta == math.inf
+    with pytest.raises(EmptyRange):
+        load_sequence([5.0, 6.0]).within(1.0)
+    wide = seq.on_window((-10.0, 10.0))
+    assert wide.points is seq.points and wide.delta == seq.delta and wide.window == (-10.0, 10.0)
+    with pytest.raises(OutOfWindow):
+        seq.on_window((-5.0, 10.0))

@@ -35,3 +35,38 @@ def test_gap_probe_records_a_gram_span():
     assert "gap.gram" in names and "gap.probe" in names
     metrics = spans.layer_metrics(tracer.spans, tracer.missing)
     assert metrics["gap.gram_s"] > 0 and metrics["gap.probe_self_s"] > 0
+
+
+def test_density_records_every_layer_span(tmp_path, monkeypatch):
+    # the components a bm_family span records are the lengths of the families
+    # it returned, also where a monotone gamma skips the sweep
+    import bmlab.envelope
+
+    lengths = []
+    bm_family = bmlab.envelope.bm_family
+
+    def counted(*args, **kwargs):
+        family = bm_family(*args, **kwargs)
+        lengths.append(len(family))
+        return family
+
+    monkeypatch.setattr(bmlab.envelope, "bm_family", counted)
+    points = tmp_path / "points.txt"
+    points.write_text("".join(f"{k + 0.125 * (k % 2)!r}\n" for k in range(-300, 301)))
+    spans = _spans_module()
+    for argv in (
+        ["density", "--seq", "lattice:1", "--radius", "1000"],
+        ["density", "--input", str(points), "--radius", "300"],
+    ):
+        tracer = spans.Tracer()
+        lengths.clear()
+        with tracer, contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+        assert code == 0
+        assert tracer.unwrapped == []
+        names = {s.name for s in tracer.spans}
+        assert {"sequences.load", "sequences.gamma_line", "envelope.bm_family"} <= names
+        components = [s.attrs["components"] for s in tracer.spans if s.name == "envelope.bm_family"]
+        assert components == lengths and len(lengths) > 0
+        metrics = spans.layer_metrics(tracer.spans, tracer.missing)
+        assert all(value is not None for value in metrics.values())
