@@ -66,6 +66,7 @@ from .sequences import (
     gamma_line,
     generate,
     read_sequence_file,
+    write_csv,
 )
 from .zerotype import eval_qcos, log_abs_cos, log_abs_qcos, type_estimate
 
@@ -264,23 +265,11 @@ def _witness_dict(witness):
         "ladder": witness.ladder,
         "ratios": witness.ratios,
         "intervals": [
-            {"left": iv.left, "right": iv.right} for iv in witness.family.intervals
+            {"left": left, "right": right}
+            for left, right in zip(witness.family.left.tolist(), witness.family.right.tolist())
         ],
         "shortness": _shortness_dict(witness.shortness),
     }
-
-
-def _write_csv(path, *blocks) -> None:
-    """CSV blocks ``(title, header, rows)`` a blank line apart; a title adds a ``# title`` line.
-
-    Floats, numpy scalars too, are written as repr(float(v)); labels and sizes as str.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for k, (title, header, rows) in enumerate(blocks):
-            fh.write(("\n" if k else "") + (f"# {title}\n" if title else "") + header + "\n")
-            for row in rows:
-                cells = (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
-                fh.write(",".join(cells) + "\n")
 
 
 def _cmd_density(parser, args) -> int:
@@ -295,7 +284,7 @@ def _cmd_density(parser, args) -> int:
     if args.csv_out:
         sums = [(t.a, r, s) for t in rep.trials for r, s in zip(t.shortness.radii, t.shortness.partial_sums)]
         trials = [(t.a, t.verdict) for t in rep.trials]
-        _write_csv(args.csv_out, ("trials", "a,verdict", trials), ("partial_sums", "a,radius,partial_sum", sums))
+        write_csv(args.csv_out, ("trials", "a,verdict", trials), ("partial_sums", "a,radius,partial_sum", sums))
     return EXIT_INCONCLUSIVE if rep.polya_class == INCONCLUSIVE else EXIT_OK
 
 
@@ -318,7 +307,7 @@ def _cmd_classify(parser, args) -> int:
         if witness is not None:
             rows = zip(witness.family.left, witness.family.right, witness.ratios)
             blocks.append(("witness", "left,right,ratio", rows))
-        _write_csv(args.csv_out, *blocks)
+        write_csv(args.csv_out, *blocks)
     return EXIT_INCONCLUSIVE if polya_class == INCONCLUSIVE else EXIT_OK
 
 
@@ -371,7 +360,7 @@ def _cmd_short(parser, args) -> int:
     }
     _emit(args, payload)
     if args.csv_out:
-        _write_csv(args.csv_out, (None, "radius,partial_sum", zip(rep.radii, rep.partial_sums)))
+        write_csv(args.csv_out, (None, "radius,partial_sum", zip(rep.radii, rep.partial_sums)))
     return EXIT_INCONCLUSIVE if rep.verdict == INCONCLUSIVE else EXIT_OK
 
 
@@ -402,7 +391,7 @@ def _cmd_gap_probe(parser, args) -> int:
     if args.csv_out:
         header = "size,min_eigenvalue,floored,noise_floor,vector_l1,vector_l2"
         columns = (rep.min_eigenvalues, rep.floored_eigenvalues, rep.noise_floors, rep.vector_l1, rep.vector_l2)
-        _write_csv(args.csv_out, (None, header, zip(rep.sizes, *columns)))
+        write_csv(args.csv_out, (None, header, zip(rep.sizes, *columns)))
     return EXIT_INCONCLUSIVE if rep.classification == INCONCLUSIVE else EXIT_OK
 
 
@@ -476,7 +465,7 @@ def _cmd_cauchy(parser, args) -> int:
     _emit(args, payload)
     if args.csv_out:
         rows = zip(rep.y_values, rep.plus.log_abs, rep.minus.log_abs)
-        _write_csv(args.csv_out, (None, "y,log_abs_plus,log_abs_minus", rows))
+        write_csv(args.csv_out, (None, "y,log_abs_plus,log_abs_minus", rows))
     return EXIT_OK
 
 
@@ -503,7 +492,7 @@ def _cmd_ftype(parser, args) -> int:
     }
     _emit(args, payload)
     if args.csv_out:
-        _write_csv(args.csv_out, (None, "y,log_modulus", zip(est.y_values, est.log_moduli)))
+        write_csv(args.csv_out, (None, "y,log_modulus", zip(est.y_values, est.log_moduli)))
     return EXIT_OK
 
 

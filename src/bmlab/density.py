@@ -36,12 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .envelope import (
     INCONCLUSIVE,
     LONG,
     NO,
     YES,
-    Interval,
     IntervalFamily,
     ShortnessReport,
     ShortnessThresholds,
@@ -50,7 +51,7 @@ from .envelope import (
     is_almost_decreasing,
 )
 from .errors import BadArgument, WindowTooSmall
-from .sequences import SeparatedSequence, counting_function, count_in, gamma_line
+from .sequences import SeparatedSequence, counting_function, gamma_line
 
 POLYA = "Polya"
 NOT_POLYA = "NotPolya"
@@ -190,68 +191,63 @@ class WitnessFamily:
 
 
 def _geometric_ladders(window, base: int):
-    """Candidate interval ladders [base^k, base^{k+1}] contained in the window."""
+    """Candidate ladders [base^k, base^(k+1)] inside the window, as (name, left, right).
+
+    The "both" ladder is ordered by k, the distance to 0, the positive
+    interval first: a stable sort of positive then negative by distance.
+    """
     lo, hi = window
-    pos, neg = [], []
-    k = 0
-    while base ** (k + 1) <= hi:
-        if base**k >= lo:
-            pos.append(Interval(float(base**k), float(base ** (k + 1))))
-        k += 1
-    k = 0
-    while -(base ** (k + 1)) >= lo:
-        if -(base**k) <= hi:
-            neg.append(Interval(float(-(base ** (k + 1))), float(-(base**k))))
-        k += 1
+    powers = np.ldexp(1.0, np.arange(0, 1024, int(math.log2(base))))
+    near, far = powers[:-1], powers[1:]
+    left = np.column_stack((near, -far)).ravel()
+    right = np.column_stack((far, -near)).ravel()
+    inside = (left >= lo) & (right <= hi)
+    left, right = left[inside], right[inside]
+    pos, neg = left > 0.0, left < 0.0
     out = []
-    if pos:
-        out.append((f"pow{base}:positive", pos))
-    if neg:
-        out.append((f"pow{base}:negative", neg))
-    if pos and neg:
-        both = sorted(pos + neg, key=lambda iv: iv.dist_to_origin)
-        out.append((f"pow{base}:both", both))
+    if pos.any():
+        out.append((f"pow{base}:positive", left[pos], right[pos]))
+    if neg.any():
+        out.append((f"pow{base}:negative", left[neg], right[neg]))
+    if pos.any() and neg.any():
+        out.append((f"pow{base}:both", left, right))
     return out
 
 
-def _greedy_select(candidates, ratios, caps):
-    """Greedily pick a subsequence whose k-th ratio obeys caps[k]."""
-    picked = []
-    for iv, ratio in zip(candidates, ratios):
-        slot = len(picked)
-        if slot >= len(caps):
-            break
-        if ratio <= caps[slot]:
-            picked.append((iv, ratio))
-    return picked
-
-
 def _witness_from_ladders(seq, caps, accept):
-    """Shared ladder walk for the witness searches.
+    """Shared ladder walk for the witness searches, on endpoint columns.
 
-    ``accept`` maps a per-interval ratio to keep/drop.  Returns the first
-    candidate family (in a fixed deterministic ladder order) that survives
-    the cap filter with at least 4 intervals and classifies Long.
+    Ratios are point counts (one ``searchsorted`` pair) over lengths.
+    ``accept`` maps them to a keep mask; with ``caps`` the k-th interval
+    picked is the next kept one whose ratio is at most caps[k].  Returns
+    the first candidate family (in a fixed deterministic ladder order) that
+    keeps at least 4 intervals and 4 radii and classifies Long, with its
+    columns and ratios sorted by left endpoint.
     """
-    ladders = []
     for base in (4, 2):
-        ladders.extend(_geometric_ladders(seq.window, base))
-    for name, intervals in ladders:
-        ratios = [count_in(seq, iv) / iv.length for iv in intervals]
-        kept = [(iv, r) for iv, r in zip(intervals, ratios) if accept(r)]
-        if caps is not None:
-            kept = _greedy_select([iv for iv, _ in kept], [r for _, r in kept], caps)
-        if len(kept) < 4:
-            continue
-        ordered = sorted(kept, key=lambda pair: pair[0].left)
-        family = IntervalFamily([iv for iv, _ in ordered])
-        radii = sorted({max(abs(iv.left), abs(iv.right)) for iv, _ in kept})
-        if len(radii) < 4:
-            continue
-        report = classify_short_long(lambda _r: family, radii)
-        if report.verdict == LONG:
-            # ratios indexed like family.intervals (sorted by left endpoint)
-            return WitnessFamily(family, [r for _, r in ordered], report, name)
+        for name, left, right in _geometric_ladders(seq.window, base):
+            counts = np.searchsorted(seq.points, right, side="right") - np.searchsorted(seq.points, left, side="left")
+            ratios = counts / (right - left)
+            kept = np.flatnonzero(accept(ratios))
+            if caps is not None:
+                picked, last = [], -1
+                for cap in caps:
+                    hits = kept[(kept > last) & (ratios[kept] <= cap)]
+                    if hits.size == 0:
+                        break
+                    last = hits[0]
+                    picked.append(last)
+                kept = np.array(picked, dtype=np.intp)
+            if kept.size < 4:
+                continue
+            kept = kept[np.argsort(left[kept], kind="stable")]
+            radii = np.unique(np.maximum(np.abs(left[kept]), np.abs(right[kept])))
+            if radii.size < 4:
+                continue
+            family = IntervalFamily._columns(left[kept], right[kept], np.zeros(kept.size, dtype=bool))
+            report = classify_short_long(lambda _r: family, radii)
+            if report.verdict == LONG:
+                return WitnessFamily(family, ratios[kept].tolist(), report, name)
     return None
 
 
@@ -266,10 +262,10 @@ def null_ratio_witness(seq: SeparatedSequence, ratio_cap=None) -> WitnessFamily 
     """
     if ratio_cap is None:
         ratio_cap = [1.0 / (k + 1) for k in range(64)]
-    caps = [float(c) for c in ratio_cap]
-    if any(c <= 0 for c in caps) or any(b > a for a, b in zip(caps, caps[1:])):
-        raise ValueError("ratio_cap must be positive and decreasing")
-    return _witness_from_ladders(seq, caps, accept=lambda r: True)
+    caps = np.asarray(ratio_cap, dtype=float)
+    if not (caps.ndim == 1 and np.all(caps > 0) and np.all(caps[1:] <= caps[:-1])):  # NaN fails too
+        raise BadArgument(f"ratio_cap must be positive and decreasing, got {ratio_cap!r}")
+    return _witness_from_ladders(seq, caps, accept=lambda r: np.full(r.shape, True))
 
 
 def regularity_witness_search(seq: SeparatedSequence, a: float, epsilon: float) -> WitnessFamily | None:
@@ -280,52 +276,37 @@ def regularity_witness_search(seq: SeparatedSequence, a: float, epsilon: float) 
     short).
     """
     if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    return _witness_from_ladders(seq, None, accept=lambda r: abs(r - a) >= epsilon)
+        raise BadArgument(f"epsilon must be positive, got {epsilon!r}")
+    return _witness_from_ladders(seq, None, accept=lambda r: np.abs(r - a) >= epsilon)
 
 
 def strong_regularity_integral(seq: SeparatedSequence, a: float, radii) -> list[float]:
     """Integrals of |n(x) - a*x| / (1 + x^2) over [-R, R] in closed form.
 
-    The integrand is piecewise smooth: on each linear piece of n(x) - a*x
-    the antiderivative of (s*x + c)/(1 + x^2) is s/2*log(1+x^2) +
-    c*arctan(x), and pieces are split at sign changes of the line, so the
-    result carries quadrature-free accuracy.
+    On each segment of a*x - n(x), a line s*x + c, the antiderivative of
+    (s*x + c)/(1 + x^2) is s/2*log(1+x^2) + c*arctan(x).  All segments of a
+    window are done at once: masks split them at the roots of their lines,
+    each piece takes the sign of its midpoint, and ``cumsum`` adds the
+    segments left to right, so the result carries quadrature-free accuracy.
     """
     radii = increasing_ladder(radii, 1, "radii")
-    counting = counting_function(seq)
-    gamma = gamma_line(seq, a, counting)  # a*x - n(x); |n - a x| = |gamma|
-
-    def antideriv(s, c, x):
-        return 0.5 * s * math.log1p(x * x) + c * math.atan(x)
-
-    def piece_integral(s, c, x0, x1):
-        """Integral of |s*x + c|/(1+x^2) over [x0, x1], split at the root."""
-        pieces = []
-        if s != 0.0:
-            root = -c / s
-            if x0 < root < x1:
-                pieces = [(x0, root), (root, x1)]
-        if not pieces:
-            pieces = [(x0, x1)]
-        total = 0.0
-        for u0, u1 in pieces:
-            val = antideriv(s, c, u1) - antideriv(s, c, u0)
-            mid = 0.5 * (u0 + u1)
-            if s * mid + c < 0.0:
-                val = -val
-            total += val
-        return total
-
+    gamma = gamma_line(seq, a)  # |n - a x| = |gamma|
     out = []
     for r in radii:
         xs, ys = gamma.grid_on((-r, r))
-        total = 0.0
-        for j in range(xs.size - 1):
-            x0, x1 = float(xs[j]), float(xs[j + 1])
-            y0, y1 = float(ys[j]), float(ys[j + 1])
-            s = (y1 - y0) / (x1 - x0)
-            c = y0 - s * x0
-            total += piece_integral(s, c, x0, x1)
-        out.append(total)
+        x0, x1 = xs[:-1], xs[1:]
+        s = (ys[1:] - ys[:-1]) / (x1 - x0)
+        c = ys[:-1] - s * x0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = -c / s
+        split = (s != 0.0) & (x0 < root) & (root < x1)
+        cut = np.where(split, root, x1)  # an unsplit segment's second piece is empty: 0
+        pieces = _abs_line_integral(s, c, x0, cut) + _abs_line_integral(s, c, cut, x1)
+        out.append(float(np.cumsum(pieces)[-1]))
     return out
+
+
+def _abs_line_integral(s, c, u0, u1):
+    """Integral of |s*x + c| / (1 + x^2) over [u0, u1], where the line keeps one sign."""
+    val = (0.5 * s * np.log1p(u1 * u1) + c * np.arctan(u1)) - (0.5 * s * np.log1p(u0 * u0) + c * np.arctan(u0))
+    return np.where(s * (0.5 * (u0 + u1)) + c < 0.0, -val, val)

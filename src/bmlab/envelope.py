@@ -31,15 +31,17 @@ No (a family containing an unbounded interval is long).
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadArgument, BadDataFile
-from .sequences import PiecewiseLinear, check_file_size
+from .sequences import PiecewiseLinear, check_file_size, check_utf8_line, write_csv
 
 INTERIOR = "Interior"
 TOUCHES_WINDOW_EDGE = "TouchesWindowEdge"
+FLAGS = (INTERIOR, TOUCHES_WINDOW_EDGE)
 
 SHORT = "Short"
 LONG = "Long"
@@ -55,7 +57,8 @@ ENDPOINT_BOUND = 1e50
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed bounded interval with left < right."""
+    """Closed bounded interval with left < right: the public value type of
+    ``IntervalFamily.intervals``; the engines work on endpoint columns."""
 
     left: float
     right: float
@@ -91,13 +94,12 @@ class IntervalFamily:
         if len(flags) != len(intervals):
             raise ValueError("one flag per interval required")
         for f in flags:
-            if f not in (INTERIOR, TOUCHES_WINDOW_EDGE):
+            if f not in FLAGS:
                 raise ValueError(f"unknown boundary flag {f!r}")
         self.left = np.array([iv.left for iv in intervals], dtype=float)
         self.right = np.array([iv.right for iv in intervals], dtype=float)
         self.edge = np.array([f == TOUCHES_WINDOW_EDGE for f in flags], dtype=bool)
-        if np.any(self.right[:-1] > self.left[1:]):
-            raise ValueError("intervals must be sorted and disjoint")
+        _require_disjoint(self.left, self.right)
 
     @classmethod
     def _columns(cls, left, right, edge) -> "IntervalFamily":
@@ -126,6 +128,12 @@ class IntervalFamily:
         return _mass(self.left[self.edge], self.right[self.edge])
 
 
+def _require_disjoint(left, right) -> None:
+    """ValueError unless the columns are sorted and their interiors disjoint."""
+    if np.any(right[:-1] > left[1:]):
+        raise ValueError("intervals must be sorted and disjoint")
+
+
 def _mass(left, right) -> float:
     """Sum of |I|^2 / (1 + dist(I,0)^2) over the columns, added left to right.
 
@@ -142,49 +150,55 @@ def _mass(left, right) -> float:
 
 def family_to_csv(family: IntervalFamily, path) -> None:
     """Write a family as CSV with columns left,right,flag."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("left,right,flag\n")
-        for left, right, flag in zip(family.left.tolist(), family.right.tolist(), family.flags):
-            fh.write(f"{left!r},{right!r},{flag}\n")
+    write_csv(path, (None, "left,right,flag", zip(family.left.tolist(), family.right.tolist(), family.flags)))
 
 
 def family_from_csv(path) -> IntervalFamily:
     """Read a family from CSV lines ``left,right[,flag]``; header optional.
 
-    Endpoints must be finite with magnitude at most ENDPOINT_BOUND.  The
-    file's size is checked before it is read (``check_file_size``).
+    Rows go straight into endpoint columns and an edge flag, checked in
+    file order with faults naming ``path:line``: UTF-8 text, two numbers,
+    endpoints finite and at most ENDPOINT_BOUND in magnitude, left < right,
+    a known flag.  The rows are then sorted stably by left endpoint and
+    must be disjoint.  The file's size is checked first (``check_file_size``).
     """
     check_file_size(path)
-    rows = []
+    left, right, edge = array("d"), array("d"), bytearray()
     first_data_line = True
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
+            check_utf8_line(path, lineno, raw)
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [p.strip() for p in line.split(",")]
+            parts = line.split(",")
             try:
-                left, right = float(parts[0]), float(parts[1])
+                lo, hi = float(parts[0]), float(parts[1])
             except (ValueError, IndexError):
                 if first_data_line:
                     first_data_line = False
                     continue  # header line
                 raise BadDataFile(f"{path}:{lineno}: expected left,right[,flag]") from None
             first_data_line = False
-            if not (abs(left) <= ENDPOINT_BOUND and abs(right) <= ENDPOINT_BOUND):
+            if not (abs(lo) <= ENDPOINT_BOUND and abs(hi) <= ENDPOINT_BOUND):
                 raise BadDataFile(
                     f"{path}:{lineno}: endpoints must be finite and at most {ENDPOINT_BOUND:g} in magnitude"
                 )
-            flag = parts[2] if len(parts) > 2 and parts[2] else INTERIOR
-            try:
-                rows.append((Interval(left, right), flag))
-            except ValueError as exc:
-                raise BadDataFile(f"{path}:{lineno}: {exc}") from None
-    rows.sort(key=lambda row: row[0].left)
+            if not lo < hi:
+                raise BadDataFile(f"{path}:{lineno}: interval needs left < right, got [{lo}, {hi}]")
+            flag = (parts[2].strip() if len(parts) > 2 else "") or INTERIOR
+            if flag not in FLAGS:
+                raise BadDataFile(f"{path}:{lineno}: unknown boundary flag {flag!r}")
+            left.append(lo)
+            right.append(hi)
+            edge.append(flag == TOUCHES_WINDOW_EDGE)
+    order = np.argsort(left, kind="stable")
+    left, right = np.array(left)[order], np.array(right)[order]
     try:
-        return IntervalFamily([iv for iv, _ in rows], [f for _, f in rows])
+        _require_disjoint(left, right)
     except ValueError as exc:
         raise BadDataFile(f"{path}: {exc}") from None
+    return IntervalFamily._columns(left, right, np.array(edge, dtype=bool)[order])
 
 
 def shortness_partial_sum(family: IntervalFamily, radius: float) -> float:

@@ -49,11 +49,7 @@ class SizeGuard(BmLabError):
 
 
 class NumericalBreakdown(BmLabError):
-    """A dense eigensolver failed to converge; partial results attached."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A dense eigensolver failed to converge."""
 
 
 class BadDataFile(BmLabError):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .envelope import ENDPOINT_BOUND, INCONCLUSIVE, increasing_ladder, top_half_slope
 from .errors import BadArgument, BadDataFile, BadGap, NumericalBreakdown, SizeGuard
-from .sequences import SeparatedSequence, as_bounds
+from .sequences import SeparatedSequence, as_bounds, write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,10 +78,7 @@ class DiscreteMeasure:
 
 def measure_to_csv(mu: DiscreteMeasure, path) -> None:
     """Write atoms as CSV with columns point,re,im."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("point,re,im\n")
-        for p, w in zip(mu.points, mu.weights):
-            fh.write(f"{float(p)!r},{float(w.real)!r},{float(w.imag)!r}\n")
+    write_csv(path, (None, "point,re,im", zip(mu.points, mu.weights.real, mu.weights.imag)))
 
 
 def measure_from_csv(path) -> DiscreteMeasure:

@@ -20,10 +20,10 @@ reads it once the line is stripped of white space (so ``1_0`` and
 non-ASCII digits parse, ``3 # c`` and ``1 2`` do not).  Lines end at
 ``\\n``, ``\\r`` or ``\\r\\n``, as a text file iterates them.  Blank lines and
 lines whose first non-space character is ``#`` are ignored; point order
-is arbitrary.  A value that does not parse or is not finite is refused
-with BadDataFile naming ``path:line``.  A file of more than POINTS_CAP
-(2^23) lines or 64*POINTS_CAP bytes raises SizeGuard before anything is
-parsed; the command line exits 1 on it.
+is arbitrary.  A value that does not parse or is not finite, and a byte
+that is not UTF-8, is refused with BadDataFile naming ``path:line``.  A
+file of more than POINTS_CAP (2^23) lines or 64*POINTS_CAP bytes raises
+SizeGuard before anything is parsed; the command line exits 1 on it.
 """
 
 from __future__ import annotations
@@ -80,6 +80,29 @@ def check_file_size(path) -> None:
     lines += tail not in (b"", b"\n", b"\r")  # a last line without its end
     if lines > POINTS_CAP:
         raise SizeGuard(f"{path}: more than {POINTS_CAP} lines, the cap for a data file")
+
+
+def check_utf8_line(path, lineno: int, line: str) -> None:
+    """BadDataFile naming ``path:line`` when a line decoded with
+    ``errors="surrogateescape"`` holds a lone surrogate: a byte that is not UTF-8."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise BadDataFile(f"{path}:{lineno}: not UTF-8 text") from None
+
+
+def write_csv(path, *blocks) -> None:
+    """CSV blocks ``(title, header, rows)`` a blank line apart; a title adds a ``# title`` line.
+
+    Floats, numpy scalars too, are written as repr(float(v)); labels and sizes as str.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for k, (title, header, rows) in enumerate(blocks):
+            fh.write(("\n" if k else "") + (f"# {title}\n" if title else "") + header + "\n")
+            for row in rows:
+                cells = (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+                fh.write(",".join(cells) + "\n")
 
 
 def _checked_window(points: np.ndarray, window) -> tuple[float, float]:
@@ -193,17 +216,12 @@ def read_sequence_file(path, window=None, min_delta=None) -> SeparatedSequence:
     then read in blocks of about FILE_CHUNK characters, and a block of
     data lines only is converted in one pass of ``float``.  Any other
     block (a blank or ``#`` line, a value that does not parse or is not
-    finite) goes through the line loop, the one place that reports
-    errors.  A file that is not UTF-8 goes through the loop whole, so the
-    first of its faults is the one reported.
+    finite, a byte that is not UTF-8) goes through the line loop, the one
+    place that reports errors, so faults are reported in file order.
     """
     check_file_size(path)
-    try:
-        values = _read_blocks(path)
-    except UnicodeDecodeError:
-        with open(path, "r", encoding="utf-8") as fh:
-            values = _parse_lines(path, fh, 1)
-    if len(values) == 0:
+    values = _read_blocks(path)
+    if values.size == 0:
         raise BadDataFile(f"{path}: no data lines")
     return load_sequence(values, window=window, min_delta=min_delta)
 
@@ -215,9 +233,11 @@ def _read_blocks(path) -> np.ndarray:
     ``\\r\\n``, not at ``\\x0c`` or ``\\u2028`` as ``str.splitlines`` would.
     ``float`` skips the white space ``strip`` removes around a number, or
     refuses the line, so a value read in one pass is the one the loop reads.
+    A byte that is not UTF-8 decodes to a lone surrogate, which ``float``
+    refuses, so its block goes through the loop too.
     """
     blocks, first = [], 1
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while lines := fh.readlines(FILE_CHUNK):
             try:
                 block = np.fromiter(map(float, lines), dtype=float, count=len(lines))
@@ -234,6 +254,7 @@ def _parse_lines(path, lines, first: int) -> list[float]:
     """The values of the data lines; ``first`` numbers the first line."""
     values = []
     for lineno, raw in enumerate(lines, first):
+        check_utf8_line(path, lineno, raw)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -399,15 +420,16 @@ def as_bounds(interval) -> tuple[float, float]:
 def count_in(seq: SeparatedSequence, interval) -> int:
     """Exact number of sequence points in a closed interval.
 
-    ``interval`` is anything ``as_bounds`` accepts.  Raises OutOfWindow
-    when the query interval leaves the data window.
+    ``interval`` is anything ``as_bounds`` accepts.  Raises BadArgument
+    unless left <= right (a NaN end too), and OutOfWindow when the query
+    interval leaves the data window.
     """
     left, right = as_bounds(interval)
+    if not left <= right:
+        raise BadArgument(f"interval must satisfy left <= right, got [{left!r}, {right!r}]")
     lo, hi = seq.window
     if left < lo or right > hi:
         raise OutOfWindow(f"query [{left:g}, {right:g}] exceeds window [{lo:g}, {hi:g}]")
-    if left > right:
-        raise ValueError("interval must satisfy left <= right")
     i = np.searchsorted(seq.points, left, side="left")
     j = np.searchsorted(seq.points, right, side="right")
     return int(j - i)

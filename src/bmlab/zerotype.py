@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import increasing_ladder, top_half_slope
-from .errors import EmptyWindow
+from .errors import BadArgument, EmptyWindow
 from .sequences import SeparatedSequence, as_bounds
 
 PI = math.pi
@@ -61,7 +61,7 @@ def qcos_zeros(window) -> np.ndarray:
     """Real zeros of F in the window: +/- pi (2k+1)^2 / 8, sorted."""
     lo, hi = as_bounds(window)
     if not lo < hi:
-        raise ValueError("window must have lo < hi")
+        raise BadArgument(f"window must have lo < hi, got {lo!r}, {hi!r}")
     zeros = []
     # positive zeros at pi (2k+1)^2/8 <= hi
     if hi >= PI / 8.0:

@@ -528,3 +528,42 @@ def test_data_files_beyond_the_line_cap_exit_one(tmp_path, monkeypatch, flag):
     path.write_text("".join(f"{k},{k + 0.5}\n" if flag == "--family" else f"{k}\n" for k in range(64)))
     code, _, err = run_cli(argv)
     assert "SizeGuard" not in err
+
+
+@pytest.mark.parametrize("flag", ["--input", "--seq", "--family"])
+def test_data_files_that_are_not_utf8_exit_sixtyfive(tmp_path, flag):
+    path = tmp_path / "data.txt"
+    path.write_bytes(b"1.0\n\xff2.0\n")
+    if flag == "--family":
+        argv = ["short", "--family", path]
+    else:
+        argv = ["density", flag, path if flag == "--input" else f"file:{path}", "--radius", 100]
+    code, out, err = run_cli(argv)
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and f"{path}:2: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+def test_interval_families_stay_columns_through_the_cli(tmp_path, monkeypatch):
+    built = []
+    post_init = bmlab.envelope.Interval.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(bmlab.envelope.Interval, "__post_init__", counted)
+    points = tmp_path / "points.txt"
+    points.write_text("".join(f"{k + 0.125 * (k % 2)!r}\n" for k in range(-300, 301)))
+    fam = tmp_path / "fam.csv"
+    for argv in (
+        ["classify", "--seq", "squares", "--radius", 10000, "--csv-out", tmp_path / "c.csv"],
+        ["bm", "--input", points, "--radius", 300, "--a", 0.9, "--csv-out", fam],
+        ["short", "--family", fam],
+    ):
+        code, out, err = run_cli(argv)
+        assert code in (0, 2), err
+    assert json.loads(out)["count"] == 300  # the bm family the short call read back
+    assert built == []
+    assert bmlab.envelope.Interval(0.0, 1.0) and len(built) == 1  # the counter counts

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bmlab import (
     BadArgument,
@@ -15,16 +17,23 @@ from bmlab import (
     Lattice,
     LogPerturbedLattice,
     SymmetricSquares,
+    Interval,
+    IntervalFamily,
     WindowTooSmall,
+    classify_short_long,
+    count_in,
     counting_function,
     default_radius_ladder,
+    gamma_line,
     generate,
     interior_density,
     load_sequence,
     null_ratio_witness,
+    qcos_zeros,
     regularity_witness_search,
     strong_regularity_integral,
 )
+from bmlab.errors import BmLabError
 
 
 # ------------------------------------------------------------ radius ladder
@@ -257,3 +266,179 @@ def test_bisection_stops_at_adjacent_doubles():
     assert len(rep.trials) < 64
     assert rep.a_upper == np.nextafter(rep.a_lower, math.inf)
     assert rep.polya_class == INCONCLUSIVE  # below the window resolution
+
+
+# ------------------------------------------- columnar code against its loops
+
+
+def reference_witness(seq, caps, accept):
+    """The Interval-list ladder walk the witness search had, kept as the reference."""
+    ladders = []
+    for base in (4, 2):
+        lo, hi = seq.window
+        pos, neg = [], []
+        k = 0
+        while base ** (k + 1) <= hi:
+            if base**k >= lo:
+                pos.append(Interval(float(base**k), float(base ** (k + 1))))
+            k += 1
+        k = 0
+        while -(base ** (k + 1)) >= lo:
+            if -(base**k) <= hi:
+                neg.append(Interval(float(-(base ** (k + 1))), float(-(base**k))))
+            k += 1
+        if pos:
+            ladders.append((f"pow{base}:positive", pos))
+        if neg:
+            ladders.append((f"pow{base}:negative", neg))
+        if pos and neg:
+            ladders.append((f"pow{base}:both", sorted(pos + neg, key=lambda iv: iv.dist_to_origin)))
+    for name, intervals in ladders:
+        ratios = [count_in(seq, iv) / iv.length for iv in intervals]
+        kept = [(iv, r) for iv, r in zip(intervals, ratios) if accept(r)]
+        if caps is not None:
+            picked = []
+            for iv, ratio in kept:
+                if len(picked) >= len(caps):
+                    break
+                if ratio <= caps[len(picked)]:
+                    picked.append((iv, ratio))
+            kept = picked
+        if len(kept) < 4:
+            continue
+        ordered = sorted(kept, key=lambda pair: pair[0].left)
+        family = IntervalFamily([iv for iv, _ in ordered])
+        radii = sorted({max(abs(iv.left), abs(iv.right)) for iv, _ in kept})
+        if len(radii) < 4:
+            continue
+        report = classify_short_long(lambda _r: family, radii)
+        if report.verdict == LONG:
+            return name, [r for _, r in ordered], family, report
+    return None
+
+
+def _witness_outcome(search):
+    """Ladder, ratios, endpoint bits and shortness report, or what was raised."""
+    try:
+        found = search()
+    except (BmLabError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if found is None:
+        return None
+    if not isinstance(found, tuple):
+        found = found.ladder, found.ratios, found.family, found.shortness
+    name, ratios, family, report = found
+    return name, ratios, family.left.tobytes(), family.right.tobytes(), family.edge.tobytes(), repr(report)
+
+
+WINDOWS = st.one_of(
+    st.tuples(st.floats(-1e7, -1.0), st.floats(1.0, 1e7)),  # two-sided, asymmetric
+    st.floats(1.0, 1e6).map(lambda r: (-r, r)),
+    st.tuples(st.floats(0.0, 100.0), st.floats(200.0, 1e7)),  # one-sided, positive
+    st.tuples(st.floats(-1e7, -200.0), st.floats(-100.0, 0.0)),  # one-sided, negative
+    st.tuples(st.floats(-1e60, -1e40), st.floats(1e40, 1e60)),  # radii past ENDPOINT_BOUND
+)
+
+
+@st.composite
+def scattered(draw):
+    """Points spread evenly, or bunched near the low end, over a window."""
+    lo, hi = window = draw(WINDOWS)
+    u = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60)))
+    points = lo + (hi - lo) * (u * u if draw(st.booleans()) else u)
+    return np.unique(np.clip(points, lo, hi)), window
+
+
+@st.composite
+def dyadic_blocks(draw):
+    """Dense blocks [2^k, 2^(k+1)] on either side, the rest empty, so that each
+    half line alone can fail a ladder that both together pass."""
+    blocks = draw(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(0, 9)), min_size=1, max_size=8))
+    points = np.unique(np.concatenate([sign * np.arange(2.0**k, 2.0 ** (k + 1), 0.25) for sign, k in blocks]))
+    reach = draw(st.tuples(st.integers(1, 11), st.integers(1, 11), st.floats(0.0, 0.9)))
+    lo = min(-(2.0 ** reach[0]) * (1.0 + reach[2]), points[0])
+    hi = max(2.0 ** reach[1] * (1.0 + reach[2]), points[-1])
+    return points, (lo, hi)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.one_of(scattered(), dyadic_blocks()),
+    a=st.sampled_from([0.0, 0.01, 0.5, 1.0, 3.0, 4.0]),
+    epsilon=st.sampled_from([1e-3, 0.25, 0.5]),
+    harmonic=st.booleans(),
+)
+def test_columnar_witness_search_equals_the_interval_walk(data, a, epsilon, harmonic):
+    points, window = data
+    seq = load_sequence(points, window=window)
+    caps = [1.0 / (k + 1) for k in range(64)] if harmonic else [0.5] * 4 + [0.25] * 60
+    assert _witness_outcome(lambda: null_ratio_witness(seq, caps)) == _witness_outcome(
+        lambda: reference_witness(seq, caps, lambda r: True)
+    )
+    assert _witness_outcome(lambda: regularity_witness_search(seq, a, epsilon)) == _witness_outcome(
+        lambda: reference_witness(seq, None, lambda r: abs(r - a) >= epsilon)
+    )
+
+
+def reference_strong_regularity(seq, a, radii):
+    """The per-segment loop of strong_regularity_integral, kept as the reference."""
+    gamma = gamma_line(seq, a)
+
+    def antideriv(s, c, x):
+        return 0.5 * s * math.log1p(x * x) + c * math.atan(x)
+
+    out = []
+    for r in radii:
+        xs, ys = gamma.grid_on((-r, r))
+        total = 0.0
+        for j in range(xs.size - 1):
+            x0, x1 = float(xs[j]), float(xs[j + 1])
+            s = (float(ys[j + 1]) - float(ys[j])) / (x1 - x0)
+            c = float(ys[j]) - s * x0
+            pieces = [(x0, x1)]
+            if s != 0.0 and x0 < -c / s < x1:
+                pieces = [(x0, -c / s), (-c / s, x1)]
+            for u0, u1 in pieces:
+                val = antideriv(s, c, u1) - antideriv(s, c, u0)
+                total += -val if s * (0.5 * (u0 + u1)) + c < 0.0 else val
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        generate(Lattice(1.0, -300, 300)),
+        generate(Lattice(0.7, -300, 300)),
+        generate(SymmetricSquares(-40, 40)),
+        generate(LogPerturbedLattice(-500, 500)),
+        load_sequence(np.cumsum(np.random.default_rng(7).uniform(0.2, 3.0, 800)) - 700.0),
+    ],
+    ids=["lattice1", "lattice07", "squares", "logperturbed", "random"],
+)
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.9, 1.0, 1.7])
+def test_strong_regularity_equals_the_segment_loop(seq, a):
+    radii = [0.5, 3.0, 17.5, 100.0, 290.0]
+    for new, old in zip(strong_regularity_integral(seq, a, radii), reference_strong_regularity(seq, a, radii)):
+        assert new == old or math.isclose(new, old, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: null_ratio_witness(generate(Lattice(1.0, -100, 100)), [1.0, math.nan, 0.5]),
+        lambda: null_ratio_witness(generate(Lattice(1.0, -100, 100)), [0.5, 1.0]),
+        lambda: regularity_witness_search(generate(Lattice(1.0, -100, 100)), 1.0, 0.0),
+        lambda: regularity_witness_search(generate(Lattice(1.0, -100, 100)), 1.0, math.nan),
+        lambda: qcos_zeros((1.0, 1.0)),
+        lambda: qcos_zeros((math.nan, 1.0)),
+        lambda: count_in(generate(Lattice(1.0, -10, 10)), (math.nan, 1.0)),
+        lambda: count_in(generate(Lattice(1.0, -10, 10)), (1.0, math.nan)),
+        lambda: count_in(generate(Lattice(1.0, -10, 10)), (2.0, 1.0)),
+    ],
+    ids=["nan-cap", "rising-cap", "zero-epsilon", "nan-epsilon", "empty-window", "nan-window",
+         "nan-left", "nan-right", "reversed"],
+)
+def test_engine_preconditions_raise_bad_argument(call):
+    with pytest.raises(BadArgument):
+        call()

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bmlab import (
@@ -29,7 +30,8 @@ from bmlab import (
     is_almost_decreasing,
     shortness_partial_sum,
 )
-from bmlab.errors import BadDataFile
+from bmlab.envelope import ENDPOINT_BOUND
+from bmlab.errors import BadDataFile, BmLabError
 
 
 def line(slope):
@@ -112,6 +114,129 @@ def test_family_csv_bad_line(tmp_path):
     path.write_text("left,right\n1.0,2.0\nx,y\n")
     with pytest.raises(BadDataFile, match="fam.csv:3"):
         family_from_csv(path)
+
+
+def reference_family_read(path):
+    """The row reader family_from_csv had, one Interval per row, kept as the reference."""
+    rows = []
+    first_data_line = True
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            try:
+                left, right = float(parts[0]), float(parts[1])
+            except (ValueError, IndexError):
+                if first_data_line:
+                    first_data_line = False
+                    continue  # header line
+                raise BadDataFile(f"{path}:{lineno}: expected left,right[,flag]") from None
+            first_data_line = False
+            if not (abs(left) <= ENDPOINT_BOUND and abs(right) <= ENDPOINT_BOUND):
+                raise BadDataFile(
+                    f"{path}:{lineno}: endpoints must be finite and at most {ENDPOINT_BOUND:g} in magnitude"
+                )
+            flag = parts[2] if len(parts) > 2 and parts[2] else INTERIOR
+            try:
+                rows.append((Interval(left, right), flag))
+            except ValueError as exc:
+                raise BadDataFile(f"{path}:{lineno}: {exc}") from None
+    rows.sort(key=lambda row: row[0].left)
+    try:
+        return IntervalFamily([iv for iv, _ in rows], [f for _, f in rows])
+    except ValueError as exc:
+        raise BadDataFile(f"{path}: {exc}") from None
+
+
+def _family_outcome(read):
+    """Column bits of a read, or the type and text of what it raised."""
+    try:
+        family = read()
+    except (BmLabError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return family.left.tobytes(), family.right.tobytes(), family.edge.tobytes()
+
+
+# mostly left < right, on a range wide enough for disjoint families
+PAIRS = st.one_of(
+    st.tuples(st.integers(-60, 60), st.integers(1, 4)).map(lambda p: f"{p[0]},{p[0] + p[1]}"),
+    st.tuples(st.floats(-60, 60), st.floats(0.01, 4)).map(lambda p: f"{p[0]!r},{p[0] + p[1]!r}"),
+)
+ROWS = st.one_of(
+    PAIRS,
+    PAIRS,
+    st.tuples(
+        PAIRS,
+        st.sampled_from(["Interior", "TouchesWindowEdge", "", " TouchesWindowEdge ", "Bogus", "interior"]),
+    ).map(",".join),
+    st.sampled_from(
+        [
+            "left,right,flag", "a,b", "# note", "#", "", "   ", " 1 , 2 ", "3,4,Interior,extra", "x,y", "1", "1;2",
+            "nan,1", "1,inf", "-1e60,1", "1e50,1e51", "-1e50,1e50", "5,5", "6,5", "1.5,-2.25", "1_0,2_0", "١,٢",
+            "7\x0c,8",
+        ]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(ROWS, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
+def test_family_reader_equals_the_row_reader(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("family") / "fam.csv"
+    lines = [row + end for row, end in rows]
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    got = _family_outcome(lambda: family_from_csv(path))
+    # an unknown flag is now refused at its row, before any later row's fault:
+    # the old reader refused it, without a line, once the whole file was read
+    unknown = f"{path}: unknown boundary flag "
+    for k in range(1, len(lines) + 1):
+        path.write_text("".join(lines[:k]), encoding="utf-8", newline="")
+        old = _family_outcome(lambda: reference_family_read(path))
+        if isinstance(old[1], str) and old[1].startswith(unknown):
+            want = old[0], old[1].replace(f"{path}:", f"{path}:{k}:", 1)
+            break
+    else:
+        want = _family_outcome(lambda: reference_family_read(path))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "data, fault",
+    [
+        (b"1,2\n\xff3,4\n", "2: not UTF-8 text"),
+        (b"# caf\xe9\n1,2\n", "1: not UTF-8 text"),
+        (b"left,right\n1,2,Bogus\n\xff\n", "2: unknown boundary flag 'Bogus'"),
+        (b"1,2\n3,x\n5,6,\xff\n", "2: expected left,right[,flag]"),
+    ],
+)
+def test_family_reader_reports_faults_in_file_order(tmp_path, data, fault):
+    path = tmp_path / "fam.csv"
+    path.write_bytes(data)
+    with pytest.raises(BadDataFile) as info:
+        family_from_csv(path)
+    assert str(info.value) == f"{path}:{fault}"
+
+
+def test_family_reader_memory_is_two_columns(tmp_path):
+    # 100k rows: the columns hold 17 bytes a row; one Interval and tuple per row held 31 MB
+    path = tmp_path / "fam.csv"
+    rng = np.random.default_rng(3)
+    left = np.cumsum(rng.uniform(1.0, 2.0, 100_000))
+    order = rng.permutation(left.size)
+    flags = ["TouchesWindowEdge" if k % 7 == 0 else "Interior" for k in range(left.size)]
+    rows = (f"{a!r},{a + 0.5!r},{flags[k]}\n" for k, a in zip(order.tolist(), left[order].tolist()))
+    path.write_text("left,right,flag\n" + "".join(rows))
+    tracemalloc.start()
+    try:
+        family = family_from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert family.left.tobytes() == left.tobytes() and family.right.tobytes() == (left + 0.5).tobytes()
+    assert family.edge.tolist() == [flag == "TouchesWindowEdge" for flag in flags]
 
 
 # ---------------------------------------------------------------- shortness

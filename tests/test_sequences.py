@@ -288,10 +288,16 @@ def test_subnormal_gap_is_not_separated():
 
 
 def reference_read(path):
-    """The line loop of the file reader, kept here as the reference."""
+    """The line loop of the file reader, kept here as the reference.
+
+    A byte that is not UTF-8 decodes to a surrogate in U+DC80..U+DCFF and
+    is refused at its line, in file order with the other faults.
+    """
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
+            if any("\udc80" <= ch <= "\udcff" for ch in raw):
+                raise BadDataFile(f"{path}:{lineno}: not UTF-8 text")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

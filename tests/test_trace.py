@@ -70,3 +70,25 @@ def test_density_records_every_layer_span(tmp_path, monkeypatch):
         assert components == lengths and len(lengths) > 0
         metrics = spans.layer_metrics(tracer.spans, tracer.missing)
         assert all(value is not None for value in metrics.values())
+
+
+def test_witness_and_family_files_record_their_spans(tmp_path):
+    points = tmp_path / "points.txt"
+    points.write_text("".join(f"{k + 0.125 * (k % 2)!r}\n" for k in range(-300, 301)))
+    fam = tmp_path / "fam.csv"
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    with tracer, contextlib.redirect_stdout(io.StringIO()):
+        for argv in (
+            ["classify", "--seq", "squares", "--radius", "10000"],
+            ["bm", "--input", str(points), "--radius", "300", "--a", "0.9", "--csv-out", str(fam)],
+            ["short", "--family", str(fam)],
+        ):
+            assert run(argv) in (0, 2)
+    assert tracer.unwrapped == []
+    names = [s.name for s in tracer.spans]
+    assert "density.witness" in names
+    assert names.count("envelope.csv") == 2  # the family written, then read back
+    metrics = spans.layer_metrics(tracer.spans, tracer.missing)
+    assert all(value is not None for value in metrics.values())
+    assert metrics["density.witness_s"] > 0 and metrics["envelope.csv_s"] > 0
