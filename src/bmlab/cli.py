@@ -524,22 +524,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("density", help="bracket the interior density by bisection")
+    p.set_defaults(handler=_cmd_density)
     _add_seq_flags(p)
     p.add_argument("--tol", type=float, default=0.05, help="bracket tolerance on a")
     _add_out_flags(p)
 
     p = sub.add_parser("classify", help="full classification: density bracket plus witness search")
+    p.set_defaults(handler=_cmd_classify)
     _add_seq_flags(p)
     p.add_argument("--tol", type=float, default=0.05, help="bracket tolerance on a")
     _add_out_flags(p)
 
     p = sub.add_parser("bm", help="dump the envelope interval family of a*x - n(x)")
+    p.set_defaults(handler=_cmd_bm)
     _add_seq_flags(p)
     p.add_argument("--a", type=float, required=True, help="slope of the test line")
     p.add_argument("--window", help="computation window lo,hi (default -radius,radius)")
     _add_out_flags(p)
 
     p = sub.add_parser("short", help="classify an interval family file as Short or Long")
+    p.set_defaults(handler=_cmd_short)
     p.add_argument("--family", required=True, help="CSV file with left,right[,flag] rows")
     p.add_argument(
         "--radius",
@@ -550,6 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flags(p)
 
     p = sub.add_parser("gap-probe", help="smallest Gram eigenvalue along growing windows")
+    p.set_defaults(handler=_cmd_gap_probe)
     _add_seq_flags(p)
     p.add_argument("--gap", type=float, required=True, help="interval length a of the Gram inner product")
     p.add_argument(
@@ -561,6 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flags(p)
 
     p = sub.add_parser("gap-measure", help="design an integer-atom measure with a spectral gap")
+    p.set_defaults(handler=_cmd_gap_measure)
     p.add_argument("--gap", type=float, required=True, help="designed gap length a in (0, 2*pi)")
     p.add_argument("--n", action="append", type=int, help="coefficient cutoff N (default 256)")
     p.add_argument("--smoothness", default="inf", help="'inf' or an integer k for a C^k bump")
@@ -569,6 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flags(p)
 
     p = sub.add_parser("cauchy", help="Cauchy transform decay test on a symmetric gap measure")
+    p.set_defaults(handler=_cmd_cauchy)
     p.add_argument("--gap", type=float, required=True, help="symmetric gap length; transform vanishes on +-gap/2")
     p.add_argument("--n", action="append", type=int, help="coefficient cutoff N (default 256)")
     p.add_argument("--x", type=float, required=True, help="test abscissa of the decay criterion")
@@ -579,6 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flags(p)
 
     p = sub.add_parser("ftype", help="exponential type fit along the imaginary axis")
+    p.set_defaults(handler=_cmd_ftype)
     p.add_argument("--function", choices=("qcos", "cos"), default="qcos")
     p.add_argument("--y-min", type=float, default=10.0)
     p.add_argument("--y-max", type=float, default=1e6)
@@ -588,25 +596,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "density": _cmd_density,
-    "classify": _cmd_classify,
-    "bm": _cmd_bm,
-    "short": _cmd_short,
-    "gap-probe": _cmd_gap_probe,
-    "gap-measure": _cmd_gap_measure,
-    "cauchy": _cmd_cauchy,
-    "ftype": _cmd_ftype,
-}
-
-
 def run(argv) -> int:
     """Execute one subcommand; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        return handler(parser, args)
+        return args.handler(parser, args)
     except (UnknownGenerator, BadArgument) as exc:
         parser.error(str(exc))
     except (OSError, BadDataFile, DuplicatePoint, NotSeparated, EmptyRange) as exc:

@@ -39,19 +39,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import (
+    ENDPOINT_BOUND,
     INCONCLUSIVE,
     LONG,
     NO,
     YES,
     IntervalFamily,
     ShortnessReport,
-    ShortnessThresholds,
     classify_short_long,
     increasing_ladder,
     is_almost_decreasing,
 )
 from .errors import BadArgument, WindowTooSmall
-from .sequences import SeparatedSequence, counting_function, gamma_line
+from .sequences import SeparatedSequence, gamma_line
 
 POLYA = "Polya"
 NOT_POLYA = "NotPolya"
@@ -82,18 +82,17 @@ class DensityReport:
     window: tuple[float, float]
 
 
-def default_radius_ladder(r_max: float, rungs: int = 8) -> list[float]:
-    """Doubling ladder ending at r_max."""
-    if not (rungs >= 4 and 0.0 < r_max < math.inf):
-        raise BadArgument(f"need at least 4 rungs and a positive finite r_max, got {rungs}, {r_max!r}")
-    return [r_max / 2.0 ** (rungs - 1 - j) for j in range(rungs)]
+def default_radius_ladder(r_max: float) -> list[float]:
+    """Doubling ladder of 8 rungs ending at r_max."""
+    if not 0.0 < r_max < math.inf:
+        raise BadArgument(f"need at least 4 rungs and a positive finite r_max, got 8, {r_max!r}")
+    return [r_max / 2.0 ** (7 - j) for j in range(8)]
 
 
 def interior_density(
     seq: SeparatedSequence,
     radii=None,
     a_tolerance: float = 0.05,
-    thresholds: ShortnessThresholds | None = None,
 ) -> DensityReport:
     """Bracket the interior density of a separated sequence by bisection.
 
@@ -103,7 +102,9 @@ def interior_density(
         At least 16 points on a two-sided window.
     radii : array_like, optional
         Radius ladder for the shortness evidence; defaults to 8 doublings
-        ending at the largest symmetric radius the window supports.
+        ending at the largest symmetric radius the window supports, or at
+        ENDPOINT_BOUND, the largest ladder value, when the window reaches
+        beyond it.
     a_tolerance : float
         Bracket width at which bisection stops.  The Polya / NotPolya call
         uses 2*a_tolerance as decision margin, so a tolerance above
@@ -118,17 +119,16 @@ def interior_density(
         raise WindowTooSmall("density needs a two-sided window around 0")
     r_max = min(-lo, hi)
     if radii is None:
-        radii = default_radius_ladder(r_max)
+        radii = default_radius_ladder(min(r_max, ENDPOINT_BOUND))
     radii = increasing_ladder(radii, 4, "radii")
     if radii[-1] > max(-lo, hi):
         raise WindowTooSmall("radius ladder exceeds the data window")
 
-    counting = counting_function(seq)
     trials: list[DensityTrial] = []
 
     def verdict_at(a: float) -> str:
-        gamma = gamma_line(seq, a, counting)
-        verdict, report = is_almost_decreasing(gamma, radii, thresholds)
+        gamma = gamma_line(seq, a)
+        verdict, report = is_almost_decreasing(gamma, radii)
         trials.append(DensityTrial(a, verdict, report))
         return verdict
 
@@ -275,8 +275,8 @@ def regularity_witness_search(seq: SeparatedSequence, a: float, epsilon: float) 
     every candidate ladder fails (ratios hug a, or the surviving family is
     short).
     """
-    if not epsilon > 0:
-        raise BadArgument(f"epsilon must be positive, got {epsilon!r}")
+    if not (epsilon > 0 and math.isfinite(a)):
+        raise BadArgument(f"need a finite a and a positive epsilon, got {a!r}, {epsilon!r}")
     return _witness_from_ladders(seq, None, accept=lambda r: np.abs(r - a) >= epsilon)
 
 

@@ -19,7 +19,7 @@ A family of disjoint intervals I_n is called short when
 and long when the sum diverges.  At desk scale the dichotomy is decided
 from partial sums along an increasing radius ladder: convergent increments
 mean Short, a clean unbounded growth fit (linear in log radius, or a power
-law, with r^2 at least ``r2_min``) means Long, anything else is
+law, with r^2 at least ``R2_MIN``) means Long, anything else is
 Inconclusive.  Components whose closure touches the window edge are
 systematically uncertain (the suffix maximum beyond the horizon is
 unknown), so ``is_almost_decreasing`` excludes them from the sums and
@@ -53,6 +53,15 @@ NO = "No"
 # family file endpoints and ladder values: magnitudes at most this keep squared
 # lengths, and the squared partial sums that linear_fit forms, inside double range
 ENDPOINT_BOUND = 1e50
+
+# decision constants of the Short/Long dichotomy at desk scale
+TAU_CONV = 1e-3        # relative increment over the last radius doubling
+SUM_CAP = 1e12         # safety cap; legit short families can carry large mass
+R2_MIN = 0.99          # fit quality required to call Long
+LOG_SLOPE_MIN = 0.1    # minimal slope of sums vs log radius
+POWER_SLOPE_MIN = 0.5  # minimal slope of log sums vs log radius
+EDGE_FACTOR = 10.0     # edge mass dominating the interior sum by this factor
+EDGE_GROWTH_MIN = 2.0  # and still growing over the last doubling
 
 
 @dataclass(frozen=True)
@@ -207,19 +216,6 @@ def shortness_partial_sum(family: IntervalFamily, radius: float) -> float:
     return _mass(family.left[inside], family.right[inside])
 
 
-@dataclass(frozen=True)
-class ShortnessThresholds:
-    """Decision constants for the Short/Long dichotomy at desk scale."""
-
-    tau_conv: float = 1e-3        # relative increment over the last radius doubling
-    sum_cap: float = 1e12         # safety cap; legit short families can carry large mass
-    r2_min: float = 0.99          # fit quality required to call Long
-    log_slope_min: float = 0.1    # minimal slope of sums vs log radius
-    power_slope_min: float = 0.5  # minimal slope of log sums vs log radius
-    edge_factor: float = 10.0     # edge mass dominating the interior sum by this factor
-    edge_growth_min: float = 2.0  # and still growing over the last doubling
-
-
 @dataclass
 class GrowthFit:
     model: str           # Bounded | LogGrowth | Other
@@ -233,7 +229,6 @@ class ShortnessReport:
     partial_sums: list[float]
     growth_fit: GrowthFit
     verdict: str
-    thresholds: ShortnessThresholds
     degenerate: bool = False
     edge_mass: list[float] | None = None
     boundary_dominated: bool = False
@@ -294,7 +289,7 @@ def _half_index(radii):
     return None
 
 
-def classify_short_long(family_at_radius, radii, thresholds: ShortnessThresholds | None = None) -> ShortnessReport:
+def classify_short_long(family_at_radius, radii) -> ShortnessReport:
     """Classify the family produced by a radius callback as Short or Long.
 
     Parameters
@@ -306,7 +301,6 @@ def classify_short_long(family_at_radius, radii, thresholds: ShortnessThresholds
         Strictly increasing ladder, at least 4 values, spanning at least
         one doubling.
     """
-    th = thresholds or ShortnessThresholds()
     radii = increasing_ladder(radii, 4, "radii")
     families = [family_at_radius(r) for r in radii]
     sums = [shortness_partial_sum(f, r) for f, r in zip(families, radii)]
@@ -314,14 +308,14 @@ def classify_short_long(family_at_radius, radii, thresholds: ShortnessThresholds
     degenerate = all(len(f) == 0 for f in families)
     if degenerate:
         fit = GrowthFit("Bounded", 0.0, 1.0)
-        return ShortnessReport(radii, sums, fit, SHORT, th, degenerate=True)
+        return ShortnessReport(radii, sums, fit, SHORT, degenerate=True)
 
     half = _half_index(radii)
     if half is not None:
         rel_inc = (sums[-1] - sums[half]) / max(sums[-1], 1e-300)
-        if rel_inc <= th.tau_conv and sums[-1] <= th.sum_cap:
+        if rel_inc <= TAU_CONV and sums[-1] <= SUM_CAP:
             fit = GrowthFit("Bounded", sums[-1], 1.0)
-            return ShortnessReport(radii, sums, fit, SHORT, th)
+            return ShortnessReport(radii, sums, fit, SHORT)
 
     # power growth first: a log-log line with a clearly positive slope; the
     # log-growth test would also score well on power data but not vice versa
@@ -330,17 +324,17 @@ def classify_short_long(family_at_radius, radii, thresholds: ShortnessThresholds
         slope, r2 = linear_fit(
             np.log([r for r, _ in positive]), np.log([s for _, s in positive])
         ) or (0.0, 0.0)
-        if slope >= th.power_slope_min and r2 >= th.r2_min:
+        if slope >= POWER_SLOPE_MIN and r2 >= R2_MIN:
             fit = GrowthFit("Other", slope, r2)
-            return ShortnessReport(radii, sums, fit, LONG, th)
+            return ShortnessReport(radii, sums, fit, LONG)
 
     slope, r2 = linear_fit(np.log(radii), sums) or (0.0, 0.0)
-    if slope >= th.log_slope_min and r2 >= th.r2_min:
+    if slope >= LOG_SLOPE_MIN and r2 >= R2_MIN:
         fit = GrowthFit("LogGrowth", slope, r2)
-        return ShortnessReport(radii, sums, fit, LONG, th)
+        return ShortnessReport(radii, sums, fit, LONG)
 
     fit = GrowthFit("Other", slope, r2)
-    return ShortnessReport(radii, sums, fit, INCONCLUSIVE, th)
+    return ShortnessReport(radii, sums, fit, INCONCLUSIVE)
 
 
 def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
@@ -415,11 +409,7 @@ def _window_trend(gamma: PiecewiseLinear, ends, i: int, j: int) -> int:
     return 0
 
 
-def is_almost_decreasing(
-    gamma: PiecewiseLinear,
-    radii,
-    thresholds: ShortnessThresholds | None = None,
-) -> tuple[str, ShortnessReport]:
+def is_almost_decreasing(gamma: PiecewiseLinear, radii) -> tuple[str, ShortnessReport]:
     """Desk-scale test of the almost decreasing property of gamma.
 
     Runs ``bm_family`` on the window [-r, r] for every radius of the
@@ -433,17 +423,16 @@ def is_almost_decreasing(
     * Yes  when the interior family is Short and the edge mass is tame,
     * Inconclusive otherwise.
     """
-    th = thresholds or ShortnessThresholds()
     radii = increasing_ladder(radii, 4, "radii")
     families = {r: bm_family(gamma, (-r, r)) for r in radii}
 
-    report = classify_short_long(lambda r: families[r].interior_part(), radii, th)
+    report = classify_short_long(lambda r: families[r].interior_part(), radii)
     report.edge_mass = edge_mass = [families[r].edge_mass() for r in radii]
 
     half = _half_index(radii)
     dominated = False
-    if edge_mass[-1] > th.edge_factor * max(1.0, report.partial_sums[-1]):
-        grew = half is None or edge_mass[-1] >= th.edge_growth_min * max(edge_mass[half], 1e-300)
+    if edge_mass[-1] > EDGE_FACTOR * max(1.0, report.partial_sums[-1]):
+        grew = half is None or edge_mass[-1] >= EDGE_GROWTH_MIN * max(edge_mass[half], 1e-300)
         dominated = bool(grew)
     report.boundary_dominated = dominated
 

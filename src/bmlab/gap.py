@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import ENDPOINT_BOUND, INCONCLUSIVE, increasing_ladder, top_half_slope
-from .errors import BadArgument, BadDataFile, BadGap, NumericalBreakdown, SizeGuard
+from .errors import BadArgument, BadGap, NumericalBreakdown, SizeGuard
 from .sequences import SeparatedSequence, as_bounds, write_csv
 
 TWO_PI = 2.0 * math.pi
@@ -79,34 +79,6 @@ class DiscreteMeasure:
 def measure_to_csv(mu: DiscreteMeasure, path) -> None:
     """Write atoms as CSV with columns point,re,im."""
     write_csv(path, (None, "point,re,im", zip(mu.points, mu.weights.real, mu.weights.imag)))
-
-
-def measure_from_csv(path) -> DiscreteMeasure:
-    """Read atoms from CSV lines ``point,re,im``; only the first data line may be a header."""
-    pts, ws = [], []
-    first_data_line = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                p, real, imag = (float(v) for v in line.split(","))
-            except ValueError:
-                if first_data_line:
-                    first_data_line = False
-                    continue  # header line
-                raise BadDataFile(f"{path}:{lineno}: expected point,re,im") from None
-            first_data_line = False
-            if not (math.isfinite(p) and math.isfinite(real) and math.isfinite(imag)):
-                raise BadDataFile(f"{path}:{lineno}: non-finite value in {line!r}")
-            pts.append(p)
-            ws.append(complex(real, imag))
-    order = np.argsort(pts)
-    try:
-        return DiscreteMeasure(np.asarray(pts)[order], np.asarray(ws)[order])
-    except ValueError as exc:
-        raise BadDataFile(f"{path}: {exc}") from None
 
 
 def fourier_transform(mu: DiscreteMeasure, x) -> np.ndarray:
@@ -202,13 +174,13 @@ def lattice_gap_measure(a: float, n_terms: int, smoothness="inf") -> DiscreteMea
     return DiscreteMeasure(n.astype(float), coeff / tv)
 
 
-def symmetric_gap_measure(a_prime: float, n_terms: int, smoothness="inf") -> DiscreteMeasure:
+def symmetric_gap_measure(a_prime: float, n_terms: int) -> DiscreteMeasure:
     """Measure with transform vanishing on the symmetric interval [-a', a'].
 
-    Built from the one-sided design with gap [0, 2*a'] and modulated by
-    a', which shifts the vanishing interval to be centered at 0.
+    Built from the one-sided C-infinity design with gap [0, 2*a'] and
+    modulated by a', which shifts the vanishing interval to be centered at 0.
     """
-    mu = lattice_gap_measure(2.0 * a_prime, n_terms, smoothness)
+    mu = lattice_gap_measure(2.0 * a_prime, n_terms)
     return modulate(mu, a_prime)
 
 

@@ -1,13 +1,14 @@
 """Separated real sequences and their continuous counting functions.
 
-A separated sequence is a finite, strictly increasing list of reals with a
-positive minimal gap ``delta`` together with the window of the real line the
-data is meant to represent.  All density machinery in this package works on
-the continuous counting function n(x): the piecewise linear function with a
-breakpoint at every sequence point that grows by exactly 1 between
-consecutive points and is normalized to n(0) = 0.  When 0 lies outside the
-data window the anchor value at 0 is obtained by extrapolating the first or
-last segment slope.
+A separated sequence is a finite, strictly increasing list of finite reals
+together with the window of the real line the data is meant to represent;
+its minimal gap ``delta`` is computed from the points and must be at least
+the smallest normal double (``_separation`` holds these rules).  All
+density machinery in this package works on the continuous counting
+function n(x): the piecewise linear function with a breakpoint at every
+sequence point that grows by exactly 1 between consecutive points and is
+normalized to n(0) = 0.  When 0 lies outside the data window the anchor
+value at 0 is obtained by extrapolating the first or last segment slope.
 
 Built-in generators cover the desk examples used throughout:
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,41 +115,64 @@ def _checked_window(points: np.ndarray, window) -> tuple[float, float]:
     return lo, hi
 
 
+def _separation(points: np.ndarray) -> float:
+    """The minimal gap of points that hold the sequence rules; inf for one point.
+
+    The rules: at least one point, all finite, strictly increasing with no
+    duplicate, and no gap below the smallest normal double, whose
+    reciprocal (a slope of the counting function) would overflow.
+    """
+    if points.ndim != 1 or points.size == 0:
+        raise EmptyRange("a sequence needs at least one point")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    gaps = np.diff(points)
+    if np.any(gaps == 0.0):
+        raise DuplicatePoint("duplicate point in input")
+    if np.any(gaps < 0.0):
+        raise ValueError("points must be sorted increasingly")
+    delta = math.inf if gaps.size == 0 else float(gaps.min())
+    if delta < sys.float_info.min:
+        raise NotSeparated(f"minimum gap {delta:g} below the smallest normal double")
+    return delta
+
+
 @dataclass
 class SeparatedSequence:
-    """Strictly increasing points with their minimal gap and data window."""
+    """Strictly increasing points on a data window; ``delta`` is their exact
+    minimal gap, computed from them."""
 
     points: np.ndarray
-    delta: float
     window: tuple[float, float]
+    delta: float = field(init=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 1 or self.points.size == 0:
-            raise EmptyRange("a sequence needs at least one point")
-        gaps = np.diff(self.points)
-        if np.any(gaps == 0.0):
-            raise DuplicatePoint("duplicate point in sequence")
-        if np.any(gaps < 0.0):
-            raise ValueError("points must be sorted increasingly")
+        self.delta = _separation(self.points)
         self.window = _checked_window(self.points, self.window)
-        exact = math.inf if gaps.size == 0 else float(gaps.min())
-        # delta is the exact minimum consecutive gap, not an estimate
-        if not math.isclose(self.delta, exact, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError("delta must equal the minimum consecutive gap")
 
     @classmethod
     def _trusted(cls, points: np.ndarray, delta: float, window) -> "SeparatedSequence":
-        """Wrap points that are sorted, separated and finite, with their exact
-        minimal gap, by construction; only the window is checked."""
-        if points.ndim != 1:
-            raise EmptyRange("a sequence needs at least one point")
+        """Wrap points that hold the sequence rules, with their exact minimal
+        gap, by construction; only the window is checked."""
         seq = cls.__new__(cls)
         seq.points, seq.delta, seq.window = points, delta, _checked_window(points, window)
         return seq
 
     def __len__(self):
         return int(self.points.size)
+
+    @functools.cached_property
+    def counting(self) -> "PiecewiseLinear":
+        """The continuous counting function (``counting_function``), computed once."""
+        pts = self.points
+        if pts.size < 2:
+            raise SinglePoint("counting function needs at least two points")
+        raw = np.arange(pts.size, dtype=float)
+        left_slope = 1.0 / (pts[1] - pts[0])
+        right_slope = 1.0 / (pts[-1] - pts[-2])
+        anchor = PiecewiseLinear._trusted(pts, raw, left_slope, right_slope)(0.0)
+        return PiecewiseLinear._trusted(pts, raw - anchor, left_slope, right_slope)
 
     def on_window(self, window) -> "SeparatedSequence":
         """The same points on another data window; only the window is checked."""
@@ -171,31 +195,22 @@ class SeparatedSequence:
 
 
 def load_sequence(points, window=None, min_delta=None) -> SeparatedSequence:
-    """Sort raw points, compute delta and wrap them in a SeparatedSequence.
+    """Sort raw points and wrap them in a SeparatedSequence.
 
     Parameters
     ----------
     points : array_like
-        Real numbers in arbitrary order.
+        Real numbers in arbitrary order; the sorted points must hold the
+        sequence rules of ``SeparatedSequence``.
     window : (float, float), optional
         Data window; defaults to [min(points), max(points)].
     min_delta : float, optional
-        Required minimal gap.  Raises NotSeparated when violated, and for
-        a gap below the smallest normal double, whose reciprocal overflows.
+        Required minimal gap.  Raises NotSeparated when violated.
     """
     pts = np.array(points, dtype=float)
-    if pts.ndim != 1 or not np.all(pts[:-1] < pts[1:]):  # strictly increasing input is already sorted
+    if pts.ndim == 1 and not np.all(pts[:-1] < pts[1:]):  # strictly increasing input is already sorted
         pts = np.sort(pts)
-    if pts.size == 0:
-        raise EmptyRange("no points given")
-    if np.any(~np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    gaps = np.diff(pts)
-    if np.any(gaps == 0.0):
-        raise DuplicatePoint("duplicate point in input")
-    delta = math.inf if gaps.size == 0 else float(gaps.min())
-    if delta < sys.float_info.min:
-        raise NotSeparated(f"minimum gap {delta:g} below the smallest normal double")
+    delta = _separation(pts)
     if min_delta is not None and delta < min_delta:
         raise NotSeparated(f"minimum gap {delta:g} below required {min_delta:g}")
     if window is None:
@@ -209,7 +224,7 @@ def load_sequence(points, window=None, min_delta=None) -> SeparatedSequence:
     return SeparatedSequence._trusted(pts, delta, window)
 
 
-def read_sequence_file(path, window=None, min_delta=None) -> SeparatedSequence:
+def read_sequence_file(path) -> SeparatedSequence:
     """Load a sequence from a text file, one decimal real per line.
 
     The file's size is checked first (``check_file_size``).  Lines are
@@ -223,7 +238,7 @@ def read_sequence_file(path, window=None, min_delta=None) -> SeparatedSequence:
     values = _read_blocks(path)
     if values.size == 0:
         raise BadDataFile(f"{path}: no data lines")
-    return load_sequence(values, window=window, min_delta=min_delta)
+    return load_sequence(values)
 
 
 def _read_blocks(path) -> np.ndarray:
@@ -397,30 +412,20 @@ def counting_function(seq: SeparatedSequence) -> PiecewiseLinear:
     by exactly 1 between consecutive points.  Outside the points it
     continues with the slope of the first (resp. last) interior segment,
     which is also how the anchor value at 0 is produced when 0 lies outside
-    the point range.
+    the point range.  It is computed once per sequence (``seq.counting``).
     """
-    pts = seq.points
-    if pts.size < 2:
-        raise SinglePoint("counting function needs at least two points")
-    raw = np.arange(pts.size, dtype=float)
-    left_slope = 1.0 / (pts[1] - pts[0])
-    right_slope = 1.0 / (pts[-1] - pts[-2])
-    unanchored = PiecewiseLinear(pts, raw, left_slope, right_slope)
-    anchor = unanchored(0.0)
-    return PiecewiseLinear._trusted(unanchored.x, raw - anchor, left_slope, right_slope)
+    return seq.counting
 
 
 def as_bounds(interval) -> tuple[float, float]:
-    """(left, right) as floats of anything with ``left``/``right`` attributes or a pair."""
-    if hasattr(interval, "left"):
-        return float(interval.left), float(interval.right)
+    """(left, right) as floats of a pair."""
     return float(interval[0]), float(interval[1])
 
 
 def count_in(seq: SeparatedSequence, interval) -> int:
     """Exact number of sequence points in a closed interval.
 
-    ``interval`` is anything ``as_bounds`` accepts.  Raises BadArgument
+    ``interval`` is a pair (left, right).  Raises BadArgument
     unless left <= right (a NaN end too), and OutOfWindow when the query
     interval leaves the data window.
     """
@@ -435,15 +440,15 @@ def count_in(seq: SeparatedSequence, interval) -> int:
     return int(j - i)
 
 
-def gamma_line(seq: SeparatedSequence, a: float, counting: PiecewiseLinear | None = None) -> PiecewiseLinear:
+def gamma_line(seq: SeparatedSequence, a: float) -> PiecewiseLinear:
     """The test function a*x - n(x) as an exact piecewise linear object.
 
     Breakpoint ordinates are formed directly from the point array so no
     resampling error enters; the a*x term is absorbed into the slopes.
-    The slope must keep a*x finite on the sequence.
+    The slope must keep a*x finite on the sequence.  The counting function
+    is the sequence's cached one.
     """
-    if counting is None:
-        counting = counting_function(seq)
+    counting = seq.counting
     reach = max(-float(counting.x[0]), float(counting.x[-1]), 0.0)
     if not abs(a) * reach < math.inf:
         raise BadArgument(f"the slope a must keep a*x finite on the sequence, got {a!r}")

@@ -90,9 +90,7 @@ def zero_set_qcos(window) -> SeparatedSequence:
     zeros = qcos_zeros(win)
     if zeros.size == 0:
         raise EmptyWindow("no zeros of the model function in this window")
-    gaps = np.diff(zeros)
-    delta = float(gaps.min()) if gaps.size else math.inf
-    return SeparatedSequence(zeros, delta, win)
+    return SeparatedSequence(zeros, win)
 
 
 def log_abs_cos(w: complex) -> float:

@@ -462,6 +462,17 @@ def test_family_endpoints_at_the_bound_are_classified(tmp_path):
     assert payload["radii"][-1] == 1e50 and payload["verdict"] == "Inconclusive"
 
 
+def test_default_ladder_of_a_data_file_beyond_the_bound_ends_at_it(tmp_path):
+    # the ladder the user never gave stops at 1e50, the largest ladder value
+    path = tmp_path / "far.txt"
+    path.write_text("\n".join(map(str, [*range(-20, 21), -1e60, 1e60])) + "\n")
+    for command in ("density", "classify"):
+        code, payload = run_json([command, "--input", path])
+        density = payload if command == "density" else payload["density"]
+        assert code == 0 and density["radii"][-1] == 1e50
+        assert payload["polya_class"] == "NotPolya"
+
+
 def test_every_csv_cell_is_a_label_or_a_float(tmp_path):
     fam = tmp_path / "fam.csv"
     fam.write_text("left,right\n" + "\n".join(f"{2**k},{2**k + 1}" for k in range(2, 12)) + "\n")

@@ -153,7 +153,7 @@ def test_null_ratio_witness_squares():
     from bmlab import count_in
 
     for iv, r in zip(w.family.intervals, w.ratios):
-        assert count_in(seq, iv) / iv.length == pytest.approx(r)
+        assert count_in(seq, (iv.left, iv.right)) / iv.length == pytest.approx(r)
 
 
 def test_null_ratio_witness_lattice_not_found():
@@ -294,7 +294,7 @@ def reference_witness(seq, caps, accept):
         if pos and neg:
             ladders.append((f"pow{base}:both", sorted(pos + neg, key=lambda iv: iv.dist_to_origin)))
     for name, intervals in ladders:
-        ratios = [count_in(seq, iv) / iv.length for iv in intervals]
+        ratios = [count_in(seq, (iv.left, iv.right)) / iv.length for iv in intervals]
         kept = [(iv, r) for iv, r in zip(intervals, ratios) if accept(r)]
         if caps is not None:
             picked = []
@@ -430,13 +430,14 @@ def test_strong_regularity_equals_the_segment_loop(seq, a):
         lambda: null_ratio_witness(generate(Lattice(1.0, -100, 100)), [0.5, 1.0]),
         lambda: regularity_witness_search(generate(Lattice(1.0, -100, 100)), 1.0, 0.0),
         lambda: regularity_witness_search(generate(Lattice(1.0, -100, 100)), 1.0, math.nan),
+        lambda: regularity_witness_search(generate(Lattice(1.0, -10000, 10000)), math.nan, 0.1),
         lambda: qcos_zeros((1.0, 1.0)),
         lambda: qcos_zeros((math.nan, 1.0)),
         lambda: count_in(generate(Lattice(1.0, -10, 10)), (math.nan, 1.0)),
         lambda: count_in(generate(Lattice(1.0, -10, 10)), (1.0, math.nan)),
         lambda: count_in(generate(Lattice(1.0, -10, 10)), (2.0, 1.0)),
     ],
-    ids=["nan-cap", "rising-cap", "zero-epsilon", "nan-epsilon", "empty-window", "nan-window",
+    ids=["nan-cap", "rising-cap", "zero-epsilon", "nan-epsilon", "nan-a", "empty-window", "nan-window",
          "nan-left", "nan-right", "reversed"],
 )
 def test_engine_preconditions_raise_bad_argument(call):

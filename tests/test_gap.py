@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from bmlab import (
     BadArgument,
-    BadDataFile,
     BadGap,
     DiscreteMeasure,
     Lattice,
@@ -24,7 +23,6 @@ from bmlab import (
     gram_matrix,
     lattice_gap_measure,
     load_sequence,
-    measure_from_csv,
     measure_to_csv,
     min_gap_residual,
     modulate,
@@ -55,24 +53,9 @@ def test_measure_csv_round_trip(tmp_path):
     mu = lattice_gap_measure(3.0, 32)
     path = tmp_path / "mu.csv"
     measure_to_csv(mu, path)
-    back = measure_from_csv(path)
-    assert np.array_equal(back.points, mu.points)
-    assert np.array_equal(back.weights, mu.weights)
-
-
-@pytest.mark.parametrize(
-    "text, line",
-    [
-        ("point,re,im\n0.0,1.0,0.0\n1.0,0.5\n", 3),        # short row
-        ("point,re,im\n0.0,1.0,0.0\nx,1.0,0.0\n", 3),      # non-numeric row past the header
-        ("0.0,1.0,0.0\n1.0,nan,0.0\n", 2),                 # non-finite weight
-    ],
-)
-def test_measure_csv_bad_line_reports_path_and_line(tmp_path, text, line):
-    path = tmp_path / "mu.csv"
-    path.write_text(text)
-    with pytest.raises(BadDataFile, match=f"mu.csv:{line}:"):
-        measure_from_csv(path)
+    points, re, im = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    assert np.array_equal(points, mu.points)
+    assert np.array_equal(re + 1j * im, mu.weights)
 
 
 def test_fourier_at_zero_is_total_mass():

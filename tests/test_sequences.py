@@ -16,6 +16,7 @@ from bmlab import (
     NotSeparated,
     OutOfWindow,
     PiecewiseLinear,
+    SeparatedSequence,
     SinglePoint,
     SymmetricSquares,
     count_in,
@@ -43,6 +44,27 @@ def test_load_sorts_and_measures_gap():
 def test_duplicate_points_hard_error():
     with pytest.raises(DuplicatePoint):
         load_sequence([0.0, 1.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "points, error",
+    [([0.0, math.inf], ValueError), ([0.0, 5e-324], NotSeparated), ([0.0, 1.0, 1.0], DuplicatePoint)],
+    ids=["infinite", "subnormal-gap", "duplicate"],
+)
+def test_separated_sequence_refuses_what_load_sequence_refuses(points, error):
+    with pytest.raises(error):
+        load_sequence(points)
+    with pytest.raises(error):
+        SeparatedSequence(np.array(points), (-1.0, math.inf))
+
+
+def test_separated_sequence_computes_its_gap_and_counting_function_once():
+    seq = SeparatedSequence(np.array([-1.0, 0.5, 1.0, 3.0]), (-2.0, 4.0))
+    assert seq.delta == 0.5 and seq.window == (-2.0, 4.0)
+    assert counting_function(seq) is counting_function(seq) is seq.counting
+    assert gamma_line(seq, 1.0).x is seq.points
+    with pytest.raises(ValueError, match="sorted"):
+        SeparatedSequence(np.array([1.0, 0.0]), (-2.0, 4.0))
 
 
 def test_min_delta_enforced():
