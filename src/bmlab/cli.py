@@ -384,13 +384,12 @@ def _cmd_gap_probe(parser, args) -> int:
         "fall_factor": rep.fall_factor,
         "step_ratios": rep.step_ratios,
         "vector_l1": rep.vector_l1,
-        "vector_l2": rep.vector_l2,
         "breakdown": rep.breakdown,
     }
     _emit(args, payload)
     if args.csv_out:
-        header = "size,min_eigenvalue,floored,noise_floor,vector_l1,vector_l2"
-        columns = (rep.min_eigenvalues, rep.floored_eigenvalues, rep.noise_floors, rep.vector_l1, rep.vector_l2)
+        header = "size,min_eigenvalue,floored,noise_floor,vector_l1"
+        columns = (rep.min_eigenvalues, rep.floored_eigenvalues, rep.noise_floors, rep.vector_l1)
         write_csv(args.csv_out, (None, header, zip(rep.sizes, *columns)))
     return EXIT_INCONCLUSIVE if rep.classification == INCONCLUSIVE else EXIT_OK
 

@@ -118,11 +118,14 @@ def _checked_window(points: np.ndarray, window) -> tuple[float, float]:
 def _separation(points: np.ndarray) -> float:
     """The minimal gap of points that hold the sequence rules; inf for one point.
 
-    The rules: at least one point, all finite, strictly increasing with no
-    duplicate, and no gap below the smallest normal double, whose
-    reciprocal (a slope of the counting function) would overflow.
+    The rules: a 1d array of at least one point, all finite, strictly
+    increasing with no duplicate, and no gap below the smallest normal
+    double, whose reciprocal (a slope of the counting function) would
+    overflow.
     """
-    if points.ndim != 1 or points.size == 0:
+    if points.ndim != 1:
+        raise BadArgument(f"points must be a 1d array, got shape {points.shape}")
+    if points.size == 0:
         raise EmptyRange("a sequence needs at least one point")
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")

@@ -398,7 +398,7 @@ def test_gap_probe_csv(tmp_path):
          "--csv-out", str(csv)]
     )
     lines = csv.read_text().splitlines()
-    assert lines[0] == "size,min_eigenvalue,floored,noise_floor,vector_l1,vector_l2"
+    assert lines[0] == "size,min_eigenvalue,floored,noise_floor,vector_l1"
     assert len(lines) == 5
 
 

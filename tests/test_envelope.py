@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 
@@ -185,7 +186,9 @@ ROWS = st.one_of(
 @given(rows=st.lists(st.tuples(ROWS, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
 def test_family_reader_equals_the_row_reader(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("family") / "fam.csv"
-    lines = [row + end for row, end in rows]
+    # the file's lines as a text file iterates them: a row ending "\r" and an
+    # empty row ending "\n" make one line ending "\r\n"
+    lines = io.StringIO("".join(row + end for row, end in rows), newline="").readlines()
     path.write_text("".join(lines), encoding="utf-8", newline="")
     got = _family_outcome(lambda: family_from_csv(path))
     # an unknown flag is now refused at its row, before any later row's fault:

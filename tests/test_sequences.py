@@ -77,6 +77,13 @@ def test_empty_input_rejected():
         load_sequence([])
 
 
+def test_points_of_a_wrong_shape_are_refused_with_the_shape():
+    with pytest.raises(BadArgument, match=r"\(2, 2\)"):
+        load_sequence(np.zeros((2, 2)))
+    with pytest.raises(BadArgument, match=r"\(2, 2\)"):
+        SeparatedSequence([[0, 1], [2, 3]], (0, 3))
+
+
 def test_window_must_contain_points():
     with pytest.raises(OutOfWindow):
         load_sequence([0.0, 5.0], window=(-1.0, 1.0))
