@@ -16,7 +16,6 @@ the engine that owns it; ``run`` maps the error types to these codes.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import math
 import sys
@@ -68,7 +67,7 @@ from .sequences import (
     read_sequence_file,
     write_csv,
 )
-from .zerotype import eval_qcos, log_abs_cos, log_abs_qcos, type_estimate
+from .zerotype import log_abs_cos, log_abs_qcos, type_estimate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -470,11 +469,9 @@ def _cmd_cauchy(parser, args) -> int:
 
 def _cmd_ftype(parser, args) -> int:
     ys = _y_ladder(parser, args, "log")
-    if args.function == "qcos":
-        f, log_modulus = eval_qcos, log_abs_qcos
-    else:
-        f, log_modulus = cmath.cos, log_abs_cos
-    est = type_estimate(f, ys, log_modulus=log_modulus)
+    # resolved per call from the module globals, so a rebound bmlab.cli.log_abs_* is what runs
+    log_modulus = log_abs_qcos if args.function == "qcos" else log_abs_cos
+    est = type_estimate(log_modulus, ys)
     payload = {
         "params": {
             "command": "ftype",

@@ -1,4 +1,4 @@
-"""Interior density by bisection, null-ratio witnesses and regularity.
+"""Interior density by bisection and null-ratio witnesses.
 
 The interior density of a separated sequence is approached through the
 test functions g_a(x) = a*x - n(x): the density is the supremum of the
@@ -7,7 +7,8 @@ slopes a for which g_a is almost decreasing.  Membership is monotone in a
 one for any a >= a', because n(y) - n(x) < a'*(y-x) implies the same for
 a), so a bisection on [0, 2/delta] brackets the supremum.  Every trial
 records its shortness evidence; the bracket stops refining at the
-requested tolerance or at the first Inconclusive verdict.
+requested tolerance, at the window's resolution or at the first
+Inconclusive verdict.
 
 Many trials are decided by the counting bound alone.  On the segment
 between neighbouring points, g_a has slope a - 1/gap.  For a > 1/delta
@@ -18,17 +19,20 @@ without a sweep, but decides it on the computed ordinates of g_a (one
 check per trial, two end comparisons per window), not on a versus
 1/delta: rounding can make neighbouring ordinates tie or dip when a is
 within a few ulps of 1/delta, and the sweep's answer is kept bit for bit.
+A strictly rising g_a is a No whatever the window sees
+(``is_almost_decreasing``), since then a > 1/delta >= the density.
 
 The classification of the bracket is honest about window resolution: a
 window of radius R cannot certify slopes finer than about delta/R, so the
 verdict degrades to Inconclusive when the requested tolerance is below
-2*delta/R regardless of how clean the bracket looks.
+2*delta/R regardless of how clean the bracket looks, and the bisection
+stops once the bracket is that narrow.
 
-Witness searches walk deterministic geometric ladders (powers of 4 and 2,
-each half line and both combined) looking for a disjoint family that is
-long while its point-count ratios obey a decreasing cap; such a family
-certifies that the sequence fails the counting test and is not a Polya
-sequence.
+The witness search walks deterministic geometric ladders (powers of 4
+and 2, each half line and both combined) looking for a disjoint family
+that is long while its point-count ratios obey a decreasing cap; such a
+family certifies that the sequence fails the counting test and is not a
+Polya sequence.
 """
 
 from __future__ import annotations
@@ -106,7 +110,8 @@ def interior_density(
         ENDPOINT_BOUND, the largest ladder value, when the window reaches
         beyond it.
     a_tolerance : float
-        Bracket width at which bisection stops.  The Polya / NotPolya call
+        Bracket width at which bisection stops; it also stops at the
+        window's resolution 2*delta/R.  The Polya / NotPolya call
         uses 2*a_tolerance as decision margin, so a tolerance above
         0.5/delta, which no density (at most 1/delta) could pass, is refused.
     """
@@ -124,6 +129,8 @@ def interior_density(
     if radii[-1] > max(-lo, hi):
         raise WindowTooSmall("radius ladder exceeds the data window")
 
+    # a window of radius R cannot separate slopes closer than ~delta/R
+    resolution = 2.0 * seq.delta / radii[-1]
     trials: list[DensityTrial] = []
 
     def verdict_at(a: float) -> str:
@@ -140,7 +147,7 @@ def interior_density(
     if v == YES:
         a_lower = a_max
 
-    while not stop and a_upper - a_lower > a_tolerance:
+    while not stop and a_upper - a_lower > max(a_tolerance, resolution):
         mid = 0.5 * (a_lower + a_upper)
         if not a_lower < mid < a_upper:
             break  # adjacent doubles: a finer tolerance cannot be met
@@ -155,8 +162,7 @@ def interior_density(
     if all(t.verdict == INCONCLUSIVE for t in trials):
         raise WindowTooSmall("every density trial was inconclusive on this window")
 
-    # a window of radius R cannot separate slopes closer than ~delta/R
-    resolution_ok = a_tolerance >= 2.0 * seq.delta / radii[-1]
+    resolution_ok = a_tolerance >= resolution
     if not resolution_ok:
         polya_class = INCONCLUSIVE
     elif a_lower >= 2.0 * a_tolerance:
@@ -214,30 +220,39 @@ def _geometric_ladders(window, base: int):
     return out
 
 
-def _witness_from_ladders(seq, caps, accept):
-    """Shared ladder walk for the witness searches, on endpoint columns.
+def null_ratio_witness(seq: SeparatedSequence, ratio_cap=None) -> WitnessFamily | None:
+    """Search for a long family on which point-count ratios fall under a cap.
 
-    Ratios are point counts (one ``searchsorted`` pair) over lengths.
-    ``accept`` maps them to a keep mask; with ``caps`` the k-th interval
-    picked is the next kept one whose ratio is at most caps[k].  Returns
-    the first candidate family (in a fixed deterministic ladder order) that
-    keeps at least 4 intervals and 4 radii and classifies Long, with its
-    columns and ratios sorted by left endpoint.
+    ``ratio_cap`` is a positive decreasing array; the k-th selected
+    interval must satisfy count/length <= ratio_cap[k].  The default cap is
+    harmonic, 1/(k+1), which forces the ratios toward 0.  Returns None when
+    no candidate ladder yields such a family (reported as NotFound by the
+    CLI).  A witness certifies the sequence is not a Polya sequence.
+
+    The ladders are walked on endpoint columns in a fixed deterministic
+    order; ratios are point counts (one ``searchsorted`` pair) over
+    lengths, and the k-th interval picked is the next one whose ratio is at
+    most ratio_cap[k].  The first candidate family that keeps at least 4
+    intervals and 4 radii and classifies Long is returned, with its columns
+    and ratios sorted by left endpoint.
     """
+    if ratio_cap is None:
+        ratio_cap = [1.0 / (k + 1) for k in range(64)]
+    caps = np.asarray(ratio_cap, dtype=float)
+    if not (caps.ndim == 1 and np.all(caps > 0) and np.all(caps[1:] <= caps[:-1])):  # NaN fails too
+        raise BadArgument(f"ratio_cap must be positive and decreasing, got {ratio_cap!r}")
     for base in (4, 2):
         for name, left, right in _geometric_ladders(seq.window, base):
             counts = np.searchsorted(seq.points, right, side="right") - np.searchsorted(seq.points, left, side="left")
             ratios = counts / (right - left)
-            kept = np.flatnonzero(accept(ratios))
-            if caps is not None:
-                picked, last = [], -1
-                for cap in caps:
-                    hits = kept[(kept > last) & (ratios[kept] <= cap)]
-                    if hits.size == 0:
-                        break
-                    last = hits[0]
-                    picked.append(last)
-                kept = np.array(picked, dtype=np.intp)
+            picked, last = [], -1
+            for cap in caps:
+                hits = np.flatnonzero(ratios[last + 1 :] <= cap)
+                if hits.size == 0:
+                    break
+                last += 1 + int(hits[0])
+                picked.append(last)
+            kept = np.array(picked, dtype=np.intp)
             if kept.size < 4:
                 continue
             kept = kept[np.argsort(left[kept], kind="stable")]
@@ -249,64 +264,3 @@ def _witness_from_ladders(seq, caps, accept):
             if report.verdict == LONG:
                 return WitnessFamily(family, ratios[kept].tolist(), report, name)
     return None
-
-
-def null_ratio_witness(seq: SeparatedSequence, ratio_cap=None) -> WitnessFamily | None:
-    """Search for a long family on which point-count ratios fall under a cap.
-
-    ``ratio_cap`` is a positive decreasing array; the k-th selected
-    interval must satisfy count/length <= ratio_cap[k].  The default cap is
-    harmonic, 1/(k+1), which forces the ratios toward 0.  Returns None when
-    no candidate ladder yields such a family (reported as NotFound by the
-    CLI).  A witness certifies the sequence is not a Polya sequence.
-    """
-    if ratio_cap is None:
-        ratio_cap = [1.0 / (k + 1) for k in range(64)]
-    caps = np.asarray(ratio_cap, dtype=float)
-    if not (caps.ndim == 1 and np.all(caps > 0) and np.all(caps[1:] <= caps[:-1])):  # NaN fails too
-        raise BadArgument(f"ratio_cap must be positive and decreasing, got {ratio_cap!r}")
-    return _witness_from_ladders(seq, caps, accept=lambda r: np.full(r.shape, True))
-
-
-def regularity_witness_search(seq: SeparatedSequence, a: float, epsilon: float) -> WitnessFamily | None:
-    """Search for a long family whose ratios all stay epsilon away from a.
-
-    Such a family refutes a-regularity of the sequence.  Returns None when
-    every candidate ladder fails (ratios hug a, or the surviving family is
-    short).
-    """
-    if not (epsilon > 0 and math.isfinite(a)):
-        raise BadArgument(f"need a finite a and a positive epsilon, got {a!r}, {epsilon!r}")
-    return _witness_from_ladders(seq, None, accept=lambda r: np.abs(r - a) >= epsilon)
-
-
-def strong_regularity_integral(seq: SeparatedSequence, a: float, radii) -> list[float]:
-    """Integrals of |n(x) - a*x| / (1 + x^2) over [-R, R] in closed form.
-
-    On each segment of a*x - n(x), a line s*x + c, the antiderivative of
-    (s*x + c)/(1 + x^2) is s/2*log(1+x^2) + c*arctan(x).  All segments of a
-    window are done at once: masks split them at the roots of their lines,
-    each piece takes the sign of its midpoint, and ``cumsum`` adds the
-    segments left to right, so the result carries quadrature-free accuracy.
-    """
-    radii = increasing_ladder(radii, 1, "radii")
-    gamma = gamma_line(seq, a)  # |n - a x| = |gamma|
-    out = []
-    for r in radii:
-        xs, ys = gamma.grid_on((-r, r))
-        x0, x1 = xs[:-1], xs[1:]
-        s = (ys[1:] - ys[:-1]) / (x1 - x0)
-        c = ys[:-1] - s * x0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = -c / s
-        split = (s != 0.0) & (x0 < root) & (root < x1)
-        cut = np.where(split, root, x1)  # an unsplit segment's second piece is empty: 0
-        pieces = _abs_line_integral(s, c, x0, cut) + _abs_line_integral(s, c, cut, x1)
-        out.append(float(np.cumsum(pieces)[-1]))
-    return out
-
-
-def _abs_line_integral(s, c, u0, u1):
-    """Integral of |s*x + c| / (1 + x^2) over [u0, u1], where the line keeps one sign."""
-    val = (0.5 * s * np.log1p(u1 * u1) + c * np.arctan(u1)) - (0.5 * s * np.log1p(u0 * u0) + c * np.arctan(u0))
-    return np.where(s * (0.5 * (u0 + u1)) + c < 0.0, -val, val)

@@ -416,7 +416,10 @@ def is_almost_decreasing(gamma: PiecewiseLinear, radii) -> tuple[str, ShortnessR
     ladder, classifies the interior components as Short or Long and tracks
     the mass of edge-flagged components separately.  The verdict is
 
-    * No   when the interior family is Long, or when the edge mass keeps
+    * No   when the interior family is Long, when every computed ordinate
+           of gamma rises (``gamma.trend``: for gamma_a each segment slope
+           a - 1/gap is then positive, so a > 1/delta, above any density,
+           however small the window), or when the edge mass keeps
            growing over the last doubling while dominating the interior
            sums (a window-filling component, i.e. the trend g(+inf) = -inf
            fails and the true family contains an unbounded interval),
@@ -436,7 +439,7 @@ def is_almost_decreasing(gamma: PiecewiseLinear, radii) -> tuple[str, ShortnessR
         dominated = bool(grew)
     report.boundary_dominated = dominated
 
-    if report.verdict == LONG or dominated:
+    if report.verdict == LONG or dominated or gamma.trend == 1:
         return NO, report
     if report.verdict == SHORT:
         return YES, report

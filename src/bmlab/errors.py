@@ -17,11 +17,12 @@ class DuplicatePoint(BmLabError):
 
 
 class NotSeparated(BmLabError):
-    """The sequence violates a caller-required minimum gap."""
+    """Two sequence points are closer than the smallest normal double."""
 
 
 class EmptyRange(BmLabError):
-    """A generator index range contains no indices."""
+    """A sequence would have no point: an empty point array, an empty
+    generator index range, or no point within a requested radius."""
 
 
 class SinglePoint(BmLabError):

@@ -51,7 +51,7 @@ TWO_PI = 2.0 * math.pi
 GRAM_SIZE_CAP = 512        # refuse dense eigensolves beyond this
 TERMS_CAP = 1 << 16        # n_terms cap: an FFT of at most 2^20 nodes
 GRID_POINTS_CAP = 1 << 20  # verify_gap grid points
-TRANSFORM_BLOCK = 1 << 18  # exponentials per block in fourier_transform and verify_gap
+TRANSFORM_BLOCK = 1 << 18  # exponentials per atom block of verify_gap
 
 
 @dataclass
@@ -82,34 +82,6 @@ class DiscreteMeasure:
 def measure_to_csv(mu: DiscreteMeasure, path) -> None:
     """Write atoms as CSV with columns point,re,im."""
     write_csv(path, (None, "point,re,im", zip(mu.points, mu.weights.real, mu.weights.imag)))
-
-
-def fourier_transform(mu: DiscreteMeasure, x) -> np.ndarray:
-    """mu^(x) = sum w_n exp(i x lambda_n), vectorized over x.
-
-    Evaluated in row blocks of about TRANSFORM_BLOCK grid x atom entries,
-    so memory stays bounded however long the grid is.  One block buffer
-    is allocated per call and filled in place, so no block pays for
-    fresh pages.
-    """
-    x_arr = np.ravel(np.asarray(x, dtype=float))
-    vals = np.empty(x_arr.size, dtype=complex)
-    rows = max(1, min(x_arr.size, TRANSFORM_BLOCK // len(mu)))
-    phase = 1j * mu.points
-    block = np.empty((rows, len(mu)), dtype=complex)
-    for i in range(0, x_arr.size, rows):
-        xb = x_arr[i : i + rows]
-        b = block[: xb.size]
-        np.exp(np.multiply.outer(xb, phase, out=b), out=b)
-        np.matmul(b, mu.weights, out=vals[i : i + rows])
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return complex(vals[0])
-    return vals
-
-
-def modulate(mu: DiscreteMeasure, c: float) -> DiscreteMeasure:
-    """Multiply weights by exp(i c lambda_n); shifts the transform by c."""
-    return DiscreteMeasure(mu.points.copy(), mu.weights * np.exp(1j * c * mu.points))
 
 
 def _bump(t, width: float, smoothness) -> np.ndarray:
@@ -181,10 +153,11 @@ def symmetric_gap_measure(a_prime: float, n_terms: int) -> DiscreteMeasure:
     """Measure with transform vanishing on the symmetric interval [-a', a'].
 
     Built from the one-sided C-infinity design with gap [0, 2*a'] and
-    modulated by a', which shifts the vanishing interval to be centered at 0.
+    modulated by a' (weights times exp(i a' lambda_n)), which shifts the
+    transform by a' and so centers the vanishing interval at 0.
     """
     mu = lattice_gap_measure(2.0 * a_prime, n_terms)
-    return modulate(mu, a_prime)
+    return DiscreteMeasure(mu.points.copy(), mu.weights * np.exp(1j * a_prime * mu.points))
 
 
 @dataclass

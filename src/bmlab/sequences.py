@@ -167,7 +167,14 @@ class SeparatedSequence:
 
     @functools.cached_property
     def counting(self) -> "PiecewiseLinear":
-        """The continuous counting function (``counting_function``), computed once."""
+        """The continuous counting function, computed once.
+
+        It is normalized to 0 at 0, has a breakpoint at every point and
+        grows by exactly 1 between consecutive points.  Outside the points
+        it continues with the slope of the first (resp. last) segment,
+        which is also how the anchor value at 0 is produced when 0 lies
+        outside the point range.
+        """
         pts = self.points
         if pts.size < 2:
             raise SinglePoint("counting function needs at least two points")
@@ -197,7 +204,7 @@ class SeparatedSequence:
         return SeparatedSequence._trusted(points, delta, (-radius, radius))
 
 
-def load_sequence(points, window=None, min_delta=None) -> SeparatedSequence:
+def load_sequence(points, window=None) -> SeparatedSequence:
     """Sort raw points and wrap them in a SeparatedSequence.
 
     Parameters
@@ -207,15 +214,11 @@ def load_sequence(points, window=None, min_delta=None) -> SeparatedSequence:
         sequence rules of ``SeparatedSequence``.
     window : (float, float), optional
         Data window; defaults to [min(points), max(points)].
-    min_delta : float, optional
-        Required minimal gap.  Raises NotSeparated when violated.
     """
     pts = np.array(points, dtype=float)
     if pts.ndim == 1 and not np.all(pts[:-1] < pts[1:]):  # strictly increasing input is already sorted
         pts = np.sort(pts)
     delta = _separation(pts)
-    if min_delta is not None and delta < min_delta:
-        raise NotSeparated(f"minimum gap {delta:g} below required {min_delta:g}")
     if window is None:
         if pts.size == 1:
             # a degenerate window carries no information; pad by a unit ball,
@@ -406,18 +409,6 @@ class PiecewiseLinear:
         xs = np.concatenate(([lo], self.x[i:j], [hi]))
         ys = np.concatenate((ends[:1], self.y[i:j], ends[1:]))
         return xs, ys
-
-
-def counting_function(seq: SeparatedSequence) -> PiecewiseLinear:
-    """Continuous counting function of a sequence, normalized to 0 at 0.
-
-    The function has a breakpoint at every point of the sequence and grows
-    by exactly 1 between consecutive points.  Outside the points it
-    continues with the slope of the first (resp. last) interior segment,
-    which is also how the anchor value at 0 is produced when 0 lies outside
-    the point range.  It is computed once per sequence (``seq.counting``).
-    """
-    return seq.counting
 
 
 def as_bounds(interval) -> tuple[float, float]:

@@ -130,46 +130,18 @@ class TypeEstimate:
     y_max: float
 
 
-def type_estimate(f, y_values, log_modulus=None) -> TypeEstimate:
+def type_estimate(log_modulus, y_values) -> TypeEstimate:
     """Exponential type fit along the imaginary axis.
 
-    Samples log|f(i y)| on the given ladder and least-squares fits the
-    top half (by count) against y (exponential type) and against sqrt(y)
-    (order 1/2 coefficient).  Large ladders overflow direct evaluation;
-    pass log_modulus to sample in log scale instead.  OverflowError is
-    raised, not masked, when direct evaluation leaves double range.
+    Samples log|f(i y)| = log_modulus(i y) on the given ladder, in log
+    scale so that no ladder overflows, and least-squares fits the top half
+    (by count) against y (exponential type) and against sqrt(y) (order
+    1/2 coefficient).
     """
     ys = np.asarray(increasing_ladder(y_values, 8, "y_values"))
     logs = np.empty(ys.size, dtype=float)
     for k, y in enumerate(ys):
-        if log_modulus is not None:
-            logs[k] = float(log_modulus(complex(0.0, y)))
-        else:
-            val = f(complex(0.0, y))
-            m = abs(val)
-            if math.isinf(m) or math.isnan(m):
-                raise OverflowError(
-                    f"|f(iy)| left double range at y={y:g}; supply log_modulus"
-                )
-            logs[k] = math.log(m) if m > 0.0 else -math.inf
+        logs[k] = float(log_modulus(complex(0.0, y)))
     fitted_type = top_half_slope(ys, logs, too_few=math.nan, flat=math.nan)
     fitted_sqrt = top_half_slope(np.sqrt(ys), logs, too_few=math.nan, flat=math.nan)
     return TypeEstimate(ys, logs, fitted_type, fitted_sqrt, float(ys[-1]))
-
-
-@dataclass
-class SupReport:
-    sup_value: float
-    argmax: float
-
-
-def sup_on_sequence(f, seq: SeparatedSequence) -> SupReport:
-    """Largest |f| over the points of a separated sequence."""
-    best = -math.inf
-    arg = float(seq.points[0])
-    for p in seq.points:
-        m = abs(f(complex(p)))
-        if m > best:
-            best = m
-            arg = float(p)
-    return SupReport(float(best), arg)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,17 +21,17 @@ from bmlab import (
     WindowTooSmall,
     classify_short_long,
     count_in,
-    counting_function,
+    cauchy_decay,
     default_radius_ladder,
     gamma_line,
     generate,
     interior_density,
+    lattice_gap_measure,
     load_sequence,
     null_ratio_witness,
     qcos_zeros,
-    regularity_witness_search,
-    strong_regularity_integral,
 )
+from bmlab.cli import parse_generator
 from bmlab.errors import BmLabError
 
 
@@ -170,64 +169,6 @@ def test_null_ratio_witness_empty_tail():
     assert sum(1 for r in w.ratios if r == 0.0) >= len(w.ratios) - 2
 
 
-def test_regularity_witness_lattice_at_its_density():
-    seq = generate(Lattice(1.0, -10000, 10000))
-    assert regularity_witness_search(seq, 1.0, 0.5) is None
-
-
-def test_regularity_witness_lattice_off_density():
-    seq = generate(Lattice(1.0, -10000, 10000))
-    w = regularity_witness_search(seq, 0.5, 0.25)
-    assert w is not None
-    assert w.shortness.verdict == LONG
-    assert all(abs(r - 0.5) >= 0.25 for r in w.ratios)
-
-
-def test_regularity_witness_squares():
-    seq = generate(SymmetricSquares(-1000, 1000))
-    w = regularity_witness_search(seq, 1.0, 0.5)
-    assert w is not None
-    assert w.shortness.verdict == LONG
-
-
-# ------------------------------------------------- strong regularity integral
-
-
-def test_strong_regularity_lattice_at_one_is_zero():
-    seq = generate(Lattice(1.0, -100, 100))
-    vals = strong_regularity_integral(seq, 1.0, [10.0, 30.0, 90.0])
-    assert all(v == 0.0 for v in vals)
-
-
-def test_strong_regularity_closed_form_on_lattice():
-    seq = generate(Lattice(1.0, -100, 100))
-    radii = [5.0, 10.0, 20.0, 40.0, 80.0]
-    vals = strong_regularity_integral(seq, 0.5, radii)
-    for r, v in zip(radii, vals):
-        assert v == pytest.approx(0.5 * math.log1p(r * r), rel=1e-9)
-
-
-def test_strong_regularity_matches_quadrature():
-    seq = generate(SymmetricSquares(-40, 40))
-    n = counting_function(seq)
-
-    def integrand(x):
-        return abs(0.7 * x - n(x)) / (1.0 + x * x)
-
-    radii = [50.0, 200.0, 800.0]
-    vals = strong_regularity_integral(seq, 0.7, radii)
-    for r, v in zip(radii, vals):
-        q, err = scipy.integrate.quad(integrand, -r, r, limit=2000)
-        assert v == pytest.approx(q, rel=1e-6, abs=max(err * 10, 1e-9))
-
-
-def test_strong_regularity_monotone_in_radius():
-    seq = generate(LogPerturbedLattice(-500, 500))
-    radii = [20.0, 40.0, 80.0, 160.0, 320.0]
-    vals = strong_regularity_integral(seq, 0.9, radii)
-    assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-
-
 # --------------------------------------------------------- witness/density
 
 
@@ -261,17 +202,45 @@ def test_tolerance_domain():
 
 
 def test_bisection_stops_at_adjacent_doubles():
-    # a tolerance finer than the double spacing at the bracket ends
-    rep = interior_density(generate(Lattice(1.0, -100, 100)), a_tolerance=1e-320)
-    assert len(rep.trials) < 64
+    # density --seq lattice:1e-13 --radius 1e-9 --tol 1e-3: the window
+    # resolves 2*delta/R = 2e-4, but the doubles near 1/delta = 1e13 are
+    # about 2e-3 apart, so the tolerance cannot be met
+    rep = interior_density(parse_generator("lattice:1e-13", 1e-9), a_tolerance=1e-3)
+    assert rep.resolution_ok
     assert rep.a_upper == np.nextafter(rep.a_lower, math.inf)
-    assert rep.polya_class == INCONCLUSIVE  # below the window resolution
+    assert rep.a_upper - rep.a_lower > rep.a_tolerance
+    assert rep.polya_class == POLYA
+
+
+def test_bisection_stops_at_the_window_resolution():
+    # a window of radius 100 resolves slopes 2*delta/R = 0.02 apart; a finer
+    # tolerance is Inconclusive, and the bracket halves from 2 to 1/64
+    rep = interior_density(generate(Lattice(1.0, -100, 100)), a_tolerance=1e-320)
+    assert not rep.resolution_ok
+    assert rep.polya_class == INCONCLUSIVE
+    assert len(rep.trials) == 8
+    assert rep.a_upper - rep.a_lower == 2.0 / 2**7 <= 2.0 * rep.delta / rep.radii[-1]
+    assert rep.a_lower <= 1.0 < rep.a_upper
+
+
+@pytest.mark.parametrize(
+    "step, radius",
+    [(s, r) for s in (1e-3, 1e-2, 0.1, 0.37, 1.0) for r in (0.1, 1.0, 10.0) if r / s >= 8],
+)
+def test_bracket_holds_the_counting_bound(step, radius):
+    # no density exceeds 1/delta, and a strictly rising gamma_a (a > 1/delta)
+    # is No however small the window; the lattice's density 1/step stays in
+    # the bracket.  The points k*step are rounded, so delta sits a few ulps
+    # below step and a No at a = 1/delta itself is also right.
+    rep = interior_density(parse_generator(f"lattice:{step!r}", radius))
+    assert rep.a_lower <= (1.0 / rep.delta) * (1.0 + 1e-12)
+    assert rep.a_lower <= (1.0 / step) * (1.0 + 1e-12) and (1.0 / step) * (1.0 - 1e-12) <= rep.a_upper
 
 
 # ------------------------------------------- columnar code against its loops
 
 
-def reference_witness(seq, caps, accept):
+def reference_witness(seq, caps):
     """The Interval-list ladder walk the witness search had, kept as the reference."""
     ladders = []
     for base in (4, 2):
@@ -295,15 +264,12 @@ def reference_witness(seq, caps, accept):
             ladders.append((f"pow{base}:both", sorted(pos + neg, key=lambda iv: iv.dist_to_origin)))
     for name, intervals in ladders:
         ratios = [count_in(seq, (iv.left, iv.right)) / iv.length for iv in intervals]
-        kept = [(iv, r) for iv, r in zip(intervals, ratios) if accept(r)]
-        if caps is not None:
-            picked = []
-            for iv, ratio in kept:
-                if len(picked) >= len(caps):
-                    break
-                if ratio <= caps[len(picked)]:
-                    picked.append((iv, ratio))
-            kept = picked
+        kept = []
+        for iv, ratio in zip(intervals, ratios):
+            if len(kept) >= len(caps):
+                break
+            if ratio <= caps[len(kept)]:
+                kept.append((iv, ratio))
         if len(kept) < 4:
             continue
         ordered = sorted(kept, key=lambda pair: pair[0].left)
@@ -362,65 +328,14 @@ def dyadic_blocks(draw):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    data=st.one_of(scattered(), dyadic_blocks()),
-    a=st.sampled_from([0.0, 0.01, 0.5, 1.0, 3.0, 4.0]),
-    epsilon=st.sampled_from([1e-3, 0.25, 0.5]),
-    harmonic=st.booleans(),
-)
-def test_columnar_witness_search_equals_the_interval_walk(data, a, epsilon, harmonic):
+@given(data=st.one_of(scattered(), dyadic_blocks()), harmonic=st.booleans())
+def test_columnar_witness_search_equals_the_interval_walk(data, harmonic):
     points, window = data
     seq = load_sequence(points, window=window)
     caps = [1.0 / (k + 1) for k in range(64)] if harmonic else [0.5] * 4 + [0.25] * 60
     assert _witness_outcome(lambda: null_ratio_witness(seq, caps)) == _witness_outcome(
-        lambda: reference_witness(seq, caps, lambda r: True)
+        lambda: reference_witness(seq, caps)
     )
-    assert _witness_outcome(lambda: regularity_witness_search(seq, a, epsilon)) == _witness_outcome(
-        lambda: reference_witness(seq, None, lambda r: abs(r - a) >= epsilon)
-    )
-
-
-def reference_strong_regularity(seq, a, radii):
-    """The per-segment loop of strong_regularity_integral, kept as the reference."""
-    gamma = gamma_line(seq, a)
-
-    def antideriv(s, c, x):
-        return 0.5 * s * math.log1p(x * x) + c * math.atan(x)
-
-    out = []
-    for r in radii:
-        xs, ys = gamma.grid_on((-r, r))
-        total = 0.0
-        for j in range(xs.size - 1):
-            x0, x1 = float(xs[j]), float(xs[j + 1])
-            s = (float(ys[j + 1]) - float(ys[j])) / (x1 - x0)
-            c = float(ys[j]) - s * x0
-            pieces = [(x0, x1)]
-            if s != 0.0 and x0 < -c / s < x1:
-                pieces = [(x0, -c / s), (-c / s, x1)]
-            for u0, u1 in pieces:
-                val = antideriv(s, c, u1) - antideriv(s, c, u0)
-                total += -val if s * (0.5 * (u0 + u1)) + c < 0.0 else val
-        out.append(total)
-    return out
-
-
-@pytest.mark.parametrize(
-    "seq",
-    [
-        generate(Lattice(1.0, -300, 300)),
-        generate(Lattice(0.7, -300, 300)),
-        generate(SymmetricSquares(-40, 40)),
-        generate(LogPerturbedLattice(-500, 500)),
-        load_sequence(np.cumsum(np.random.default_rng(7).uniform(0.2, 3.0, 800)) - 700.0),
-    ],
-    ids=["lattice1", "lattice07", "squares", "logperturbed", "random"],
-)
-@pytest.mark.parametrize("a", [0.0, 0.3, 0.9, 1.0, 1.7])
-def test_strong_regularity_equals_the_segment_loop(seq, a):
-    radii = [0.5, 3.0, 17.5, 100.0, 290.0]
-    for new, old in zip(strong_regularity_integral(seq, a, radii), reference_strong_regularity(seq, a, radii)):
-        assert new == old or math.isclose(new, old, rel_tol=1e-12, abs_tol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -428,17 +343,16 @@ def test_strong_regularity_equals_the_segment_loop(seq, a):
     [
         lambda: null_ratio_witness(generate(Lattice(1.0, -100, 100)), [1.0, math.nan, 0.5]),
         lambda: null_ratio_witness(generate(Lattice(1.0, -100, 100)), [0.5, 1.0]),
-        lambda: regularity_witness_search(generate(Lattice(1.0, -100, 100)), 1.0, 0.0),
-        lambda: regularity_witness_search(generate(Lattice(1.0, -100, 100)), 1.0, math.nan),
-        lambda: regularity_witness_search(generate(Lattice(1.0, -10000, 10000)), math.nan, 0.1),
+        lambda: cauchy_decay(lattice_gap_measure(3.0, 32), 0.5, [1.0, 2.0, 3.0, 4.0], 0.0),
+        lambda: cauchy_decay(lattice_gap_measure(3.0, 32), 0.5, [1.0, 2.0, 3.0, 4.0], math.nan),
+        lambda: gamma_line(generate(Lattice(1.0, -10000, 10000)), math.nan),
         lambda: qcos_zeros((1.0, 1.0)),
         lambda: qcos_zeros((math.nan, 1.0)),
         lambda: count_in(generate(Lattice(1.0, -10, 10)), (math.nan, 1.0)),
         lambda: count_in(generate(Lattice(1.0, -10, 10)), (1.0, math.nan)),
         lambda: count_in(generate(Lattice(1.0, -10, 10)), (2.0, 1.0)),
     ],
-    ids=["nan-cap", "rising-cap", "zero-epsilon", "nan-epsilon", "nan-a", "empty-window", "nan-window",
-         "nan-left", "nan-right", "reversed"],
+    ids=["nan-cap", "rising-cap", "zero-epsilon", "nan-epsilon", "nan-a", "empty-window", "nan-window", "nan-left", "nan-right", "reversed"],
 )
 def test_engine_preconditions_raise_bad_argument(call):
     with pytest.raises(BadArgument):

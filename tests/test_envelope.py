@@ -23,7 +23,6 @@ from bmlab import (
     SymmetricSquares,
     bm_family,
     classify_short_long,
-    counting_function,
     family_from_csv,
     family_to_csv,
     gamma_line,

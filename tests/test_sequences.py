@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,6 @@ from bmlab import (
     SinglePoint,
     SymmetricSquares,
     count_in,
-    counting_function,
     gamma_line,
     generate,
     load_sequence,
@@ -61,15 +61,18 @@ def test_separated_sequence_refuses_what_load_sequence_refuses(points, error):
 def test_separated_sequence_computes_its_gap_and_counting_function_once():
     seq = SeparatedSequence(np.array([-1.0, 0.5, 1.0, 3.0]), (-2.0, 4.0))
     assert seq.delta == 0.5 and seq.window == (-2.0, 4.0)
-    assert counting_function(seq) is counting_function(seq) is seq.counting
+    assert seq.counting is seq.counting
     assert gamma_line(seq, 1.0).x is seq.points
     with pytest.raises(ValueError, match="sorted"):
         SeparatedSequence(np.array([1.0, 0.0]), (-2.0, 4.0))
 
 
 def test_min_delta_enforced():
+    # the one minimum gap load_sequence keeps is the smallest normal double
+    tiny = sys.float_info.min
+    assert load_sequence([0.0, tiny, 1.0]).delta == tiny
     with pytest.raises(NotSeparated):
-        load_sequence([0.0, 0.25, 1.0], min_delta=0.5)
+        load_sequence([0.0, np.nextafter(tiny, 0.0), 1.0])
 
 
 def test_empty_input_rejected():
@@ -141,21 +144,21 @@ def test_logperturbed_points():
 
 def test_counting_unit_lattice_is_identity():
     seq = generate(Lattice(1.0, -10, 10))
-    n = counting_function(seq)
+    n = seq.counting
     xs = np.linspace(-10.0, 10.0, 201)
     assert np.allclose(n(xs), xs, atol=1e-12)
 
 
 def test_counting_anchored_at_zero():
     seq = load_sequence([3.0, 5.0, 11.0], window=(2.0, 12.0))
-    n = counting_function(seq)
+    n = seq.counting
     # 0 is outside the window: the anchor extrapolates the first segment
     assert n(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_counting_interpolation_example():
     seq = load_sequence([0.0, 1.0, 4.0, 9.0])
-    n = counting_function(seq)
+    n = seq.counting
     assert n(2.5) == pytest.approx(n(1.0) + 0.5)
     # unit increment between consecutive points
     assert n(4.0) - n(1.0) == pytest.approx(1.0)
@@ -163,7 +166,7 @@ def test_counting_interpolation_example():
 
 def test_counting_single_point_rejected():
     with pytest.raises(SinglePoint):
-        counting_function(load_sequence([1.0]))
+        load_sequence([1.0]).counting
 
 
 @given(
@@ -180,7 +183,7 @@ def test_counting_increments_are_unit(points):
     if min(b - a for a, b in zip(pts, pts[1:])) < 1e-6:
         return
     seq = load_sequence(pts)
-    n = counting_function(seq)
+    n = seq.counting
     vals = n(np.asarray(pts))
     steps = np.diff(vals)
     assert np.allclose(steps, 1.0, atol=1e-9)
@@ -196,7 +199,7 @@ def test_counting_increments_are_unit(points):
 @settings(max_examples=40, deadline=None)
 def test_lattice_counting_is_affine(k, step):
     seq = generate(Lattice(step, -k, k))
-    n = counting_function(seq)
+    n = seq.counting
     xs = np.linspace(-k * step, k * step, 101)
     assert np.allclose(n(xs), xs / step, atol=1e-9 * (1 + k))
 
@@ -243,7 +246,7 @@ def test_count_in_matches_brute_force(ns, left, width):
 
 def test_count_in_agrees_with_counting_function():
     seq = generate(SymmetricSquares(-12, 12))
-    n = counting_function(seq)
+    n = seq.counting
     pts = seq.points
     j, k = 3, 17
     assert count_in(seq, (pts[j], pts[k])) == k - j + 1
@@ -256,7 +259,7 @@ def test_count_in_agrees_with_counting_function():
 def test_gamma_line_values_at_breakpoints():
     seq = generate(Lattice(1.0, -10, 10))
     g = gamma_line(seq, 0.75)
-    n = counting_function(seq)
+    n = seq.counting
     for x in (-10.0, -3.5, 0.0, 7.25, 10.0):
         assert g(x) == pytest.approx(0.75 * x - n(x), abs=1e-12)
 
@@ -298,7 +301,7 @@ def test_pwl_grid_includes_breakpoints():
 
 def test_sequence_preconditions_raise_bad_argument():
     seq = generate(Lattice(1.0, -5, 5))
-    f = counting_function(seq)
+    f = seq.counting
     for window in ((1.0, 1.0), (-math.inf, 1.0), (0.0, math.nan)):
         with pytest.raises(BadArgument):
             f.grid_on(window)
