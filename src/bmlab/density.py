@@ -20,7 +20,12 @@ check per trial, two end comparisons per window), not on a versus
 1/delta: rounding can make neighbouring ordinates tie or dip when a is
 within a few ulps of 1/delta, and the sweep's answer is kept bit for bit.
 A strictly rising g_a is a No whatever the window sees
-(``is_almost_decreasing``), since then a > 1/delta >= the density.
+(``is_almost_decreasing``), since then a > 1/delta >= the density.  So is
+every trial whose computed product a*delta exceeds 1: rounding is
+monotone, so the exact product does too.  That rule holds where the
+ordinates cannot show the rise, a*gap - 1 per segment being below their
+rounding (``density --seq lattice:1e-13 --radius 1e-9``); the trial's
+evidence is still computed and kept.
 
 The classification of the bracket is honest about window resolution: a
 window of radius R cannot certify slopes finer than about delta/R, so the
@@ -136,6 +141,8 @@ def interior_density(
     def verdict_at(a: float) -> str:
         gamma = gamma_line(seq, a)
         verdict, report = is_almost_decreasing(gamma, radii)
+        if a * seq.delta > 1.0:  # the counting bound, see the module docstring
+            verdict = NO
         trials.append(DensityTrial(a, verdict, report))
         return verdict
 

@@ -11,6 +11,10 @@ segments where g ties its running maximum (plateaus) are not in the set.
 Components are computed by a right-to-left suffix maximum sweep over the
 segment grid with exact linear interpolation for the crossing abscissas, so
 endpoint accuracy is limited only by float arithmetic, not by any grid.
+The sweep reads the nodes inside a window as views of g's arrays, and
+takes the suffix maxima from block maxima cached on g
+(``PiecewiseLinear.suffix_max``), so the nested windows of a radius
+ladder share one pass over the nodes.
 
 A family of disjoint intervals I_n is called short when
 
@@ -344,11 +348,19 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     whose closure meets either window edge are flagged TouchesWindowEdge;
     the rightmost ones are systematically uncertain under window growth.
 
-    The sweep works on the segment grid.  With M_j the maximum of the node
-    values strictly right of node j, a point x inside segment j is in the
-    set iff gamma(x) < M_j: either the whole half-open segment qualifies
-    (left node value below M_j) or the part right of the exact crossing of
-    the segment line with level M_j.
+    The sweep works on the segment grid [lo, nodes strictly inside, hi].
+    With M_j the maximum of the node values strictly right of node j, a
+    point x inside segment j is in the set iff gamma(x) < M_j: either the
+    whole half-open segment qualifies (left node value below M_j) or the
+    part right of the exact crossing of the segment line with level M_j.
+    The nodes are read as views ``gamma.x[i:j]``, ``gamma.y[i:j]`` with the
+    two end values beside them, not copied into a grid.  M comes from
+    ``gamma.suffix_max``: a reverse accumulate over the horizon's block
+    and, before it, block suffix maxima cached on gamma at its first swept
+    window, raised to the maximum right of their block.  A maximum is one
+    of its operands, so M is the plain accumulate's bit for bit, and the
+    comparisons and the crossing formula see the same operands as a sweep
+    over a copied grid: the family is exact, not an approximation of it.
 
     A monotone gamma needs no sweep.  When the window's ordinates
     [gamma(lo), nodes strictly inside, gamma(hi)] increase strictly, every
@@ -367,31 +379,47 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     if trend == -1:
         return IntervalFamily._columns(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
 
-    xs, ys = gamma.grid_on(window)
-    suffix = np.maximum.accumulate(ys[::-1])[::-1]
-    m_seg = suffix[1:]  # per segment: max over nodes strictly to its right
-    y_l, y_r = ys[:-1], ys[1:]
+    x, y = gamma.x[i:j], gamma.y[i:j]  # the nodes strictly inside, as views
+    m = gamma.suffix_max(i, j, ends[1])  # per segment: max over nodes strictly to its right
 
-    full = y_l < m_seg                      # piece [x_j, x_{j+1})
-    part = (~full) & (y_r < m_seg)          # piece (x_cross, x_{j+1})
-    seg = np.flatnonzero(full | part)
-    if seg.size == 0:
+    # segment k runs from node k to node k+1 of [lo, x, hi]; its left node
+    # value is ends[0] for k = 0, else y[k-1], and its right one y[k] or ends[1]
+    full = np.empty(m.size, dtype=bool)  # piece [x_k, x_{k+1}): left node below m
+    full[0] = ends[0] < m[0]
+    np.less(y, m[1:], out=full[1:])
+    inside = np.empty(m.size, dtype=bool)  # full, or piece (x_cross, x_{k+1}): right node below m
+    np.less(y, m[:-1], out=inside[:-1])
+    inside[-1] = False
+    np.logical_or(inside, full, out=inside)
+
+    # a piece joins the one before it when that is in the set and the piece
+    # is whole, so a partial piece always starts a component
+    joins = full  # full is not needed whole below
+    joins[0] = False
+    np.logical_and(joins[1:], inside[:-1], out=joins[1:])
+    bound = np.greater(inside, joins)  # pieces that start a component
+    first = np.flatnonzero(bound)
+    if first.size == 0:
         return IntervalFamily._columns(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+    np.greater(inside[:-1], joins[1:], out=bound[:-1])  # pieces that end one
+    bound[-1] = inside[-1]
+    last = np.flatnonzero(bound)
 
-    # merge consecutive segments unless the next piece starts strictly
-    # inside, so a partial piece always starts a component
-    cut = np.flatnonzero((np.diff(seg) != 1) | part[seg[1:]])
-    first = seg[np.concatenate(([0], cut + 1))]
-    last = seg[np.concatenate((cut, [seg.size - 1]))]
-
-    left = xs[first]
-    crossing = part[first]
+    left = x[first - 1]  # first = 0 reads x[-1] and is set to lo below
+    y_l = y[first - 1]
+    if first[0] == 0:
+        left[0], y_l[0] = lo, ends[0]
+    crossing = ~(y_l < m[first])  # not full: the comparison again, as full now holds joins
     if np.any(crossing):
-        j = first[crossing]
-        t = (y_l[j] - m_seg[j]) / (y_l[j] - y_r[j])
-        left[crossing] = xs[j] + t * (xs[j + 1] - xs[j])
-    right = xs[last + 1]
-    edge = (left == xs[0]) | (right == xs[-1])
+        k = first[crossing]
+        y_l = y_l[crossing]
+        x_l = left[crossing]
+        t = (y_l - m[k]) / (y_l - y[k])
+        left[crossing] = x_l + t * (x[k] - x_l)
+    right = x[np.minimum(last, y.size - 1)]  # last = y.size ends at hi
+    if last[-1] == y.size:
+        right[-1] = hi
+    edge = (left == lo) | (right == hi)
     return IntervalFamily._columns(left, right, edge)
 
 
