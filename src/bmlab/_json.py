@@ -11,6 +11,7 @@ JSON has no literals for them.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -24,18 +25,18 @@ def _fmt_float(x: float) -> str:
     return s
 
 
+_ESCAPED = re.compile(r'["\\\x00-\x1f]')  # a quote, a backslash, a control character
+
+
+def _escape_char(match) -> str:
+    ch = match.group()
+    return "\\" + ch if ch in '"\\' else f"\\u{ord(ch):04x}"
+
+
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
+    """s as a JSON string: ``"`` and ``\\`` take a backslash, code points
+    below 0x20 become ``\\u00XX``, and every other character stays."""
+    return '"' + _ESCAPED.sub(_escape_char, s) + '"'
 
 
 def dumps(obj) -> str:

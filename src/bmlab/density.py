@@ -5,7 +5,9 @@ test functions g_a(x) = a*x - n(x): the density is the supremum of the
 slopes a for which g_a is almost decreasing.  Membership is monotone in a
 (the set where g_{a'} sits below its suffix maximum is contained in the
 one for any a >= a', because n(y) - n(x) < a'*(y-x) implies the same for
-a), so a bisection on [0, 2/delta] brackets the supremum.  Every trial
+a), so a bisection on [0, 2/delta] brackets the supremum.  Its first
+trial is the midpoint 1/delta: 2/delta itself is a No by the counting
+bound below, and is not tried.  Every trial
 records its shortness evidence; the bracket stops refining at the
 requested tolerance, at the window's resolution or at the first
 Inconclusive verdict.
@@ -66,6 +68,10 @@ POLYA = "Polya"
 NOT_POLYA = "NotPolya"
 
 TWO_PI = 2.0 * math.pi
+
+# the k-th interval a null-ratio witness picks holds at most RATIO_CAP[k]
+# points per unit length: the harmonic cap 1/(k+1), forcing the ratios to 0
+RATIO_CAP = tuple(1.0 / (k + 1) for k in range(64))
 
 
 @dataclass
@@ -146,15 +152,9 @@ def interior_density(
         trials.append(DensityTrial(a, verdict, report))
         return verdict
 
-    a_max = 2.0 / seq.delta
-    a_lower, a_upper = 0.0, a_max
-
-    v = verdict_at(a_max)
-    stop = v == INCONCLUSIVE
-    if v == YES:
-        a_lower = a_max
-
-    while not stop and a_upper - a_lower > max(a_tolerance, resolution):
+    # 2/delta is a No by the counting bound (its a*delta rounds to 2), so it is not tried
+    a_lower, a_upper = 0.0, 2.0 / seq.delta
+    while a_upper - a_lower > max(a_tolerance, resolution):
         mid = 0.5 * (a_lower + a_upper)
         if not a_lower < mid < a_upper:
             break  # adjacent doubles: a finer tolerance cannot be met
@@ -164,10 +164,7 @@ def interior_density(
         elif v == NO:
             a_upper = mid
         else:
-            stop = True
-
-    if all(t.verdict == INCONCLUSIVE for t in trials):
-        raise WindowTooSmall("every density trial was inconclusive on this window")
+            break
 
     resolution_ok = a_tolerance >= resolution
     if not resolution_ok:
@@ -227,33 +224,27 @@ def _geometric_ladders(window, base: int):
     return out
 
 
-def null_ratio_witness(seq: SeparatedSequence, ratio_cap=None) -> WitnessFamily | None:
+def null_ratio_witness(seq: SeparatedSequence) -> WitnessFamily | None:
     """Search for a long family on which point-count ratios fall under a cap.
 
-    ``ratio_cap`` is a positive decreasing array; the k-th selected
-    interval must satisfy count/length <= ratio_cap[k].  The default cap is
-    harmonic, 1/(k+1), which forces the ratios toward 0.  Returns None when
-    no candidate ladder yields such a family (reported as NotFound by the
-    CLI).  A witness certifies the sequence is not a Polya sequence.
+    The k-th selected interval must satisfy count/length <= RATIO_CAP[k],
+    the harmonic cap 1/(k+1).  Returns None when no candidate ladder yields
+    such a family (reported as NotFound by the CLI).  A witness certifies
+    the sequence is not a Polya sequence.
 
     The ladders are walked on endpoint columns in a fixed deterministic
     order; ratios are point counts (one ``searchsorted`` pair) over
     lengths, and the k-th interval picked is the next one whose ratio is at
-    most ratio_cap[k].  The first candidate family that keeps at least 4
+    most RATIO_CAP[k].  The first candidate family that keeps at least 4
     intervals and 4 radii and classifies Long is returned, with its columns
     and ratios sorted by left endpoint.
     """
-    if ratio_cap is None:
-        ratio_cap = [1.0 / (k + 1) for k in range(64)]
-    caps = np.asarray(ratio_cap, dtype=float)
-    if not (caps.ndim == 1 and np.all(caps > 0) and np.all(caps[1:] <= caps[:-1])):  # NaN fails too
-        raise BadArgument(f"ratio_cap must be positive and decreasing, got {ratio_cap!r}")
     for base in (4, 2):
         for name, left, right in _geometric_ladders(seq.window, base):
             counts = np.searchsorted(seq.points, right, side="right") - np.searchsorted(seq.points, left, side="left")
             ratios = counts / (right - left)
             picked, last = [], -1
-            for cap in caps:
+            for cap in RATIO_CAP:
                 hits = np.flatnonzero(ratios[last + 1 :] <= cap)
                 if hits.size == 0:
                     break

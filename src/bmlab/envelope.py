@@ -11,10 +11,9 @@ segments where g ties its running maximum (plateaus) are not in the set.
 Components are computed by a right-to-left suffix maximum sweep over the
 segment grid with exact linear interpolation for the crossing abscissas, so
 endpoint accuracy is limited only by float arithmetic, not by any grid.
-The sweep reads the nodes inside a window as views of g's arrays, and
-takes the suffix maxima from block maxima cached on g
-(``PiecewiseLinear.suffix_max``), so the nested windows of a radius
-ladder share one pass over the nodes.
+The sweep reads the nodes inside a window as views of g's arrays, not
+copies, and each window of a radius ladder takes its own suffix maxima
+(``PiecewiseLinear.suffix_max``).
 
 A family of disjoint intervals I_n is called short when
 
@@ -354,13 +353,11 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     whole half-open segment qualifies (left node value below M_j) or the
     part right of the exact crossing of the segment line with level M_j.
     The nodes are read as views ``gamma.x[i:j]``, ``gamma.y[i:j]`` with the
-    two end values beside them, not copied into a grid.  M comes from
-    ``gamma.suffix_max``: a reverse accumulate over the horizon's block
-    and, before it, block suffix maxima cached on gamma at its first swept
-    window, raised to the maximum right of their block.  A maximum is one
-    of its operands, so M is the plain accumulate's bit for bit, and the
-    comparisons and the crossing formula see the same operands as a sweep
-    over a copied grid: the family is exact, not an approximation of it.
+    two end values beside them, not copied into a grid.  M is
+    ``gamma.suffix_max``, the plain reverse accumulate of the window's
+    nodes and its right end value.  The comparisons and the crossing
+    formula see the same operands as a sweep over a copied grid: the
+    family is exact, not an approximation of it.
 
     A monotone gamma needs no sweep.  When the window's ordinates
     [gamma(lo), nodes strictly inside, gamma(hi)] increase strictly, every

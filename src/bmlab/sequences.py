@@ -49,7 +49,6 @@ from .errors import (
 
 POINTS_CAP = 1 << 23  # points a generator may materialize, lines a data file may hold
 FILE_CHUNK = 1 << 16  # bytes (characters, when parsing) read from a data file at a time
-SUFFIX_BLOCK = 1 << 12  # nodes per block of PiecewiseLinear.block_suffix_max
 
 
 def check_points(count: float) -> None:
@@ -371,46 +370,15 @@ class PiecewiseLinear:
             return -1
         return 0
 
-    @functools.cached_property
-    def block_suffix_max(self) -> np.ndarray:
-        """S[p] = max(y[p:e]), e the end of p's block of SUFFIX_BLOCK nodes.
-
-        So S[b * SUFFIX_BLOCK] is the maximum of block b.  Computed once,
-        by one reverse accumulate per block, on the ordinates as stored.
-        """
-        y, s, block = self.y, np.empty_like(self.y), SUFFIX_BLOCK
-        for b in range(0, y.size, block):
-            np.maximum.accumulate(y[b : b + block][::-1], out=s[b : b + block][::-1])
-        return s
-
     def suffix_max(self, i: int, j: int, end: float) -> np.ndarray:
         """m[k] = max(y[i+k:j], end) for k = 0 .. j-i: at each node of the
         slice, the maximum of the nodes from there up to j, and ``end``.
-
-        Only the part of the slice in the block of y[j-1] is accumulated
-        here.  Before it, m is the cached block suffix maximum raised to
-        the maximum of everything right of its block (the later block
-        maxima, that part and ``end``), one broadcast ``np.maximum`` over
-        the whole blocks.  A maximum is one of its operands, so m is the
-        plain reverse accumulate bit for bit; a tie keeps the right
-        operand, as that accumulate does.
+        One reverse accumulate over a copy of the slice with ``end`` after it.
         """
-        block = SUFFIX_BLOCK
         m = np.empty(j - i + 1)
         m[-1] = end
-        q = max(i, (j - 1) // block * block)  # where the horizon's block starts in the slice
-        tail = m[q - i :]
-        tail[:-1] = self.y[q:j]
-        np.maximum.accumulate(tail[::-1], out=tail[::-1])
-        if q > i:
-            s = self.block_suffix_max
-            b0, b1 = i // block, q // block
-            later = s[(b1 - 1) * block : b0 * block : -block]  # maxima of blocks b1-1 down to b0+1
-            right = np.maximum.accumulate(np.concatenate((tail[:1], later)))[::-1]  # per block b0 .. b1-1
-            e0 = (b0 + 1) * block
-            np.maximum(right[0], s[i:e0], out=m[: e0 - i])
-            rows = b1 - b0 - 1
-            np.maximum(right[1:, None], s[e0:q].reshape(rows, block), out=m[e0 - i : q - i].reshape(rows, block))
+        m[:-1] = self.y[i:j]
+        np.maximum.accumulate(m[::-1], out=m[::-1])
         return m
 
     def __call__(self, t):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import bmlab
+from bmlab import _json
 from bmlab.cli import GENERATOR_GRAMMAR, parse_generator, run
 
 PI = math.pi
@@ -170,6 +171,23 @@ def test_json_keys_are_sorted():
     # key order in the raw text, not only after parsing
     pairs = json.loads(out, object_pairs_hook=lambda p: [k for k, _ in p])
     assert pairs == sorted(pairs)
+
+
+def escaped_by_rule(ch):
+    """The written rule for one character of a JSON string."""
+    if ch in '"\\':
+        return "\\" + ch
+    if ord(ch) < 0x20:
+        return "\\u00%02x" % ord(ch)
+    return ch
+
+
+def test_json_strings_escape_by_the_rule():
+    # every ASCII code point, non-ASCII text, a lone surrogate and a mix
+    for text in [chr(c) for c in range(0x80)] + ["\u00e9\u4e2d\U0001f600", "\ud800", 'a"b\\c\n\x7f\udcff']:
+        want = '"' + "".join(escaped_by_rule(ch) for ch in text) + '"'
+        assert _json.dumps(text) == want, repr(text)
+        assert _json.dumps({text: 0}) == "{" + want + ": 0}", repr(text)
 
 
 def test_params_echo_resolved_arguments():

@@ -694,12 +694,6 @@ def windows_for(draw, gamma):
     return out
 
 
-# block sizes of the cached suffix maxima: single nodes, blocks that do and
-# do not divide the window, and the default, under which small windows fit
-# in one block
-BLOCKS = [1, 2, 3, 7, sequences.SUFFIX_BLOCK]
-
-
 def _equals_the_plain_sweep(gamma, windows):
     for window in windows:
         fam = bm_family(gamma, window)
@@ -712,17 +706,6 @@ def _equals_the_plain_sweep(gamma, windows):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_bm_family_equals_the_plain_sweep(data):
-    gamma = data.draw(shaped_gamma())
-    _equals_the_plain_sweep(gamma, data.draw(windows_for(gamma)))
-
-
-@pytest.mark.parametrize("block", BLOCKS[:-1])
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_bm_family_on_small_blocks_equals_the_plain_sweep(monkeypatch, block, data):
-    # the test above under the default block size, here with blocks far
-    # smaller than the windows, so the cached block maxima are read
-    monkeypatch.setattr(sequences, "SUFFIX_BLOCK", block)
     gamma = data.draw(shaped_gamma())
     _equals_the_plain_sweep(gamma, data.draw(windows_for(gamma)))
 
@@ -743,77 +726,59 @@ def test_slope_above_one_over_delta_does_not_decide(step, m, ulps, window):
 
 
 def test_monotone_gamma_needs_no_sweep(monkeypatch):
-    # a sweep of more than one block reads the cached block suffix maxima;
-    # a rising or falling gamma never computes them
-    monkeypatch.setattr(sequences, "SUFFIX_BLOCK", 2)
+    # a rising or falling gamma never takes suffix maxima; a swept one does
+    def no_sweep(self, i, j, end):
+        raise AssertionError("swept a monotone gamma")
+
     seq = generate(Lattice(1.0, -50, 50))
     rising, falling = gamma_line(seq, 2.0), gamma_line(seq, 0.5)
     assert (rising.trend, falling.trend) == (1, -1)
-    for r in (0.5, 10.0, 30.5):
-        fam = bm_family(rising, (-r, r))
-        assert (fam.left.tolist(), fam.right.tolist(), fam.edge.tolist()) == ([-r], [r], [True])
-        assert len(bm_family(falling, (-r, r))) == 0
-    assert "block_suffix_max" not in rising.__dict__ and "block_suffix_max" not in falling.__dict__
-    with pytest.raises(BadArgument):
-        bm_family(rising, (0.0, math.inf))
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences.PiecewiseLinear, "suffix_max", no_sweep)
+        for r in (0.5, 10.0, 30.5):
+            fam = bm_family(rising, (-r, r))
+            assert (fam.left.tolist(), fam.right.tolist(), fam.edge.tolist()) == ([-r], [r], [True])
+            assert len(bm_family(falling, (-r, r))) == 0
+        with pytest.raises(BadArgument):
+            bm_family(rising, (0.0, math.inf))
     swept = gamma_line(generate(SymmetricSquares(-8, 8)), 0.3)
     assert swept.trend == 0
+    calls = []
+    plain = sequences.PiecewiseLinear.suffix_max
+    monkeypatch.setattr(sequences.PiecewiseLinear, "suffix_max", lambda *args: calls.append(args) or plain(*args))
     bm_family(swept, (-50.0, 50.0))
-    assert "block_suffix_max" in swept.__dict__
+    assert len(calls) == 1
 
 
-# ------------------------------------------- block suffix maxima against the loop
+# ------------------------------------------- a jittered gamma against the loop
 
 
-def jittered_gamma(a=1.0):
-    """gamma_a of a fixed-seed 20,001-point lattice jittered by up to 0.3."""
+def jittered_gamma():
+    """gamma_1 of a fixed-seed 20,001-point lattice jittered by up to 0.3."""
     k = np.arange(-10000, 10001, dtype=float)
     points = k + np.random.default_rng(20240).uniform(-0.3, 0.3, k.size)
-    return gamma_line(sequences.load_sequence(points), a)
+    return gamma_line(sequences.load_sequence(points), 1.0)
 
 
 def jittered_windows(gamma):
     """The eight nested rungs of radius 1e4, off-centre windows, and windows
-    ending exactly on a node, just past a node that starts a block, at a
-    block boundary inside the window, and inside the first block, for
-    every block size of BLOCKS."""
+    ending exactly on a node, just past one, and near the first node."""
     x = gamma.x.tolist()
     out = [(-r, r) for r in default_radius_ladder(1e4)]
     out += [(-3000.5, 9000.0), (-9876.5, -123.25), (17.0, 4321.0), (x[0] - 1.0, x[-1] + 1.0)]
-    for block in BLOCKS:
-        for q in (block, 3 * block, 500 * block):
-            if q < len(x):
-                out += [(x[0] - 1.0, x[q]), (x[0] - 1.0, _nudge(x[q], 1)), (x[q - 1], x[-1] + 1.0), (x[q], x[q + 2])]
+    for q in (1, 7, 4096, 12345):
+        out += [(x[0] - 1.0, x[q]), (x[0] - 1.0, _nudge(x[q], 1)), (x[q - 1], x[-1] + 1.0), (x[q], x[q + 2])]
     out += [(x[0] - 1.0, x[2]), (x[1], x[5]), (_nudge(x[0], 1), _nudge(x[3], -1))]
     return out
 
 
-def test_bm_family_on_many_blocks_equals_the_plain_sweep(monkeypatch):
+def test_bm_family_on_many_blocks_equals_the_plain_sweep():
     gamma = jittered_gamma()
     assert gamma.trend == 0
     windows = jittered_windows(gamma)
     expected = [sweep_reference(gamma, w) for w in windows]
     assert sum(len(e[0]) for e in expected) > 100
-    for block in BLOCKS:
-        monkeypatch.setattr(sequences, "SUFFIX_BLOCK", block)
-        fresh = jittered_gamma()  # one cache per block size, reused across the windows
-        for window, (left, right, edge) in zip(windows, expected):
-            fam = bm_family(fresh, window)
-            assert fam.left.tolist() == left, (block, window)
-            assert fam.right.tolist() == right, (block, window)
-            assert fam.edge.tolist() == edge, (block, window)
+    for window, (left, right, edge) in zip(windows, expected):
+        fam = bm_family(gamma, window)
+        assert (fam.left.tolist(), fam.right.tolist(), fam.edge.tolist()) == (left, right, edge), window
 
-
-def test_suffix_max_equals_the_reverse_accumulate(monkeypatch):
-    # slices of a 20k-node gamma across blocks, inside one and empty, with
-    # a horizon below, above and equal to their maximum: the block maxima
-    # give the plain accumulate
-    gamma = jittered_gamma(0.97)
-    y = gamma.y
-    for block in BLOCKS:
-        monkeypatch.setattr(sequences, "SUFFIX_BLOCK", block)
-        fresh = jittered_gamma(0.97)
-        for i, j in ((0, y.size), (5, 19999), (block, 2 * block + 1), (block - 1, 3 * block), (7, 8), (3, 3)):
-            for end in (-math.inf, math.inf, float(y[i:j].max(initial=-math.inf))):
-                want = np.maximum.accumulate(np.append(y[i:j], end)[::-1])[::-1]
-                assert fresh.suffix_max(i, j, end).tolist() == want.tolist(), (block, i, j, end)
