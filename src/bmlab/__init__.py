@@ -5,158 +5,8 @@ positive interior density (equivalently: whether every entire function
 of zero exponential type bounded on it is constant) and quantifies the
 matching spectral gap characteristic through explicit measure
 constructions and Gram matrix evidence.
+
+Names are imported from their modules (``bmlab.sequences``,
+``bmlab.envelope``, ``bmlab.density``, ``bmlab.gap``, ``bmlab.zerotype``,
+``bmlab.errors``); the ``bm-lab`` command is ``bmlab.cli``.
 """
-
-from .density import (
-    NOT_POLYA,
-    POLYA,
-    DensityReport,
-    DensityTrial,
-    WitnessFamily,
-    default_radius_ladder,
-    interior_density,
-    null_ratio_witness,
-)
-from .envelope import (
-    INCONCLUSIVE,
-    INTERIOR,
-    LONG,
-    NO,
-    SHORT,
-    TOUCHES_WINDOW_EDGE,
-    YES,
-    GrowthFit,
-    Interval,
-    IntervalFamily,
-    ShortnessReport,
-    bm_family,
-    classify_short_long,
-    family_from_csv,
-    family_to_csv,
-    is_almost_decreasing,
-    shortness_partial_sum,
-)
-from .errors import (
-    BadArgument,
-    BadDataFile,
-    BadGap,
-    BmLabError,
-    DuplicatePoint,
-    EmptyRange,
-    EmptyWindow,
-    NotSeparated,
-    NumericalBreakdown,
-    OutOfWindow,
-    SinglePoint,
-    SizeGuard,
-    UnknownGenerator,
-    WindowTooSmall,
-)
-from .gap import (
-    CauchyBranch,
-    CauchyDecayReport,
-    DiscreteMeasure,
-    GapCheck,
-    GapProbeReport,
-    cauchy_decay,
-    gram_matrix,
-    lattice_gap_measure,
-    measure_to_csv,
-    min_gap_residual,
-    symmetric_gap_measure,
-    verify_gap,
-)
-from .sequences import (
-    Lattice,
-    LogPerturbedLattice,
-    PiecewiseLinear,
-    SeparatedSequence,
-    SymmetricSquares,
-    count_in,
-    gamma_line,
-    generate,
-    load_sequence,
-    read_sequence_file,
-)
-from .zerotype import (
-    TypeEstimate,
-    eval_qcos,
-    log_abs_cos,
-    log_abs_qcos,
-    qcos_zeros,
-    type_estimate,
-    zero_set_qcos,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BadArgument",
-    "BadDataFile",
-    "BadGap",
-    "BmLabError",
-    "CauchyBranch",
-    "CauchyDecayReport",
-    "DensityReport",
-    "DensityTrial",
-    "DiscreteMeasure",
-    "DuplicatePoint",
-    "EmptyRange",
-    "EmptyWindow",
-    "GapCheck",
-    "GapProbeReport",
-    "GrowthFit",
-    "INCONCLUSIVE",
-    "INTERIOR",
-    "Interval",
-    "IntervalFamily",
-    "LONG",
-    "Lattice",
-    "LogPerturbedLattice",
-    "NO",
-    "NOT_POLYA",
-    "NotSeparated",
-    "NumericalBreakdown",
-    "OutOfWindow",
-    "POLYA",
-    "PiecewiseLinear",
-    "SHORT",
-    "SeparatedSequence",
-    "ShortnessReport",
-    "SinglePoint",
-    "SizeGuard",
-    "SymmetricSquares",
-    "TOUCHES_WINDOW_EDGE",
-    "TypeEstimate",
-    "UnknownGenerator",
-    "WindowTooSmall",
-    "WitnessFamily",
-    "YES",
-    "bm_family",
-    "cauchy_decay",
-    "classify_short_long",
-    "count_in",
-    "default_radius_ladder",
-    "eval_qcos",
-    "family_from_csv",
-    "family_to_csv",
-    "gamma_line",
-    "generate",
-    "gram_matrix",
-    "interior_density",
-    "is_almost_decreasing",
-    "lattice_gap_measure",
-    "load_sequence",
-    "log_abs_cos",
-    "log_abs_qcos",
-    "measure_to_csv",
-    "min_gap_residual",
-    "null_ratio_witness",
-    "qcos_zeros",
-    "read_sequence_file",
-    "shortness_partial_sum",
-    "symmetric_gap_measure",
-    "type_estimate",
-    "verify_gap",
-    "zero_set_qcos",
-]

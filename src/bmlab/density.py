@@ -62,12 +62,11 @@ from .envelope import (
     is_almost_decreasing,
 )
 from .errors import BadArgument, WindowTooSmall
+from .gap import TWO_PI
 from .sequences import SeparatedSequence, gamma_line
 
 POLYA = "Polya"
 NOT_POLYA = "NotPolya"
-
-TWO_PI = 2.0 * math.pi
 
 # the k-th interval a null-ratio witness picks holds at most RATIO_CAP[k]
 # points per unit length: the harmonic cap 1/(k+1), forcing the ratios to 0
@@ -100,7 +99,7 @@ class DensityReport:
 def default_radius_ladder(r_max: float) -> list[float]:
     """Doubling ladder of 8 rungs ending at r_max."""
     if not 0.0 < r_max < math.inf:
-        raise BadArgument(f"need at least 4 rungs and a positive finite r_max, got 8, {r_max!r}")
+        raise BadArgument(f"r_max must be positive and finite, got {r_max!r}")
     return [r_max / 2.0 ** (7 - j) for j in range(8)]
 
 
@@ -257,7 +256,7 @@ def null_ratio_witness(seq: SeparatedSequence) -> WitnessFamily | None:
             radii = np.unique(np.maximum(np.abs(left[kept]), np.abs(right[kept])))
             if radii.size < 4:
                 continue
-            family = IntervalFamily._columns(left[kept], right[kept], np.zeros(kept.size, dtype=bool))
+            family = IntervalFamily(left[kept], right[kept], np.zeros(kept.size, dtype=bool))
             report = classify_short_long(lambda _r: family, radii)
             if report.verdict == LONG:
                 return WitnessFamily(family, ratios[kept].tolist(), report, name)

@@ -15,6 +15,12 @@ The sweep reads the nodes inside a window as views of g's arrays, not
 copies, and each window of a radius ladder takes its own suffix maxima
 (``PiecewiseLinear.suffix_max``).
 
+A family is held only as three columns (``IntervalFamily``): the float
+endpoints ``left`` and ``right`` and the bool ``edge`` flag.  The engines
+fill them sorted and disjoint by construction, so the constructor checks
+nothing; ``family_from_csv`` is the one way outside data becomes a
+family, and it checks every row and the disjointness.
+
 A family of disjoint intervals I_n is called short when
 
     sum |I_n|^2 / (1 + dist(I_n, 0)^2) < infinity
@@ -67,65 +73,23 @@ EDGE_FACTOR = 10.0     # edge mass dominating the interior sum by this factor
 EDGE_GROWTH_MIN = 2.0  # and still growing over the last doubling
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed bounded interval with left < right: the public value type of
-    ``IntervalFamily.intervals``; the engines work on endpoint columns."""
-
-    left: float
-    right: float
-
-    def __post_init__(self):
-        if not self.left < self.right:
-            raise ValueError(f"interval needs left < right, got [{self.left}, {self.right}]")
-
-    @property
-    def length(self) -> float:
-        return self.right - self.left
-
-    @property
-    def dist_to_origin(self) -> float:
-        """0 when the interval contains 0, else the distance of the near end."""
-        if self.left <= 0.0 <= self.right:
-            return 0.0
-        return min(abs(self.left), abs(self.right))
-
-
+@dataclass(eq=False)
 class IntervalFamily:
-    """Sorted intervals whose interiors are pairwise disjoint.
+    """Sorted intervals whose interiors are pairwise disjoint, as three columns.
 
-    The family is held as three columns: float arrays ``left`` and
-    ``right`` and a bool array ``edge`` marking the intervals flagged
-    TouchesWindowEdge (the others are Interior).  Closures of neighbours
-    may share an endpoint.  ``intervals`` and ``flags`` are derived views.
+    ``left`` and ``right`` are float arrays with left < right, and ``edge``
+    is a bool array marking the intervals flagged TouchesWindowEdge (the
+    others are Interior).  Closures of neighbours may share an endpoint.
+    The constructor checks nothing (see the module docstring); ``flags``
+    is a derived view.
     """
 
-    def __init__(self, intervals, flags=()):
-        intervals = list(intervals)
-        flags = list(flags) or [INTERIOR] * len(intervals)
-        if len(flags) != len(intervals):
-            raise ValueError("one flag per interval required")
-        for f in flags:
-            if f not in FLAGS:
-                raise ValueError(f"unknown boundary flag {f!r}")
-        self.left = np.array([iv.left for iv in intervals], dtype=float)
-        self.right = np.array([iv.right for iv in intervals], dtype=float)
-        self.edge = np.array([f == TOUCHES_WINDOW_EDGE for f in flags], dtype=bool)
-        _require_disjoint(self.left, self.right)
-
-    @classmethod
-    def _columns(cls, left, right, edge) -> "IntervalFamily":
-        """Wrap columns that are sorted and disjoint by construction."""
-        family = cls.__new__(cls)
-        family.left, family.right, family.edge = left, right, edge
-        return family
+    left: np.ndarray
+    right: np.ndarray
+    edge: np.ndarray
 
     def __len__(self):
         return self.left.size
-
-    @property
-    def intervals(self) -> list[Interval]:
-        return [Interval(a, b) for a, b in zip(self.left.tolist(), self.right.tolist())]
 
     @property
     def flags(self) -> list[str]:
@@ -133,17 +97,11 @@ class IntervalFamily:
 
     def interior_part(self) -> "IntervalFamily":
         keep = ~self.edge
-        return IntervalFamily._columns(self.left[keep], self.right[keep], self.edge[keep])
+        return IntervalFamily(self.left[keep], self.right[keep], self.edge[keep])
 
     def edge_mass(self) -> float:
         """Shortness mass of the TouchesWindowEdge intervals."""
         return _mass(self.left[self.edge], self.right[self.edge])
-
-
-def _require_disjoint(left, right) -> None:
-    """ValueError unless the columns are sorted and their interiors disjoint."""
-    if np.any(right[:-1] > left[1:]):
-        raise ValueError("intervals must be sorted and disjoint")
 
 
 def _mass(left, right) -> float:
@@ -206,11 +164,9 @@ def family_from_csv(path) -> IntervalFamily:
             edge.append(flag == TOUCHES_WINDOW_EDGE)
     order = np.argsort(left, kind="stable")
     left, right = np.array(left)[order], np.array(right)[order]
-    try:
-        _require_disjoint(left, right)
-    except ValueError as exc:
-        raise BadDataFile(f"{path}: {exc}") from None
-    return IntervalFamily._columns(left, right, np.array(edge, dtype=bool)[order])
+    if np.any(right[:-1] > left[1:]):
+        raise BadDataFile(f"{path}: intervals must be sorted and disjoint")
+    return IntervalFamily(left, right, np.array(edge, dtype=bool)[order])
 
 
 def shortness_partial_sum(family: IntervalFamily, radius: float) -> float:
@@ -372,9 +328,9 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     lo, hi, ends, i, j = gamma.window_ends(window)
     trend = _window_trend(gamma, ends, i, j)
     if trend == 1:
-        return IntervalFamily._columns(np.array([lo]), np.array([hi]), np.array([True]))
+        return IntervalFamily(np.array([lo]), np.array([hi]), np.array([True]))
     if trend == -1:
-        return IntervalFamily._columns(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+        return IntervalFamily(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
 
     x, y = gamma.x[i:j], gamma.y[i:j]  # the nodes strictly inside, as views
     m = gamma.suffix_max(i, j, ends[1])  # per segment: max over nodes strictly to its right
@@ -397,7 +353,7 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     bound = np.greater(inside, joins)  # pieces that start a component
     first = np.flatnonzero(bound)
     if first.size == 0:
-        return IntervalFamily._columns(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+        return IntervalFamily(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
     np.greater(inside[:-1], joins[1:], out=bound[:-1])  # pieces that end one
     bound[-1] = inside[-1]
     last = np.flatnonzero(bound)
@@ -417,7 +373,7 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     if last[-1] == y.size:
         right[-1] = hi
     edge = (left == lo) | (right == hi)
-    return IntervalFamily._columns(left, right, edge)
+    return IntervalFamily(left, right, edge)
 
 
 def _window_trend(gamma: PiecewiseLinear, ends, i: int, j: int) -> int:

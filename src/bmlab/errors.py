@@ -22,7 +22,8 @@ class NotSeparated(BmLabError):
 
 class EmptyRange(BmLabError):
     """A sequence would have no point: an empty point array, an empty
-    generator index range, or no point within a requested radius."""
+    generator index range, no point within a requested radius, or no zero
+    of the model function in a window."""
 
 
 class SinglePoint(BmLabError):
@@ -41,10 +42,6 @@ class BadArgument(BmLabError, ValueError):
     """An argument outside the domain the function accepts."""
 
 
-class BadGap(BadArgument):
-    """A gap length outside the supported open interval (0, 2*pi)."""
-
-
 class SizeGuard(BmLabError):
     """An input was refused before allocation because it exceeds a size cap."""
 
@@ -55,10 +52,6 @@ class NumericalBreakdown(BmLabError):
 
 class BadDataFile(BmLabError):
     """An input data file exists but cannot be parsed."""
-
-
-class EmptyWindow(BmLabError):
-    """A requested window contains no points of the target set."""
 
 
 class UnknownGenerator(BmLabError):

@@ -43,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import ENDPOINT_BOUND, INCONCLUSIVE, increasing_ladder, top_half_slope
-from .errors import BadArgument, BadGap, NumericalBreakdown, SizeGuard
+from .errors import BadArgument, NumericalBreakdown, SizeGuard
 from .sequences import SeparatedSequence, as_bounds, write_csv
 
-TWO_PI = 2.0 * math.pi
+TWO_PI = 2.0 * math.pi  # the transform period of a lattice measure, and gap / density
 
 GRAM_SIZE_CAP = 512        # refuse dense eigensolves beyond this
 TERMS_CAP = 1 << 16        # n_terms cap: an FFT of at most 2^20 nodes
@@ -128,7 +128,7 @@ def lattice_gap_measure(a: float, n_terms: int, smoothness="inf") -> DiscreteMea
         Bump regularity; higher smoothness buys faster tail decay.
     """
     if not 0.0 < a < TWO_PI:
-        raise BadGap(f"gap length must be in (0, 2*pi), got {a:g}")
+        raise BadArgument(f"gap length must be in (0, 2*pi), got {a:g}")
     if n_terms < 32:
         raise BadArgument(f"n_terms must be at least 32, got {n_terms}")
     if n_terms > TERMS_CAP:

@@ -181,8 +181,8 @@ class SeparatedSequence:
         raw = np.arange(pts.size, dtype=float)
         left_slope = 1.0 / (pts[1] - pts[0])
         right_slope = 1.0 / (pts[-1] - pts[-2])
-        anchor = PiecewiseLinear._trusted(pts, raw, left_slope, right_slope)(0.0)
-        return PiecewiseLinear._trusted(pts, raw - anchor, left_slope, right_slope)
+        anchor = PiecewiseLinear(pts, raw, left_slope, right_slope)(0.0)
+        return PiecewiseLinear(pts, raw - anchor, left_slope, right_slope)
 
     def on_window(self, window) -> "SeparatedSequence":
         """The same points on another data window; only the window is checked."""
@@ -336,28 +336,15 @@ class PiecewiseLinear:
     """Continuous piecewise linear function with explicit edge slopes.
 
     Breakpoints ``x`` are strictly increasing; outside [x[0], x[-1]] the
-    function continues with ``left_slope`` and ``right_slope``.
+    function continues with ``left_slope`` and ``right_slope``.  ``x`` and
+    ``y`` are equal-length 1d float arrays; the callers build them so from
+    a validated sequence, and the constructor checks nothing.
     """
 
     x: np.ndarray
     y: np.ndarray
     left_slope: float
     right_slope: float
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.x.ndim != 1 or self.x.shape != self.y.shape or self.x.size == 0:
-            raise ValueError("breakpoint arrays must be equal-length 1d")
-        if np.any(np.diff(self.x) <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
-
-    @classmethod
-    def _trusted(cls, x: np.ndarray, y: np.ndarray, left_slope: float, right_slope: float) -> "PiecewiseLinear":
-        """Wrap float arrays whose breakpoints increase strictly by construction."""
-        f = cls.__new__(cls)
-        f.x, f.y, f.left_slope, f.right_slope = x, y, left_slope, right_slope
-        return f
 
     @functools.cached_property
     def trend(self) -> int:
@@ -462,4 +449,4 @@ def gamma_line(seq: SeparatedSequence, a: float) -> PiecewiseLinear:
         raise BadArgument(f"the slope a must keep a*x finite on the sequence, got {a!r}")
     y = a * counting.x
     y -= counting.y
-    return PiecewiseLinear._trusted(counting.x, y, a - counting.left_slope, a - counting.right_slope)
+    return PiecewiseLinear(counting.x, y, a - counting.left_slope, a - counting.right_slope)

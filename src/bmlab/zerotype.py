@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import increasing_ladder, top_half_slope
-from .errors import BadArgument, EmptyWindow
+from .errors import BadArgument, EmptyRange
+from .gap import TWO_PI
 from .sequences import SeparatedSequence, as_bounds
 
 PI = math.pi
-TWO_PI = 2.0 * math.pi
 
 _SERIES_TERMS = 24         # cos(sqrt(w)) partial sum, enough for |w| <= 30
 _SERIES_RADIUS = 30.0
@@ -89,7 +89,7 @@ def zero_set_qcos(window) -> SeparatedSequence:
     win = as_bounds(window)
     zeros = qcos_zeros(win)
     if zeros.size == 0:
-        raise EmptyWindow("no zeros of the model function in this window")
+        raise EmptyRange("no zeros of the model function in this window")
     return SeparatedSequence(zeros, win)
 
 

@@ -15,19 +15,11 @@ import time
 import numpy as np
 import pytest
 
-from bmlab import (
-    Interval,
-    IntervalFamily,
-    PiecewiseLinear,
-    bm_family,
-    eval_qcos,
-    gamma_line,
-    interior_density,
-    null_ratio_witness,
-    shortness_partial_sum,
-    zero_set_qcos,
-)
 from bmlab.cli import parse_generator, run
+from bmlab.density import interior_density, null_ratio_witness
+from bmlab.envelope import IntervalFamily, bm_family, shortness_partial_sum
+from bmlab.sequences import PiecewiseLinear, gamma_line
+from bmlab.zerotype import eval_qcos, zero_set_qcos
 from conftest import acceptance_note
 
 PI = math.pi
@@ -86,8 +78,9 @@ def test_criterion_03_squares_witness():
     # the mass lands on alternate dyadic generations; count generations
     # whose increment clears 0.5
     fam = IntervalFamily(
-        [Interval(iv["left"], iv["right"]) for iv in wit["intervals"]],
-        ["Interior"] * len(wit["intervals"]),
+        np.array([iv["left"] for iv in wit["intervals"]]),
+        np.array([iv["right"] for iv in wit["intervals"]]),
+        np.zeros(len(wit["intervals"]), dtype=bool),
     )
     sums = [shortness_partial_sum(fam, float(2**k)) for k in range(1, 21)]
     growing = sum(1 for s0, s1 in zip(sums, sums[1:]) if s1 - s0 >= 0.5)
@@ -160,7 +153,7 @@ def test_criterion_05_envelope_oracle_equivalence():
         window = (float(gamma.x[0]) - 2.0, float(gamma.x[-1]) + 2.0)
         fam = bm_family(gamma, window)
         oracle = _grid_oracle(gamma, window)
-        mine = [(iv.left, iv.right) for iv in fam.intervals]
+        mine = list(zip(fam.left.tolist(), fam.right.tolist()))
         assert len(mine) == len(oracle)
         for (l1, r1), (l2, r2) in zip(mine, oracle):
             worst = max(worst, abs(l1 - l2), abs(r1 - r2))
@@ -170,8 +163,8 @@ def test_criterion_05_envelope_oracle_equivalence():
 
 def _membership(fam, xs):
     inside = np.zeros(xs.size, dtype=bool)
-    for iv in fam.intervals:
-        inside |= (xs >= iv.left) & (xs <= iv.right)
+    for left, right in zip(fam.left.tolist(), fam.right.tolist()):
+        inside |= (xs >= left) & (xs <= right)
     return inside
 
 

@@ -1,11 +1,13 @@
-"""Every public engine has a caller inside the package, and every
-defaulted parameter a caller that passes it.
+"""Every public engine has a caller inside the package, every defaulted
+parameter a caller that passes it, and the package root re-exports nothing.
 
-A public top-level function of ``src/bmlab`` that no module of the
-package references (outside its own definition and the re-export list of
-``__init__.py``) is code that no command runs.  So is a parameter with a
-default that no call in the package passes, by keyword or by position.
-Each is either deleted or listed here with the reason it stays.
+A public top-level function of ``src/bmlab``, or a public method or
+property of one of its classes, that no module of the package references
+outside its own definition is code that no command runs.  So is a
+parameter with a default that no call in the package passes, by keyword
+or by position.  Each is either deleted or listed here with the reason it
+stays.  Names are imported from their modules, so ``__init__.py`` holds
+only its docstring: one import path per name.
 """
 
 import ast
@@ -13,43 +15,57 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bmlab"
 
-# public functions that no command calls, kept on purpose
+# public functions, methods and properties that no command calls, kept on purpose
 KEPT_WITHOUT_CALLER = {
     "count_in": "the exact point count, the reference of the witness ladder walk in tests/test_density.py",
     "eval_qcos": "the model function itself, evaluated by acceptance criterion 9 and the zero-set tests",
     "zero_set_qcos": "the model function's zeros as a sequence, the input of acceptance criterion 9",
+    "PiecewiseLinear.grid_on": "the sequences.grid_on layer the benchmark tracer times (bench/spans.py), "
+    "and the grid of sweep_reference, the plain sweep tests/test_envelope.py checks bm_family against",
 }
 
 
-def _public_functions_and_references():
-    """{name: module} of public top-level functions, and {name: modules referencing it}."""
-    defined, referenced = {}, {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        own = {}
+def _public_definitions_and_references():
+    """{qualified name: ids of the nodes that reference it outside its own
+    definition} of public top-level functions and of public methods and
+    properties of top-level classes.  A function is referenced by a name
+    or an attribute that is read, a method or property only by an
+    attribute that is read."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    defined, names, attributes = {}, {}, {}
+    for tree in trees:  # all kept alive, so no two nodes share an id
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defined[node.name] = path.stem
-                own[node.name] = {id(n) for n in ast.walk(node)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
+            if isinstance(node, ast.FunctionDef):
+                members = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                members = [(f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, ast.FunctionDef)]
             else:
-                continue
-            if id(node) in own.get(name, ()):
-                continue  # a recursive call is not a caller
-            referenced.setdefault(name, set()).add(path.stem)
-    return defined, referenced
+                members = []
+            for qualified, fn in members:
+                if not fn.name.startswith("_"):
+                    defined[qualified] = fn
+        for node in ast.walk(tree):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue  # an assignment to the name is not a use
+            if isinstance(node, ast.Name):
+                names.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, set()).add(id(node))
+    references = {}
+    for qualified, fn in defined.items():
+        refs = attributes.get(fn.name, set()) | (set() if "." in qualified else names.get(fn.name, set()))
+        references[qualified] = refs - {id(n) for n in ast.walk(fn)}  # a recursive call is not a caller
+    return references
 
 
 def test_every_public_function_has_a_caller_in_the_package():
-    defined, referenced = _public_functions_and_references()
-    orphans = sorted(name for name in defined if name not in referenced)
+    orphans = sorted(name for name, refs in _public_definitions_and_references().items() if not refs)
     assert orphans == sorted(KEPT_WITHOUT_CALLER)  # a kept one that gained a caller leaves the list
+
+
+def test_the_package_root_holds_only_its_docstring():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree) and len(tree.body) == 1
 
 
 # defaulted parameters that no module of the package passes, kept on purpose

@@ -5,35 +5,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bmlab import (
-    BadArgument,
-    INCONCLUSIVE,
-    LONG,
-    NO,
-    NOT_POLYA,
-    POLYA,
-    YES,
+from bmlab import density
+from bmlab.cli import parse_generator
+from bmlab.density import NOT_POLYA, POLYA, default_radius_ladder, interior_density, null_ratio_witness
+from bmlab.envelope import INCONCLUSIVE, LONG, NO, YES, IntervalFamily, classify_short_long
+from bmlab.errors import BadArgument, BmLabError, WindowTooSmall
+from bmlab.gap import cauchy_decay, lattice_gap_measure
+from bmlab.sequences import (
     Lattice,
     LogPerturbedLattice,
     SymmetricSquares,
-    Interval,
-    IntervalFamily,
-    WindowTooSmall,
-    classify_short_long,
     count_in,
-    cauchy_decay,
-    default_radius_ladder,
     gamma_line,
     generate,
-    interior_density,
-    lattice_gap_measure,
     load_sequence,
-    null_ratio_witness,
-    qcos_zeros,
 )
-from bmlab import density
-from bmlab.cli import parse_generator
-from bmlab.errors import BmLabError
+from bmlab.zerotype import qcos_zeros
 
 
 # ------------------------------------------------------------ radius ladder
@@ -150,10 +137,10 @@ def test_null_ratio_witness_squares():
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
     assert ratios[4] < 0.05
     # ratios recomputable from the family
-    from bmlab import count_in
+    from bmlab.sequences import count_in
 
-    for iv, r in zip(w.family.intervals, w.ratios):
-        assert count_in(seq, (iv.left, iv.right)) / iv.length == pytest.approx(r)
+    for left, right, r in zip(w.family.left.tolist(), w.family.right.tolist(), w.ratios):
+        assert count_in(seq, (left, right)) / (right - left) == pytest.approx(r)
 
 
 def test_null_ratio_witness_lattice_not_found():
@@ -247,8 +234,16 @@ def test_bracket_holds_the_counting_bound(step, radius):
 # ------------------------------------------- columnar code against its loops
 
 
+def dist_to_origin(left, right):
+    """0 when [left, right] holds 0, else the distance of its near end."""
+    if left <= 0.0 <= right:
+        return 0.0
+    return min(abs(left), abs(right))
+
+
 def reference_witness(seq, caps):
-    """The Interval-list ladder walk the witness search had, kept as the reference."""
+    """The ladder walk the witness search had, one (left, right) pair per
+    interval, kept as the reference."""
     ladders = []
     for base in (4, 2):
         lo, hi = seq.window
@@ -256,21 +251,21 @@ def reference_witness(seq, caps):
         k = 0
         while base ** (k + 1) <= hi:
             if base**k >= lo:
-                pos.append(Interval(float(base**k), float(base ** (k + 1))))
+                pos.append((float(base**k), float(base ** (k + 1))))
             k += 1
         k = 0
         while -(base ** (k + 1)) >= lo:
             if -(base**k) <= hi:
-                neg.append(Interval(float(-(base ** (k + 1))), float(-(base**k))))
+                neg.append((float(-(base ** (k + 1))), float(-(base**k))))
             k += 1
         if pos:
             ladders.append((f"pow{base}:positive", pos))
         if neg:
             ladders.append((f"pow{base}:negative", neg))
         if pos and neg:
-            ladders.append((f"pow{base}:both", sorted(pos + neg, key=lambda iv: iv.dist_to_origin)))
+            ladders.append((f"pow{base}:both", sorted(pos + neg, key=lambda iv: dist_to_origin(*iv))))
     for name, intervals in ladders:
-        ratios = [count_in(seq, (iv.left, iv.right)) / iv.length for iv in intervals]
+        ratios = [count_in(seq, iv) / (iv[1] - iv[0]) for iv in intervals]
         kept = []
         for iv, ratio in zip(intervals, ratios):
             if len(kept) >= len(caps):
@@ -279,9 +274,13 @@ def reference_witness(seq, caps):
                 kept.append((iv, ratio))
         if len(kept) < 4:
             continue
-        ordered = sorted(kept, key=lambda pair: pair[0].left)
-        family = IntervalFamily([iv for iv, _ in ordered])
-        radii = sorted({max(abs(iv.left), abs(iv.right)) for iv, _ in kept})
+        ordered = sorted(kept, key=lambda pair: pair[0][0])
+        family = IntervalFamily(
+            np.array([iv[0] for iv, _ in ordered]),
+            np.array([iv[1] for iv, _ in ordered]),
+            np.zeros(len(ordered), dtype=bool),
+        )
+        radii = sorted({max(abs(left), abs(right)) for (left, right), _ in kept})
         if len(radii) < 4:
             continue
         report = classify_short_long(lambda _r: family, radii)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bmlab import (
-    BadArgument,
+from bmlab import sequences
+from bmlab.density import default_radius_ladder
+from bmlab.envelope import (
+    ENDPOINT_BOUND,
     INCONCLUSIVE,
     INTERIOR,
     LONG,
@@ -16,24 +18,16 @@ from bmlab import (
     SHORT,
     TOUCHES_WINDOW_EDGE,
     YES,
-    Interval,
     IntervalFamily,
-    Lattice,
-    PiecewiseLinear,
-    SymmetricSquares,
     bm_family,
     classify_short_long,
     family_from_csv,
     family_to_csv,
-    gamma_line,
-    generate,
     is_almost_decreasing,
     shortness_partial_sum,
 )
-from bmlab import sequences
-from bmlab.density import default_radius_ladder
-from bmlab.envelope import ENDPOINT_BOUND
-from bmlab.errors import BadDataFile, BmLabError
+from bmlab.errors import BadArgument, BadDataFile, BmLabError
+from bmlab.sequences import Lattice, PiecewiseLinear, SymmetricSquares, gamma_line, generate
 
 
 def line(slope):
@@ -72,34 +66,31 @@ def grid_oracle(gamma, window, step=1e-3):
     return comps
 
 
-# ---------------------------------------------------------------- intervals
+def family(pairs, edge=None):
+    """The family of sorted disjoint (left, right) pairs; Interior unless
+    ``edge`` flags them."""
+    return IntervalFamily(
+        np.array([p[0] for p in pairs], dtype=float),
+        np.array([p[1] for p in pairs], dtype=float),
+        np.zeros(len(pairs), dtype=bool) if edge is None else np.array(edge, dtype=bool),
+    )
 
 
-def test_interval_basics():
-    iv = Interval(-2.0, 3.0)
-    assert iv.length == 5.0
-    assert iv.dist_to_origin == 0.0
-    assert Interval(4.0, 6.0).dist_to_origin == 4.0
-    assert Interval(-6.0, -4.0).dist_to_origin == 4.0
-    with pytest.raises(ValueError):
-        Interval(1.0, 1.0)
+def pairs_of(fam):
+    """The family's intervals as (left, right) pairs."""
+    return list(zip(fam.left.tolist(), fam.right.tolist()))
 
 
-def test_family_requires_sorted_disjoint():
-    with pytest.raises(ValueError):
-        IntervalFamily([Interval(0.0, 2.0), Interval(1.0, 3.0)], [INTERIOR, INTERIOR])
+# ---------------------------------------------------------------- families
 
 
 def test_family_csv_round_trip(tmp_path):
-    fam = IntervalFamily(
-        [Interval(-3.5, -1.25), Interval(0.0, 2.0)],
-        [TOUCHES_WINDOW_EDGE, INTERIOR],
-    )
+    fam = family([(-3.5, -1.25), (0.0, 2.0)], [True, False])
     path = tmp_path / "fam.csv"
     family_to_csv(fam, path)
     back = family_from_csv(path)
-    assert [(iv.left, iv.right) for iv in back.intervals] == [(-3.5, -1.25), (0.0, 2.0)]
-    assert back.flags == fam.flags
+    assert pairs_of(back) == [(-3.5, -1.25), (0.0, 2.0)]
+    assert back.flags == [TOUCHES_WINDOW_EDGE, INTERIOR]
 
 
 def test_family_csv_plain_two_columns(tmp_path):
@@ -107,7 +98,7 @@ def test_family_csv_plain_two_columns(tmp_path):
     path = tmp_path / "fam.csv"
     path.write_text("1.0,2.0\n4.0,8.0\n")
     fam = family_from_csv(path)
-    assert len(fam.intervals) == 2
+    assert len(fam) == 2
     assert fam.flags == [INTERIOR, INTERIOR]
 
 
@@ -119,7 +110,8 @@ def test_family_csv_bad_line(tmp_path):
 
 
 def reference_family_read(path):
-    """The row reader family_from_csv had, one Interval per row, kept as the reference."""
+    """The row reader family_from_csv had, kept as the reference: it reads
+    every row, then checks the flags and the disjointness of the sorted rows."""
     rows = []
     first_data_line = True
     with open(path, "r", encoding="utf-8") as fh:
@@ -140,16 +132,17 @@ def reference_family_read(path):
                 raise BadDataFile(
                     f"{path}:{lineno}: endpoints must be finite and at most {ENDPOINT_BOUND:g} in magnitude"
                 )
-            flag = parts[2] if len(parts) > 2 and parts[2] else INTERIOR
-            try:
-                rows.append((Interval(left, right), flag))
-            except ValueError as exc:
-                raise BadDataFile(f"{path}:{lineno}: {exc}") from None
-    rows.sort(key=lambda row: row[0].left)
-    try:
-        return IntervalFamily([iv for iv, _ in rows], [f for _, f in rows])
-    except ValueError as exc:
-        raise BadDataFile(f"{path}: {exc}") from None
+            if not left < right:
+                raise BadDataFile(f"{path}:{lineno}: interval needs left < right, got [{left}, {right}]")
+            rows.append((left, right, parts[2] if len(parts) > 2 and parts[2] else INTERIOR))
+    rows.sort(key=lambda row: row[0])
+    for _, _, flag in rows:
+        if flag not in (INTERIOR, TOUCHES_WINDOW_EDGE):
+            raise BadDataFile(f"{path}: unknown boundary flag {flag!r}")
+    for (_, right, _), (left, _, _) in zip(rows, rows[1:]):
+        if right > left:
+            raise BadDataFile(f"{path}: intervals must be sorted and disjoint")
+    return family([row[:2] for row in rows], [row[2] == TOUCHES_WINDOW_EDGE for row in rows])
 
 
 def _family_outcome(read):
@@ -224,7 +217,7 @@ def test_family_reader_reports_faults_in_file_order(tmp_path, data, fault):
 
 
 def test_family_reader_memory_is_two_columns(tmp_path):
-    # 100k rows: the columns hold 17 bytes a row; one Interval and tuple per row held 31 MB
+    # 100k rows: the columns hold 17 bytes a row; an object and a tuple per row held 31 MB
     path = tmp_path / "fam.csv"
     rng = np.random.default_rng(3)
     left = np.cumsum(rng.uniform(1.0, 2.0, 100_000))
@@ -247,19 +240,13 @@ def test_family_reader_memory_is_two_columns(tmp_path):
 
 
 def test_partial_sum_unit_intervals_bounded():
-    fam = IntervalFamily(
-        [Interval(float(n), float(n + 1)) for n in range(1, 200)],
-        [INTERIOR] * 199,
-    )
+    fam = family([(float(n), float(n + 1)) for n in range(1, 200)])
     total = shortness_partial_sum(fam, 1e9)
     assert total < np.pi**2 / 6
 
 
 def test_partial_sum_dyadic_grows_linearly():
-    fam = IntervalFamily(
-        [Interval(float(2**k), float(2 ** (k + 1))) for k in range(1, 21)],
-        [INTERIOR] * 20,
-    )
+    fam = family([(float(2**k), float(2 ** (k + 1))) for k in range(1, 21)])
     sums = [shortness_partial_sum(fam, float(2 ** (k + 1))) for k in range(1, 21)]
     increments = np.diff(sums)
     # ~ 4^k/(1+4^k) per generation, approaching 1 from below
@@ -268,16 +255,14 @@ def test_partial_sum_dyadic_grows_linearly():
 
 
 def test_partial_sum_single_interval_at_origin():
-    fam = IntervalFamily([Interval(0.0, 1.0)], [INTERIOR])
+    fam = family([(0.0, 1.0)])
     assert shortness_partial_sum(fam, 2.0) == pytest.approx(1.0)
 
 
 def test_partial_sum_monotone_and_additive():
-    left = IntervalFamily([Interval(-9.0, -7.0), Interval(-4.0, -3.0)], [INTERIOR] * 2)
-    right = IntervalFamily([Interval(1.0, 2.0), Interval(5.0, 8.0)], [INTERIOR] * 2)
-    both = IntervalFamily(
-        list(left.intervals) + list(right.intervals), [INTERIOR] * 4
-    )
+    left = family([(-9.0, -7.0), (-4.0, -3.0)])
+    right = family([(1.0, 2.0), (5.0, 8.0)])
+    both = family(pairs_of(left) + pairs_of(right))
     for r in (2.0, 5.0, 10.0):
         assert shortness_partial_sum(both, r) == pytest.approx(
             shortness_partial_sum(left, r) + shortness_partial_sum(right, r)
@@ -286,12 +271,13 @@ def test_partial_sum_monotone_and_additive():
     assert all(a <= b + 1e-15 for a, b in zip(sums, sums[1:]))
 
 
-def plain_mass(intervals):
-    """Reference sum of |I|^2 / (1 + dist(I,0)^2), one interval at a time."""
+def plain_mass(pairs):
+    """Reference sum of |I|^2 / (1 + dist(I,0)^2), one interval at a time:
+    dist(I,0) is 0 when I holds 0, else the distance of its near end."""
     total = 0.0
-    for iv in intervals:
-        d = iv.dist_to_origin
-        total += iv.length**2 / (1.0 + d * d)
+    for left, right in pairs:
+        d = 0.0 if left <= 0.0 <= right else min(abs(left), abs(right))
+        total += (right - left) ** 2 / (1.0 + d * d)
     return total
 
 
@@ -304,47 +290,37 @@ def random_family(draw):
     ends = np.unique(rng.uniform(-scale, scale, 2 * draw(st.integers(0, 120))))
     k = ends.size // 2
     lefts, rights = ends[0 : 2 * k : 2].tolist(), ends[1 : 2 * k : 2].tolist()
-    intervals = [Interval(a, b) for a, b in zip(lefts, rights)]
-    edge = rng.random(k) < draw(st.floats(min_value=0.0, max_value=1.0))
-    flags = [TOUCHES_WINDOW_EDGE if e else INTERIOR for e in edge]
+    edge = (rng.random(k) < draw(st.floats(min_value=0.0, max_value=1.0))).tolist()
     radius = draw(st.floats(min_value=0.0, max_value=1.5)) * scale
-    return intervals, flags, radius
+    return list(zip(lefts, rights)), edge, radius
 
 
 @given(random_family())
 @settings(max_examples=200, deadline=None)
 def test_columnar_sums_match_plain_loop_bit_for_bit(data):
-    intervals, flags, radius = data
-    fam = IntervalFamily(intervals, flags)
-    # the views round-trip through the validating constructor
-    assert fam.intervals == intervals
-    assert fam.flags == flags
-    back = IntervalFamily(fam.intervals, fam.flags)
-    assert np.array_equal(back.left, fam.left) and np.array_equal(back.right, fam.right)
-    assert np.array_equal(back.edge, fam.edge)
+    pairs, edge, radius = data
+    fam = family(pairs, edge)
+    assert fam.flags == [TOUCHES_WINDOW_EDGE if e else INTERIOR for e in edge]
     # interior and edge parts partition the family
-    interior = [iv for iv, f in zip(intervals, flags) if f == INTERIOR]
-    edge = [iv for iv, f in zip(intervals, flags) if f == TOUCHES_WINDOW_EDGE]
-    assert fam.interior_part().intervals == interior
+    interior = [iv for iv, e in zip(pairs, edge) if not e]
+    at_edge = [iv for iv, e in zip(pairs, edge) if e]
+    assert pairs_of(fam.interior_part()) == interior
     assert fam.interior_part().flags == [INTERIOR] * len(interior)
-    assert len(interior) + int(fam.edge.sum()) == len(fam)
+    assert len(interior) + len(at_edge) == len(fam)
     # exact equality: a pairwise or reordered sum moves the last bits
-    inside = [iv for iv in intervals if iv.left >= -radius and iv.right <= radius]
+    inside = [(a, b) for a, b in pairs if a >= -radius and b <= radius]
     assert shortness_partial_sum(fam, radius) == plain_mass(inside)
-    assert shortness_partial_sum(fam, np.inf) == plain_mass(intervals)
-    assert fam.edge_mass() == plain_mass(edge)
+    assert shortness_partial_sum(fam, np.inf) == plain_mass(pairs)
+    assert fam.edge_mass() == plain_mass(at_edge)
     # term by term too, where no rounding of the sum hides a changed weight
-    for iv in intervals:
-        assert shortness_partial_sum(IntervalFamily([iv]), np.inf) == plain_mass([iv])
+    for iv in pairs:
+        assert shortness_partial_sum(family([iv]), np.inf) == plain_mass([iv])
 
 
 def test_classify_unit_intervals_short():
     def fam_at(r):
         n_max = int(r) - 1
-        return IntervalFamily(
-            [Interval(float(n), float(n + 1)) for n in range(1, max(n_max, 2))],
-            [INTERIOR] * max(n_max - 1, 1),
-        )
+        return family([(float(n), float(n + 1)) for n in range(1, max(n_max, 2))])
 
     report = classify_short_long(fam_at, [100.0, 400.0, 1600.0, 6400.0, 25600.0])
     assert report.verdict == SHORT
@@ -354,10 +330,7 @@ def test_classify_unit_intervals_short():
 def test_classify_dyadic_long():
     def fam_at(r):
         ks = [k for k in range(1, 40) if 2 ** (k + 1) <= r]
-        return IntervalFamily(
-            [Interval(float(2**k), float(2 ** (k + 1))) for k in ks],
-            [INTERIOR] * len(ks),
-        )
+        return family([(float(2**k), float(2 ** (k + 1))) for k in ks])
 
     radii = [float(2**k) for k in range(4, 21)]
     report = classify_short_long(fam_at, radii)
@@ -368,7 +341,7 @@ def test_classify_dyadic_long():
 
 def test_classify_empty_family_short_flagged():
     def fam_at(_r):
-        return IntervalFamily([], [])
+        return family([])
 
     report = classify_short_long(fam_at, [1.0, 2.0, 4.0, 8.0])
     assert report.verdict == SHORT
@@ -377,7 +350,7 @@ def test_classify_empty_family_short_flagged():
 
 def test_classify_needs_four_radii():
     def fam_at(_r):
-        return IntervalFamily([], [])
+        return family([])
 
     with pytest.raises(ValueError):
         classify_short_long(fam_at, [1.0, 2.0, 4.0])
@@ -386,7 +359,7 @@ def test_classify_needs_four_radii():
 def test_classify_power_growth_is_other_model():
     # single interval [0, r]: partial sum ~ r^2, a power law
     def fam_at(r):
-        return IntervalFamily([Interval(0.0, float(r))], [INTERIOR])
+        return family([(0.0, float(r))])
 
     radii = [float(4**k) for k in range(1, 9)]
     report = classify_short_long(fam_at, radii)
@@ -399,15 +372,14 @@ def test_classify_power_growth_is_other_model():
 
 def test_bm_decreasing_is_empty():
     fam = bm_family(line(-1.0), (-10.0, 10.0))
-    assert len(fam.intervals) == 0
+    assert len(fam) == 0
 
 
 def test_bm_increasing_is_whole_window():
     fam = bm_family(line(1.0), (-10.0, 10.0))
-    assert len(fam.intervals) == 1
-    iv = fam.intervals[0]
-    assert iv.left == pytest.approx(-10.0)
-    assert iv.right == pytest.approx(10.0)
+    assert len(fam) == 1
+    assert fam.left[0] == pytest.approx(-10.0)
+    assert fam.right[0] == pytest.approx(10.0)
     assert fam.flags[0] == TOUCHES_WINDOW_EDGE
 
 
@@ -421,10 +393,10 @@ def test_bm_documented_zigzag_matches_oracle():
     window = (-10.0, 10.0)
     fam = bm_family(gamma, window)
     oracle = grid_oracle(gamma, window)
-    assert len(fam.intervals) == len(oracle)
-    for iv, (lo, hi) in zip(fam.intervals, oracle):
-        assert iv.left == pytest.approx(lo, abs=2e-3)
-        assert iv.right == pytest.approx(hi, abs=2e-3)
+    assert len(fam) == len(oracle)
+    for (left, right), (lo, hi) in zip(pairs_of(fam), oracle):
+        assert left == pytest.approx(lo, abs=2e-3)
+        assert right == pytest.approx(hi, abs=2e-3)
 
 
 def test_bm_plateau_excluded():
@@ -437,8 +409,8 @@ def test_bm_plateau_excluded():
     )
     fam = bm_family(gamma, (-1.0, 5.0))
     # only the rising part is strictly below the suffix max
-    assert len(fam.intervals) == 1
-    assert fam.intervals[0].right == pytest.approx(0.0, abs=1e-12)
+    assert len(fam) == 1
+    assert fam.right[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bm_interior_samples_below_suffix_max():
@@ -455,9 +427,9 @@ def test_bm_interior_samples_below_suffix_max():
     ys = gamma(xs)
     suffix = np.maximum.accumulate(ys[::-1])[::-1]
     covered = np.zeros_like(xs, dtype=bool)
-    for iv in fam.intervals:
-        inside = (xs > iv.left + step) & (xs < iv.right - step)
-        covered |= (xs >= iv.left - step) & (xs <= iv.right + step)
+    for left, right in pairs_of(fam):
+        inside = (xs > left + step) & (xs < right - step)
+        covered |= (xs >= left - step) & (xs <= right + step)
         assert np.all(ys[inside] < suffix[inside])
     outside = ~covered
     tol = 1e-9 * (1.0 + np.abs(ys[outside]))
@@ -510,17 +482,13 @@ def test_bm_matches_grid_oracle(gamma):
     # a 1e-3 grid cannot resolve components or separations narrower than
     # a couple of steps (e.g. two components touching in a single point);
     # agreement is only claimed at grid resolution
-    for iv in fam.intervals:
-        if iv.length < 2 * step:
-            return
-    for a, b in zip(fam.intervals, fam.intervals[1:]):
-        if b.left - a.right < 2 * step:
-            return
+    if np.any(fam.right - fam.left < 2 * step) or np.any(fam.left[1:] - fam.right[:-1] < 2 * step):
+        return
     oracle = grid_oracle(gamma, window, step)
-    assert len(fam.intervals) == len(oracle)
-    for iv, (lo, hi) in zip(fam.intervals, oracle):
-        assert abs(iv.left - lo) <= 2e-3
-        assert abs(iv.right - hi) <= 2e-3
+    assert len(fam) == len(oracle)
+    for (left, right), (lo, hi) in zip(pairs_of(fam), oracle):
+        assert abs(left - lo) <= 2e-3
+        assert abs(right - hi) <= 2e-3
 
 
 def test_bm_disjoint_output():
@@ -531,8 +499,7 @@ def test_bm_disjoint_output():
         right_slope=-1.0,
     )
     fam = bm_family(gamma, (-6.0, 6.0))
-    for a, b in zip(fam.intervals, fam.intervals[1:]):
-        assert a.right <= b.left
+    assert np.all(fam.right[:-1] <= fam.left[1:])
 
 
 # ------------------------------------------------------- is_almost_decreasing
@@ -566,8 +533,6 @@ def test_squares_gamma_no():
 
 
 def test_unit_lattice_gamma_yes():
-    from bmlab import Lattice
-
     seq = generate(Lattice(1.0, -500, 500))
     gamma = gamma_line(seq, 0.9)
     verdict, _ = is_almost_decreasing(gamma, RADII)
@@ -583,7 +548,7 @@ def test_flat_gamma_inconclusive_is_allowed():
 
 def test_ladders_refuse_values_outside_their_range():
     def fam_at(_r):
-        return IntervalFamily([], [])
+        return family([])
 
     for radii in (
         [1.0, 2.0, 4.0, np.inf],

@@ -9,27 +9,22 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmlab import (
-    BadArgument,
-    BadGap,
+from bmlab.cli import run
+from bmlab.errors import BadArgument, SizeGuard
+from bmlab.gap import (
+    GRID_POINTS_CAP,
+    TERMS_CAP,
     DiscreteMeasure,
-    Lattice,
-    LogPerturbedLattice,
-    NumericalBreakdown,
-    SizeGuard,
-    SymmetricSquares,
+    _grid_transform,
     cauchy_decay,
-    generate,
     gram_matrix,
     lattice_gap_measure,
-    load_sequence,
     measure_to_csv,
     min_gap_residual,
     symmetric_gap_measure,
     verify_gap,
 )
-from bmlab.cli import run
-from bmlab.gap import GRID_POINTS_CAP, TERMS_CAP, _grid_transform
+from bmlab.sequences import Lattice, LogPerturbedLattice, SymmetricSquares, generate, load_sequence
 
 TWO_PI = 2 * math.pi
 EPS = np.finfo(float).eps
@@ -122,9 +117,9 @@ def test_modulate_shifts_transform():
 
 
 def test_lattice_gap_measure_bad_inputs():
-    with pytest.raises(BadGap):
+    with pytest.raises(BadArgument):
         lattice_gap_measure(0.0, 64)
-    with pytest.raises(BadGap):
+    with pytest.raises(BadArgument):
         lattice_gap_measure(TWO_PI, 64)
     with pytest.raises(ValueError):
         lattice_gap_measure(3.0, 16)

@@ -8,17 +8,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bmlab import (
+from bmlab import sequences
+from bmlab.errors import (
     BadArgument,
+    BadDataFile,
+    BmLabError,
     DuplicatePoint,
     EmptyRange,
-    Lattice,
-    LogPerturbedLattice,
     NotSeparated,
     OutOfWindow,
+    SinglePoint,
+    SizeGuard,
+)
+from bmlab.sequences import (
+    Lattice,
+    LogPerturbedLattice,
     PiecewiseLinear,
     SeparatedSequence,
-    SinglePoint,
     SymmetricSquares,
     count_in,
     gamma_line,
@@ -26,8 +32,6 @@ from bmlab import (
     load_sequence,
     read_sequence_file,
 )
-from bmlab import sequences
-from bmlab.errors import BadDataFile, BmLabError, SizeGuard
 
 
 # ---------------------------------------------------------------- sequences

@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmlab import (
-    BadArgument,
-    EmptyWindow,
+from bmlab.density import interior_density
+from bmlab.errors import BadArgument, EmptyRange
+from bmlab.zerotype import (
+    _cos_sqrt,
     eval_qcos,
-    interior_density,
     log_abs_cos,
     log_abs_qcos,
     qcos_zeros,
     type_estimate,
     zero_set_qcos,
 )
-from bmlab.zerotype import _cos_sqrt
 
 PI = math.pi
 EPS = np.finfo(float).eps
@@ -94,7 +93,7 @@ def test_zero_gaps_grow_linearly():
 
 
 def test_zero_set_empty_window():
-    with pytest.raises(EmptyWindow):
+    with pytest.raises(EmptyRange):
         zero_set_qcos((0.5, 1.0))
 
 
