@@ -58,12 +58,9 @@ from .gap import (
     verify_gap,
 )
 from .sequences import (
-    Lattice,
-    LogPerturbedLattice,
-    SymmetricSquares,
     check_points,
     gamma_line,
-    generate,
+    load_sequence,
     read_sequence_file,
     write_csv,
 )
@@ -146,20 +143,22 @@ def parse_generator(spec: str, radius: float | None = None):
         n_max = int(math.floor(radius / step))
         if n_max < 1:
             raise WindowTooSmall(f"radius {radius:g} is below one lattice step {step:g}")
-        return generate(Lattice(step, -n_max, n_max)).on_window(window)
+        return load_sequence(np.arange(-n_max, n_max + 1) * step, window)
 
     if name == "squares":
         check_points(2.0 * math.sqrt(radius) + 1.0)
         m = int(math.floor(math.sqrt(radius)))
         if m < 1:
             raise WindowTooSmall(f"radius {radius:g} holds no nonzero square")
-        return generate(SymmetricSquares(-m, m)).on_window(window)
+        n = np.arange(-m, m + 1)
+        return load_sequence(np.unique(np.sign(n) * n.astype(float) ** 2), window)
 
     check_points(2.0 * radius + 1.0)
     n_max = int(math.floor(radius))
     if n_max < 1:
         raise WindowTooSmall(f"radius {radius:g} holds no perturbed point")
-    return generate(LogPerturbedLattice(-n_max, n_max)).within(radius)
+    n = np.arange(-n_max, n_max + 1).astype(float)
+    return load_sequence(n + n / np.log(np.abs(n) + 2.0)).within(radius)
 
 
 def _seq_spec(parser, args) -> str:

@@ -3,8 +3,10 @@
 Every error raised on bad input derives from BmLabError so callers (and the
 ``bm-lab`` command) can distinguish data problems from genuine bugs.  An
 argument outside the domain a function accepts raises BadArgument, also a
-ValueError, which the command line maps to exit code 64; broken data class
-invariants stay plain ValueError, so they show as bugs.
+ValueError, which the command line maps to exit code 64.  No data class
+checks invariants: outside data is checked where it enters
+(``load_sequence``, ``family_from_csv``, the command line), and the
+engines build their values valid by construction.
 """
 
 
@@ -21,9 +23,9 @@ class NotSeparated(BmLabError):
 
 
 class EmptyRange(BmLabError):
-    """A sequence would have no point: an empty point array, an empty
-    generator index range, no point within a requested radius, or no zero
-    of the model function in a window."""
+    """A sequence would have no point: an empty point array, no point
+    within a requested radius, or no zero of the model function in a
+    window."""
 
 
 class SinglePoint(BmLabError):

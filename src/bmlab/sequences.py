@@ -10,11 +10,12 @@ sequence point that grows by exactly 1 between consecutive points and is
 normalized to n(0) = 0.  When 0 lies outside the data window the anchor
 value at 0 is obtained by extrapolating the first or last segment slope.
 
-Built-in generators cover the desk examples used throughout:
-
-* ``Lattice(step, n_min, n_max)``      points n*step
-* ``SymmetricSquares(n_min, n_max)``   points sign(n)*n**2
-* ``LogPerturbedLattice(n_min, n_max)`` points n + n/log(|n| + 2)
+``load_sequence`` is the one checked way raw points become a sequence:
+it sorts them and holds them to the rules.  ``SeparatedSequence`` itself
+is a plain dataclass that checks nothing; ``within`` cuts one from a
+checked one.  The built-in generators (``lattice:<step>``, ``squares``,
+``logperturbed``) are named by the grammar of ``cli.parse_generator``,
+which builds their points and passes them to ``load_sequence``.
 
 Sequence files hold one decimal real per line, as Python's ``float``
 reads it once the line is stripped of white space (so ``1_0`` and
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,31 +110,29 @@ def write_csv(path, *blocks) -> None:
 def _checked_window(points: np.ndarray, window) -> tuple[float, float]:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
-        raise ValueError("window must satisfy lo < hi")
+        raise BadArgument("window must satisfy lo < hi")
     if points[0] < lo or points[-1] > hi:
         raise OutOfWindow("window does not contain all points")
     return lo, hi
 
 
 def _separation(points: np.ndarray) -> float:
-    """The minimal gap of points that hold the sequence rules; inf for one point.
+    """The minimal gap of sorted points that hold the sequence rules; inf for one point.
 
-    The rules: a 1d array of at least one point, all finite, strictly
-    increasing with no duplicate, and no gap below the smallest normal
-    double, whose reciprocal (a slope of the counting function) would
-    overflow.
+    The rules: a 1d array of at least one point, all finite, no duplicate,
+    and no gap below the smallest normal double, whose reciprocal (a slope
+    of the counting function) would overflow.  ``load_sequence`` sorts
+    before it calls this.
     """
     if points.ndim != 1:
         raise BadArgument(f"points must be a 1d array, got shape {points.shape}")
     if points.size == 0:
         raise EmptyRange("a sequence needs at least one point")
     if not np.isfinite(points).all():
-        raise ValueError("points must be finite")
+        raise BadArgument("points must be finite")
     gaps = np.diff(points)
     if np.any(gaps == 0.0):
         raise DuplicatePoint("duplicate point in input")
-    if np.any(gaps < 0.0):
-        raise ValueError("points must be sorted increasingly")
     delta = math.inf if gaps.size == 0 else float(gaps.min())
     if delta < sys.float_info.min:
         raise NotSeparated(f"minimum gap {delta:g} below the smallest normal double")
@@ -143,24 +142,12 @@ def _separation(points: np.ndarray) -> float:
 @dataclass
 class SeparatedSequence:
     """Strictly increasing points on a data window; ``delta`` is their exact
-    minimal gap, computed from them."""
+    minimal gap.  The constructor checks nothing: ``load_sequence`` builds
+    one from raw points."""
 
     points: np.ndarray
     window: tuple[float, float]
-    delta: float = field(init=False)
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        self.delta = _separation(self.points)
-        self.window = _checked_window(self.points, self.window)
-
-    @classmethod
-    def _trusted(cls, points: np.ndarray, delta: float, window) -> "SeparatedSequence":
-        """Wrap points that hold the sequence rules, with their exact minimal
-        gap, by construction; only the window is checked."""
-        seq = cls.__new__(cls)
-        seq.points, seq.delta, seq.window = points, delta, _checked_window(points, window)
-        return seq
+    delta: float
 
     def __len__(self):
         return int(self.points.size)
@@ -184,10 +171,6 @@ class SeparatedSequence:
         anchor = PiecewiseLinear(pts, raw, left_slope, right_slope)(0.0)
         return PiecewiseLinear(pts, raw - anchor, left_slope, right_slope)
 
-    def on_window(self, window) -> "SeparatedSequence":
-        """The same points on another data window; only the window is checked."""
-        return SeparatedSequence._trusted(self.points, self.delta, window)
-
     def within(self, radius: float) -> "SeparatedSequence":
         """The points with |x| <= radius on the data window (-radius, radius).
 
@@ -201,7 +184,7 @@ class SeparatedSequence:
             raise EmptyRange(f"no points within radius {radius:g}")
         points = self.points[i:j]
         delta = math.inf if points.size < 2 else float(np.diff(points).min())
-        return SeparatedSequence._trusted(points, delta, (-radius, radius))
+        return SeparatedSequence(points, (-radius, radius), delta)
 
 
 def load_sequence(points, window=None) -> SeparatedSequence:
@@ -227,7 +210,7 @@ def load_sequence(points, window=None) -> SeparatedSequence:
             window = (float(pts[0]) - pad, float(pts[0]) + pad)
         else:
             window = (float(pts[0]), float(pts[-1]))
-    return SeparatedSequence._trusted(pts, delta, window)
+    return SeparatedSequence(pts, _checked_window(pts, window), delta)
 
 
 def read_sequence_file(path) -> SeparatedSequence:
@@ -287,48 +270,6 @@ def _parse_lines(path, lines, first: int) -> list[float]:
             raise BadDataFile(f"{path}:{lineno}: not a finite decimal real: {line!r}")
         values.append(value)
     return values
-
-
-@dataclass(frozen=True)
-class Lattice:
-    step: float
-    n_min: int
-    n_max: int
-
-
-@dataclass(frozen=True)
-class SymmetricSquares:
-    n_min: int
-    n_max: int
-
-
-@dataclass(frozen=True)
-class LogPerturbedLattice:
-    n_min: int
-    n_max: int
-
-
-def _index_range(spec):
-    if spec.n_min > spec.n_max:
-        raise EmptyRange(f"empty index range [{spec.n_min}, {spec.n_max}]")
-    return np.arange(spec.n_min, spec.n_max + 1)
-
-
-def generate(spec) -> SeparatedSequence:
-    """Materialize one of the built-in generator specs."""
-    if isinstance(spec, Lattice):
-        if not spec.step > 0:
-            raise ValueError("lattice step must be positive")
-        pts = _index_range(spec) * float(spec.step)
-    elif isinstance(spec, SymmetricSquares):
-        n = _index_range(spec)
-        pts = np.unique(np.sign(n) * n.astype(float) ** 2)
-    elif isinstance(spec, LogPerturbedLattice):
-        n = _index_range(spec).astype(float)
-        pts = n + n / np.log(np.abs(n) + 2.0)
-    else:
-        raise TypeError(f"unknown generator spec {spec!r}")
-    return load_sequence(pts)
 
 
 @dataclass

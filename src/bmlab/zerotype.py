@@ -24,7 +24,7 @@ import numpy as np
 from .envelope import increasing_ladder, top_half_slope
 from .errors import BadArgument, EmptyRange
 from .gap import TWO_PI
-from .sequences import SeparatedSequence, as_bounds
+from .sequences import SeparatedSequence, as_bounds, load_sequence
 
 PI = math.pi
 
@@ -90,7 +90,7 @@ def zero_set_qcos(window) -> SeparatedSequence:
     zeros = qcos_zeros(win)
     if zeros.size == 0:
         raise EmptyRange("no zeros of the model function in this window")
-    return SeparatedSequence(zeros, win)
+    return load_sequence(zeros, win)
 
 
 def log_abs_cos(w: complex) -> float:

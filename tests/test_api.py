@@ -1,5 +1,6 @@
 """Every public engine has a caller inside the package, every defaulted
-parameter a caller that passes it, and the package root re-exports nothing.
+parameter a caller that passes it, the package root re-exports nothing,
+and a data class has one constructor, its dataclass ``__init__``.
 
 A public top-level function of ``src/bmlab``, or a public method or
 property of one of its classes, that no module of the package references
@@ -68,11 +69,39 @@ def test_the_package_root_holds_only_its_docstring():
     assert ast.get_docstring(tree) and len(tree.body) == 1
 
 
+def _builds_an_instance(method):
+    """Whether a classmethod calls its class, or its class's ``__new__``."""
+    cls = method.args.args[0].arg if method.args.args else None
+    for node in ast.walk(method):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == cls or (
+                isinstance(func, ast.Attribute) and func.attr == "__new__" and getattr(func.value, "id", None) == cls
+            ):
+                return True
+    return False
+
+
+def test_data_classes_have_only_their_dataclass_constructor():
+    # outside data is checked where it enters (load_sequence, family_from_csv,
+    # the command line); a value type neither checks itself nor has a second,
+    # unchecked way in
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                classmethod_ = any(getattr(d, "id", None) == "classmethod" for d in member.decorator_list)
+                if member.name == "__post_init__" or (classmethod_ and _builds_an_instance(member)):
+                    found.append(f"{node.name}.{member.name}")
+    assert found == []
+
+
 # defaulted parameters that no module of the package passes, kept on purpose
-KEPT_WITHOUT_PASSER = {
-    ("load_sequence", "window"): "the public way to put raw points on a data window wider than their hull; "
-    "the commands take windows from their generators and SeparatedSequence.on_window",
-}
+KEPT_WITHOUT_PASSER = {}
 
 
 def _defaulted_parameters():

@@ -10,17 +10,10 @@ from bmlab.cli import parse_generator
 from bmlab.density import NOT_POLYA, POLYA, default_radius_ladder, interior_density, null_ratio_witness
 from bmlab.envelope import INCONCLUSIVE, LONG, NO, YES, IntervalFamily, classify_short_long
 from bmlab.errors import BadArgument, BmLabError, WindowTooSmall
-from bmlab.gap import cauchy_decay, lattice_gap_measure
-from bmlab.sequences import (
-    Lattice,
-    LogPerturbedLattice,
-    SymmetricSquares,
-    count_in,
-    gamma_line,
-    generate,
-    load_sequence,
-)
+from bmlab.gap import TWO_PI, cauchy_decay, lattice_gap_measure, min_gap_residual
+from bmlab.sequences import count_in, gamma_line, load_sequence
 from bmlab.zerotype import qcos_zeros
+from conftest import logperturbed_points
 
 
 # ------------------------------------------------------------ radius ladder
@@ -37,7 +30,7 @@ def test_default_ladder_doubles_up_to_rmax():
 
 
 def test_unit_lattice_density():
-    seq = generate(Lattice(1.0, -10000, 10000))
+    seq = parse_generator("lattice:1", 10000.0)
     rep = interior_density(seq)
     assert rep.polya_class == POLYA
     assert rep.a_lower == pytest.approx(1.0)
@@ -48,7 +41,7 @@ def test_unit_lattice_density():
 
 
 def test_half_step_lattice_density_doubles():
-    seq = generate(Lattice(0.5, -20000, 20000))
+    seq = parse_generator("lattice:0.5", 10000.0)
     rep = interior_density(seq)
     assert rep.polya_class == POLYA
     assert rep.a_lower == pytest.approx(2.0)
@@ -58,7 +51,7 @@ def test_half_step_lattice_density_doubles():
 def test_scaling_covariance():
     # brackets halve within the decision tolerance; exact endpoints differ
     # because the first bisection bracket [0, 2/delta] rescales the trial grid
-    base = generate(Lattice(1.0, -10000, 10000))
+    base = parse_generator("lattice:1", 10000.0)
     scaled = load_sequence(2.0 * np.asarray(base.points), window=(-20000.0, 20000.0))
     r1 = interior_density(base)
     r2 = interior_density(scaled)
@@ -67,7 +60,7 @@ def test_scaling_covariance():
 
 
 def test_bisection_consistency():
-    seq = generate(Lattice(1.0, -2000, 2000))
+    seq = parse_generator("lattice:1", 2000.0)
     rep = interior_density(seq)
     yes = [t.a for t in rep.trials if t.verdict == YES]
     no = [t.a for t in rep.trials if t.verdict == NO]
@@ -80,7 +73,7 @@ def test_bisection_consistency():
 
 
 def test_squares_not_polya():
-    seq = generate(SymmetricSquares(-1000, 1000))
+    seq = parse_generator("squares", 1e6)
     rep = interior_density(seq)
     assert rep.polya_class == NOT_POLYA
     assert rep.a_lower == 0.0
@@ -88,7 +81,7 @@ def test_squares_not_polya():
 
 
 def test_logperturbed_polya_with_pinned_bracket():
-    seq = generate(LogPerturbedLattice(-100000, 100000))
+    seq = load_sequence(logperturbed_points(100000))
     rep = interior_density(seq)
     assert rep.polya_class == POLYA
     # regression pin from the first oracle run (raw generator window; the
@@ -101,7 +94,7 @@ def test_logperturbed_polya_with_pinned_bracket():
 
 
 def test_too_few_points_rejected():
-    seq = generate(Lattice(1.0, -5, 5))
+    seq = parse_generator("lattice:1", 5.0)
     with pytest.raises(WindowTooSmall):
         interior_density(seq)
 
@@ -113,13 +106,13 @@ def test_one_sided_window_rejected():
 
 
 def test_ladder_beyond_window_rejected():
-    seq = generate(Lattice(1.0, -50, 50))
+    seq = parse_generator("lattice:1", 50.0)
     with pytest.raises(WindowTooSmall):
         interior_density(seq, radii=[10.0, 20.0, 40.0, 80.0])
 
 
 def test_resolution_guard_forces_inconclusive():
-    seq = generate(Lattice(1.0, -10, 10))
+    seq = parse_generator("lattice:1", 10.0)
     rep = interior_density(seq, a_tolerance=0.001)
     assert not rep.resolution_ok
     assert rep.polya_class == INCONCLUSIVE
@@ -129,7 +122,7 @@ def test_resolution_guard_forces_inconclusive():
 
 
 def test_null_ratio_witness_squares():
-    seq = generate(SymmetricSquares(-1000, 1000))
+    seq = parse_generator("squares", 1e6)
     w = null_ratio_witness(seq)
     assert w is not None
     assert w.shortness.verdict == LONG
@@ -144,7 +137,7 @@ def test_null_ratio_witness_squares():
 
 
 def test_null_ratio_witness_lattice_not_found():
-    seq = generate(Lattice(1.0, -10000, 10000))
+    seq = parse_generator("lattice:1", 10000.0)
     assert null_ratio_witness(seq) is None
 
 
@@ -161,17 +154,17 @@ def test_null_ratio_witness_empty_tail():
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "build",
     [
-        Lattice(1.0, -2000, 2000),
-        Lattice(0.5, -4000, 4000),
-        SymmetricSquares(-1000, 1000),
-        LogPerturbedLattice(-2000, 2000),
+        lambda: parse_generator("lattice:1", 2000.0),
+        lambda: parse_generator("lattice:0.5", 2000.0),
+        lambda: parse_generator("squares", 1e6),
+        lambda: load_sequence(logperturbed_points(2000)),
     ],
     ids=["lattice1", "lattice05", "squares", "logperturbed"],
 )
-def test_witness_agrees_with_density(spec):
-    seq = generate(spec)
+def test_witness_agrees_with_density(build):
+    seq = build()
     rep = interior_density(seq)
     w = null_ratio_witness(seq)
     if w is not None:
@@ -181,7 +174,7 @@ def test_witness_agrees_with_density(spec):
 
 
 def test_tolerance_domain():
-    seq = generate(Lattice(1.0, -100, 100))
+    seq = parse_generator("lattice:1", 100.0)
     for tol in (0.0, 0.5000001, math.inf, math.nan):
         with pytest.raises(BadArgument):
             interior_density(seq, a_tolerance=tol)
@@ -205,7 +198,7 @@ def test_bisection_stops_at_the_window_resolution():
     # tolerance is Inconclusive, and the bracket halves from 2 to 1/64 in 7
     # trials: the end 2/delta of the first bracket is a No by the counting
     # bound and is not tried
-    rep = interior_density(generate(Lattice(1.0, -100, 100)), a_tolerance=1e-320)
+    rep = interior_density(parse_generator("lattice:1", 100.0), a_tolerance=1e-320)
     assert not rep.resolution_ok
     assert rep.polya_class == INCONCLUSIVE
     assert len(rep.trials) == 7
@@ -229,6 +222,63 @@ def test_bracket_holds_the_counting_bound(step, radius):
     assert rep.a_lower <= 1.0 / rep.delta
     if step >= 1e-3:
         assert rep.a_lower <= (1.0 / step) * (1.0 + 1e-12) and (1.0 / step) * (1.0 - 1e-12) <= rep.a_upper
+
+
+# ------------------------------------------------ density against gap probe
+
+
+def jittered_lattice(radius):
+    """6001 points k + U(-0.3, 0.3), seeded, cut to the radius."""
+    k = np.arange(-3000, 3001)
+    return load_sequence(k + np.random.default_rng(17).uniform(-0.3, 0.3, k.size)).within(radius)
+
+
+PROBE_SIZES = [64, 128, 256, 512]
+EQUIVALENCE_SLACK = 0.01  # relative widening of 2*pi*[a_lower, a_upper]
+
+
+@pytest.mark.parametrize(
+    "build, decays, bounded",
+    [
+        (lambda r: parse_generator("lattice:1", r), 3.0, 12.0),
+        (lambda r: parse_generator("lattice:0.5", r), 6.0, 24.0),
+        (lambda r: parse_generator("lattice:2", r), 1.5, 6.0),
+        (lambda r: parse_generator("logperturbed", r), 3.0, 12.0),
+        (jittered_lattice, 3.0, 12.0),
+    ],
+    ids=["lattice1", "lattice05", "lattice2", "logperturbed", "jittered"],
+)
+def test_gap_probe_flips_where_the_density_says(build, decays, bounded):
+    # The paper's equivalence: for a separated sequence the gap
+    # characteristic is 2*pi times the interior density.  The density
+    # comes from the gamma_a envelopes, the probe from the sinc Gram
+    # kernel's smallest eigenvalue; the two share no code.  The probe's
+    # classification flips from DecaysToZero to BoundedBelow inside
+    # [decays, bounded]; the interval where it flips must meet the
+    # density's 2*pi bracket.  logperturbed's bracket carries the window
+    # bias of a finite radius, and the probe sees the same.  squares is
+    # left out, the open disagreement of ROADMAP item 4: the density says
+    # NotPolya with 2*pi*a_upper near 0.2, while the probe, with sizes 8
+    # to 64, says BoundedBelow from a = 3 on.
+    rep = interior_density(build(2000.0))
+    probe = build(1500.0)
+
+    def classify(a):
+        return min_gap_residual(probe, a, PROBE_SIZES).classification
+
+    assert (classify(decays), classify(bounded)) == ("DecaysToZero", "BoundedBelow")
+    lo, hi = decays, bounded
+    while hi - lo > 0.02:
+        mid = 0.5 * (lo + hi)
+        verdict = classify(mid)
+        if verdict == "DecaysToZero":
+            lo = mid
+        elif verdict == "BoundedBelow":
+            hi = mid
+        else:  # Inconclusive: the flip is within [lo, hi]
+            break
+    assert lo <= TWO_PI * rep.a_upper * (1.0 + EQUIVALENCE_SLACK)
+    assert hi >= TWO_PI * rep.a_lower * (1.0 - EQUIVALENCE_SLACK)
 
 
 # ------------------------------------------- columnar code against its loops
@@ -352,12 +402,12 @@ def test_columnar_witness_search_equals_the_interval_walk(data, harmonic):
     [
         lambda: cauchy_decay(lattice_gap_measure(3.0, 32), 0.5, [1.0, 2.0, 3.0, 4.0], 0.0),
         lambda: cauchy_decay(lattice_gap_measure(3.0, 32), 0.5, [1.0, 2.0, 3.0, 4.0], math.nan),
-        lambda: gamma_line(generate(Lattice(1.0, -10000, 10000)), math.nan),
+        lambda: gamma_line(parse_generator("lattice:1", 10000.0), math.nan),
         lambda: qcos_zeros((1.0, 1.0)),
         lambda: qcos_zeros((math.nan, 1.0)),
-        lambda: count_in(generate(Lattice(1.0, -10, 10)), (math.nan, 1.0)),
-        lambda: count_in(generate(Lattice(1.0, -10, 10)), (1.0, math.nan)),
-        lambda: count_in(generate(Lattice(1.0, -10, 10)), (2.0, 1.0)),
+        lambda: count_in(parse_generator("lattice:1", 10.0), (math.nan, 1.0)),
+        lambda: count_in(parse_generator("lattice:1", 10.0), (1.0, math.nan)),
+        lambda: count_in(parse_generator("lattice:1", 10.0), (2.0, 1.0)),
     ],
     ids=["zero-epsilon", "nan-epsilon", "nan-a", "empty-window", "nan-window", "nan-left", "nan-right", "reversed"],
 )

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bmlab import sequences
+from bmlab.cli import parse_generator
 from bmlab.density import default_radius_ladder
 from bmlab.envelope import (
     ENDPOINT_BOUND,
@@ -27,7 +28,7 @@ from bmlab.envelope import (
     shortness_partial_sum,
 )
 from bmlab.errors import BadArgument, BadDataFile, BmLabError
-from bmlab.sequences import Lattice, PiecewiseLinear, SymmetricSquares, gamma_line, generate
+from bmlab.sequences import PiecewiseLinear, gamma_line, load_sequence
 
 
 def line(slope):
@@ -524,7 +525,7 @@ def test_squares_gamma_no():
     # a = 0.5 far exceeds the vanishing density of the squares: gamma is
     # eventually increasing, the BM set swallows the window as one
     # edge-flagged component whose mass explodes with the radius
-    seq = generate(SymmetricSquares(-700, 700))
+    seq = parse_generator("squares", 490000.0)
     gamma = gamma_line(seq, 0.5)
     radii = [1000.0, 4000.0, 16000.0, 64000.0, 256000.0, 490000.0]
     verdict, report = is_almost_decreasing(gamma, radii)
@@ -533,7 +534,7 @@ def test_squares_gamma_no():
 
 
 def test_unit_lattice_gamma_yes():
-    seq = generate(Lattice(1.0, -500, 500))
+    seq = parse_generator("lattice:1", 500.0)
     gamma = gamma_line(seq, 0.9)
     verdict, _ = is_almost_decreasing(gamma, RADII)
     assert verdict == YES
@@ -613,7 +614,7 @@ def shaped_gamma(draw):
     shape = draw(st.sampled_from(["increasing", "flat", "non-increasing", "one tie", "random", "lattice"]))
     if shape == "lattice":
         step = draw(st.sampled_from([1.0, 0.5, 0.1, 0.3, 0.7, 2.5]))
-        seq = generate(Lattice(step, -draw(st.integers(2, 200)), draw(st.integers(2, 200))))
+        seq = load_sequence(np.arange(-draw(st.integers(2, 200)), draw(st.integers(2, 200)) + 1) * step)
         return gamma_line(seq, _nudge(1.0 / seq.delta, draw(st.integers(-1, 3))))
     k = draw(st.integers(2, 24))
     gaps = draw(st.lists(st.floats(0.01, 4.0), min_size=k - 1, max_size=k - 1))
@@ -683,7 +684,7 @@ def test_slope_above_one_over_delta_does_not_decide(step, m, ulps, window):
     # a is a few ulps above 1/delta, so gamma_a increases in exact
     # arithmetic, but its computed ordinates dip below a node near the
     # window end: the family has two components, not the whole window
-    seq = generate(Lattice(step, -m, m))
+    seq = load_sequence(np.arange(-m, m + 1) * step)
     gamma = gamma_line(seq, _nudge(1.0 / seq.delta, ulps))
     fam = bm_family(gamma, window)
     assert gamma.trend == 0 and len(fam) == 2
@@ -695,7 +696,7 @@ def test_monotone_gamma_needs_no_sweep(monkeypatch):
     def no_sweep(self, i, j, end):
         raise AssertionError("swept a monotone gamma")
 
-    seq = generate(Lattice(1.0, -50, 50))
+    seq = parse_generator("lattice:1", 50.0)
     rising, falling = gamma_line(seq, 2.0), gamma_line(seq, 0.5)
     assert (rising.trend, falling.trend) == (1, -1)
     with monkeypatch.context() as patch:
@@ -706,7 +707,7 @@ def test_monotone_gamma_needs_no_sweep(monkeypatch):
             assert len(bm_family(falling, (-r, r))) == 0
         with pytest.raises(BadArgument):
             bm_family(rising, (0.0, math.inf))
-    swept = gamma_line(generate(SymmetricSquares(-8, 8)), 0.3)
+    swept = gamma_line(parse_generator("squares", 64.0), 0.3)
     assert swept.trend == 0
     calls = []
     plain = sequences.PiecewiseLinear.suffix_max

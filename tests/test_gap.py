@@ -9,7 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmlab.cli import run
+from bmlab.cli import parse_generator, run
 from bmlab.errors import BadArgument, SizeGuard
 from bmlab.gap import (
     GRID_POINTS_CAP,
@@ -24,7 +24,8 @@ from bmlab.gap import (
     symmetric_gap_measure,
     verify_gap,
 )
-from bmlab.sequences import Lattice, LogPerturbedLattice, SymmetricSquares, generate, load_sequence
+from bmlab.sequences import load_sequence
+from conftest import logperturbed_points
 
 TWO_PI = 2 * math.pi
 EPS = np.finfo(float).eps
@@ -39,10 +40,6 @@ def fourier_transform(mu, x):
 
 
 def test_measure_validation():
-    with pytest.raises(ValueError):
-        DiscreteMeasure(np.array([0.0, 0.0]), np.array([1.0, 1.0], dtype=complex))
-    with pytest.raises(ValueError):
-        DiscreteMeasure(np.array([1.0, 0.0]), np.array([1.0, 1.0], dtype=complex))
     mu = DiscreteMeasure(np.array([-1.0, 2.0]), np.array([1.0, -2.0], dtype=complex))
     assert mu.total_variation == pytest.approx(3.0)
     assert len(mu) == 2
@@ -556,7 +553,7 @@ def test_gap_probe_lattice_above_two_pi(lattice301):
 
 
 def test_gap_probe_squares_recorded_classification():
-    sq = generate(SymmetricSquares(-100, 100))
+    sq = parse_generator("squares", 10000.0)
     rep = min_gap_residual(sq, 0.5, [21, 51, 101, 201])
     # recorded from the oracle run: the centered windows cluster near 0 and
     # the exponentials are locally near-dependent on [0, 0.5], so the probe
@@ -613,11 +610,11 @@ def test_min_gap_residual_matches_per_window_gram_bit_for_bit(points, a, sizes, 
     "points, a, sizes",
     PROBE_CASES
     + [
-        (generate(LogPerturbedLattice(-300, 300)).points, 7.0, [21, 101, 256, 512]),
-        (generate(SymmetricSquares(-100, 100)).points, 0.5, [21, 51, 101, 201]),
+        (logperturbed_points(300), 7.0, [21, 101, 256, 512]),
+        (parse_generator("squares", 10000.0).points, 0.5, [21, 51, 101, 201]),
         # lambda_min isolated with an odd eigenvector: a symmetric start
         # (all ones) converges to the smallest even one, l1 3.0832 not 3.1576
-        (generate(LogPerturbedLattice(-30, 30)).points, 4.068, [5, 11, 21]),
+        (logperturbed_points(30), 4.068, [5, 11, 21]),
     ],
 )
 def test_min_gap_residual_agrees_with_a_full_eigensolve(points, a, sizes, monkeypatch):
@@ -655,8 +652,8 @@ def test_min_gap_residual_runs_without_a_full_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     for seq, a in (
-        (generate(Lattice(1.0, -300, 300)), 3.15),
-        (generate(LogPerturbedLattice(-300, 300)), 7.0),
+        (parse_generator("lattice:1", 300.0), 3.15),
+        (load_sequence(logperturbed_points(300)), 7.0),
     ):
         rep = min_gap_residual(seq, a, [64, 128, 256, 512])
         assert not rep.breakdown and len(rep.vector_l1) == 4
@@ -666,7 +663,7 @@ def test_probe_vector_norms_match_complex_solve_at_isolated_eigenvalue():
     # logperturbed at a = 7: lambda_min is well separated from the rest of
     # the spectrum, so the minimizing vector is determined up to a phase and
     # its norms do not depend on the solver (at a floored eigenvalue they do)
-    seq = generate(LogPerturbedLattice(-300, 300))
+    seq = load_sequence(logperturbed_points(300))
     sizes = [21, 101, 256, 512]
     rep = min_gap_residual(seq, 7.0, sizes)
     assert rep.classification == "BoundedBelow"
@@ -701,7 +698,7 @@ def test_gap_preconditions_raise_bad_argument():
         lambda: cauchy_decay(mu, 0.5, [1.0, 2.0, 3.0, 4.0], math.inf),
         lambda: cauchy_decay(mu, 0.5, [1.0, 2.0, 3.0, math.inf]),
         lambda: gram_matrix(np.arange(4.0), math.inf),
-        lambda: min_gap_residual(generate(Lattice(1.0, -10, 10)), 1.0, [0, 5]),
+        lambda: min_gap_residual(parse_generator("lattice:1", 10.0), 1.0, [0, 5]),
     ):
         with pytest.raises(BadArgument):
             call()

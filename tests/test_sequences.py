@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bmlab import sequences
+from bmlab.cli import parse_generator
 from bmlab.errors import (
     BadArgument,
     BadDataFile,
@@ -21,14 +22,9 @@ from bmlab.errors import (
     SizeGuard,
 )
 from bmlab.sequences import (
-    Lattice,
-    LogPerturbedLattice,
     PiecewiseLinear,
-    SeparatedSequence,
-    SymmetricSquares,
     count_in,
     gamma_line,
-    generate,
     load_sequence,
     read_sequence_file,
 )
@@ -51,24 +47,25 @@ def test_duplicate_points_hard_error():
 
 
 @pytest.mark.parametrize(
-    "points, error",
-    [([0.0, math.inf], ValueError), ([0.0, 5e-324], NotSeparated), ([0.0, 1.0, 1.0], DuplicatePoint)],
-    ids=["infinite", "subnormal-gap", "duplicate"],
+    "points, window, error",
+    [
+        ([0.0, math.inf], None, BadArgument),
+        ([0.0, 5e-324], None, NotSeparated),
+        ([0.0, 1.0, 1.0], None, DuplicatePoint),
+        ([0.0], (0.0, 0.0), BadArgument),
+    ],
+    ids=["infinite", "subnormal-gap", "duplicate", "empty-window"],
 )
-def test_separated_sequence_refuses_what_load_sequence_refuses(points, error):
+def test_separated_sequence_refuses_what_load_sequence_refuses(points, window, error):
     with pytest.raises(error):
-        load_sequence(points)
-    with pytest.raises(error):
-        SeparatedSequence(np.array(points), (-1.0, math.inf))
+        load_sequence(points, window)
 
 
 def test_separated_sequence_computes_its_gap_and_counting_function_once():
-    seq = SeparatedSequence(np.array([-1.0, 0.5, 1.0, 3.0]), (-2.0, 4.0))
+    seq = load_sequence([-1.0, 0.5, 1.0, 3.0], window=(-2.0, 4.0))
     assert seq.delta == 0.5 and seq.window == (-2.0, 4.0)
     assert seq.counting is seq.counting
     assert gamma_line(seq, 1.0).x is seq.points
-    with pytest.raises(ValueError, match="sorted"):
-        SeparatedSequence(np.array([1.0, 0.0]), (-2.0, 4.0))
 
 
 def test_min_delta_enforced():
@@ -87,8 +84,6 @@ def test_empty_input_rejected():
 def test_points_of_a_wrong_shape_are_refused_with_the_shape():
     with pytest.raises(BadArgument, match=r"\(2, 2\)"):
         load_sequence(np.zeros((2, 2)))
-    with pytest.raises(BadArgument, match=r"\(2, 2\)"):
-        SeparatedSequence([[0, 1], [2, 3]], (0, 3))
 
 
 def test_window_must_contain_points():
@@ -126,28 +121,30 @@ def test_file_empty(tmp_path):
 
 
 def test_lattice_generate():
-    seq = generate(Lattice(0.5, -4, 4))
+    seq = parse_generator("lattice:0.5", 2.0)
     assert np.allclose(seq.points, np.arange(-4, 5) * 0.5)
-    assert seq.delta == 0.5
+    assert seq.delta == 0.5 and seq.window == (-2.0, 2.0)
 
 
 def test_squares_includes_zero_once():
-    seq = generate(SymmetricSquares(-3, 3))
+    seq = parse_generator("squares", 9.0)
     assert list(seq.points) == [-9.0, -4.0, -1.0, 0.0, 1.0, 4.0, 9.0]
 
 
 def test_logperturbed_points():
-    seq = generate(LogPerturbedLattice(-50, 50))
+    # the points of |n| <= 50 that stay within the radius
+    seq = parse_generator("logperturbed", 50.0)
     n = np.arange(-50, 51, dtype=float)
     expected = np.sort(n + n / np.log(np.abs(n) + 2.0))
-    assert np.allclose(seq.points, expected)
+    assert np.allclose(seq.points, expected[np.abs(expected) <= 50.0])
+    assert seq.window == (-50.0, 50.0)
 
 
 # ---------------------------------------------------------------- counting
 
 
 def test_counting_unit_lattice_is_identity():
-    seq = generate(Lattice(1.0, -10, 10))
+    seq = parse_generator("lattice:1", 10.0)
     n = seq.counting
     xs = np.linspace(-10.0, 10.0, 201)
     assert np.allclose(n(xs), xs, atol=1e-12)
@@ -202,7 +199,7 @@ def test_counting_increments_are_unit(points):
 @given(st.integers(min_value=2, max_value=60), st.floats(min_value=0.1, max_value=5.0))
 @settings(max_examples=40, deadline=None)
 def test_lattice_counting_is_affine(k, step):
-    seq = generate(Lattice(step, -k, k))
+    seq = load_sequence(np.arange(-k, k + 1) * step)
     n = seq.counting
     xs = np.linspace(-k * step, k * step, 101)
     assert np.allclose(n(xs), xs / step, atol=1e-9 * (1 + k))
@@ -212,12 +209,12 @@ def test_lattice_counting_is_affine(k, step):
 
 
 def test_count_in_lattice():
-    seq = generate(Lattice(1.0, -10, 10))
+    seq = parse_generator("lattice:1", 10.0)
     assert count_in(seq, (0.5, 3.5)) == 3
 
 
 def test_count_in_squares():
-    seq = generate(SymmetricSquares(-5, 5))
+    seq = parse_generator("squares", 25.0)
     assert count_in(seq, (2.0, 8.0)) == 1
 
 
@@ -249,7 +246,7 @@ def test_count_in_matches_brute_force(ns, left, width):
 
 
 def test_count_in_agrees_with_counting_function():
-    seq = generate(SymmetricSquares(-12, 12))
+    seq = parse_generator("squares", 144.0)
     n = seq.counting
     pts = seq.points
     j, k = 3, 17
@@ -261,7 +258,7 @@ def test_count_in_agrees_with_counting_function():
 
 
 def test_gamma_line_values_at_breakpoints():
-    seq = generate(Lattice(1.0, -10, 10))
+    seq = parse_generator("lattice:1", 10.0)
     g = gamma_line(seq, 0.75)
     n = seq.counting
     for x in (-10.0, -3.5, 0.0, 7.25, 10.0):
@@ -304,7 +301,7 @@ def test_pwl_grid_includes_breakpoints():
 
 
 def test_sequence_preconditions_raise_bad_argument():
-    seq = generate(Lattice(1.0, -5, 5))
+    seq = parse_generator("lattice:1", 5.0)
     f = seq.counting
     for window in ((1.0, 1.0), (-math.inf, 1.0), (0.0, math.nan)):
         with pytest.raises(BadArgument):
@@ -463,7 +460,3 @@ def test_restricted_sequences_keep_their_points_and_gap():
     assert seq.within(0.1).delta == math.inf
     with pytest.raises(EmptyRange):
         load_sequence([5.0, 6.0]).within(1.0)
-    wide = seq.on_window((-10.0, 10.0))
-    assert wide.points is seq.points and wide.delta == seq.delta and wide.window == (-10.0, 10.0)
-    with pytest.raises(OutOfWindow):
-        seq.on_window((-5.0, 10.0))
