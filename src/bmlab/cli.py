@@ -141,6 +141,8 @@ def parse_generator(spec: str, radius: float | None = None):
     if name == "lattice":
         check_points(2.0 * (radius / step) + 1.0)
         n_max = int(math.floor(radius / step))
+        if n_max * step > radius:  # radius / step rounded up past the last point within the radius
+            n_max -= 1
         if n_max < 1:
             raise WindowTooSmall(f"radius {radius:g} is below one lattice step {step:g}")
         return load_sequence(np.arange(-n_max, n_max + 1) * step, window)

@@ -29,6 +29,14 @@ ordinates cannot show the rise, a*gap - 1 per segment being below their
 rounding (``density --seq lattice:1e-13 --radius 1e-9``); the trial's
 evidence is still computed and kept.
 
+The same bound shapes the trials in between.  Only the segments with
+gap > 1/a rise.  Where the wide gaps stay near 0, as on ``logperturbed``
+(gaps about 1 + 1/log|x|), those segments lie in a bounded core, and g_a
+never increases before its first rising segment or after its last.
+``bm_family`` sweeps only that core; the monotone head and tail cost a
+comparison each, not a suffix-max accumulate, and the family is the same
+bit for bit.
+
 The classification of the bracket is honest about window resolution: a
 window of radius R cannot certify slopes finer than about delta/R, so the
 verdict degrades to Inconclusive when the requested tolerance is below

@@ -13,7 +13,13 @@ segment grid with exact linear interpolation for the crossing abscissas, so
 endpoint accuracy is limited only by float arithmetic, not by any grid.
 The sweep reads the nodes inside a window as views of g's arrays, not
 copies, and each window of a radius ladder takes its own suffix maxima
-(``PiecewiseLinear.suffix_max``).
+(``PiecewiseLinear.suffix_max``).  It sweeps only the window's core: before
+the first rising pair of ordinates and after the last one, g never
+increases, so a piece of the tail has no higher point to its right, and a
+piece of the head whose left node is at least the maximum S beyond the
+first rise has none either, but the one holding the crossing.  The core
+pieces see the operands they see in the whole window, so the family is
+the same bit for bit (``bm_family`` gives the argument).
 
 A family is held only as three columns (``IntervalFamily``): the float
 endpoints ``left`` and ``right`` and the bool ``edge`` flag.  The engines
@@ -303,17 +309,17 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     whose closure meets either window edge are flagged TouchesWindowEdge;
     the rightmost ones are systematically uncertain under window growth.
 
-    The sweep works on the segment grid [lo, nodes strictly inside, hi].
-    With M_j the maximum of the node values strictly right of node j, a
-    point x inside segment j is in the set iff gamma(x) < M_j: either the
-    whole half-open segment qualifies (left node value below M_j) or the
-    part right of the exact crossing of the segment line with level M_j.
-    The nodes are read as views ``gamma.x[i:j]``, ``gamma.y[i:j]`` with the
-    two end values beside them, not copied into a grid.  M is
-    ``gamma.suffix_max``, the plain reverse accumulate of the window's
-    nodes and its right end value.  The comparisons and the crossing
-    formula see the same operands as a sweep over a copied grid: the
-    family is exact, not an approximation of it.
+    The sweep works on a segment grid [left end, nodes strictly inside,
+    right end].  With M_k the maximum of the node values strictly right of
+    node k, a point x inside segment k is in the set iff gamma(x) < M_k:
+    either the whole half-open segment qualifies (left node value below
+    M_k) or the part right of the exact crossing of the segment line with
+    level M_k.  The nodes are read as views ``gamma.x[a:b]``,
+    ``gamma.y[a:b]`` with the two end nodes beside them, not copied into
+    a grid.  M is ``gamma.suffix_max`` of those nodes and the right end
+    value.  The comparisons and the crossing formula see the same
+    operands as a sweep over a copied grid: the family is exact, not an
+    approximation of it.
 
     A monotone gamma needs no sweep.  When the window's ordinates
     [gamma(lo), nodes strictly inside, gamma(hi)] increase strictly, every
@@ -324,21 +330,63 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     nodes once, and each window compares only its two ends with the
     neighbouring nodes, so the result is the sweep's bit for bit even
     where rounding makes neighbours tie.
+
+    Otherwise only the window's core is swept.  Two facts on the computed
+    ordinates make the rest of the window drop out:
+
+    * after the last rising pair the ordinates never increase, so no piece
+      there has a higher point to its right and none is in the set; the
+      first of those nodes is their maximum, so it serves as the core's
+      right end;
+    * before the first rising pair the ordinates never increase either.
+      With S the maximum of the nodes after that pair, a head piece whose
+      left node is at least S has its suffix maximum at most that node, so
+      it is not in the set, except the one whose right node falls below
+      S: it holds the crossing.
+
+    The core runs from the last head node at least S to the node just
+    after the last rising pair, and only its nodes from the first rise on
+    are accumulated; its head pieces before that lie below S and take S,
+    the maximum beyond them.  Where values tie, numpy's maximum keeps the
+    leftmost, so S is the element the whole-window accumulate reaches
+    there, and the tail's first node the one it carries out of the tail.
+    Each core piece thus sees the operands it sees in the whole window;
+    edge flags are taken against the window's own ends, and the family
+    is the whole-window sweep's bit for bit, zero signs included.  On the
+    cached rising-pair mask ``gamma.rises``, the first rise costs an
+    ``argmax`` up to it and the last a search back from the window's end
+    (``_last_true``); the head costs one comparison with S.
     """
     lo, hi, ends, i, j = gamma.window_ends(window)
     trend = _window_trend(gamma, ends, i, j)
     if trend == 1:
         return IntervalFamily(np.array([lo]), np.array([hi]), np.array([True]))
-    if trend == -1:
+    rising = None if trend == -1 else _rising_pairs(gamma, ends, i, j)
+    if rising is None:
         return IntervalFamily(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
 
-    x, y = gamma.x[i:j], gamma.y[i:j]  # the nodes strictly inside, as views
-    m = gamma.suffix_max(i, j, ends[1])  # per segment: max over nodes strictly to its right
+    # grid node k is (lo, ends[0]) for k = 0, (x[i+k-1], y[i+k-1]) up to
+    # k = j-i, then (hi, ends[1]); pair k is its segment from node k to k+1
+    f, l = rising
+    b = i + l  # the core ends at node l+1
+    x_hi, y_hi = (hi, ends[1]) if b == j else (gamma.x[b], gamma.y[b])
+    m = np.empty(l + 1)  # per segment: max over nodes strictly to its right
+    gamma.suffix_max(i + f, b, y_hi, m[f:])
+    # head nodes at least S = m[f] are out, up to the last: the core starts
+    # there (no head, f = 0, has ends[0] < y[i] <= S)
+    c = 0 if ends[0] < m[f] else np.count_nonzero(gamma.y[i : i + f] >= m[f])
+    m = m[c:]
+    m[: f - c] = m[f - c]  # head pieces after c lie below S, the maximum beyond them
+    a = i + c
+    x_lo, y_lo = (lo, ends[0]) if a == i else (gamma.x[a - 1], gamma.y[a - 1])
+    if a == b:  # one rising segment, in the set whole
+        return IntervalFamily(np.array([x_lo]), np.array([x_hi]), np.array([x_lo == lo or x_hi == hi]))
+    x, y = gamma.x[a:b], gamma.y[a:b]  # the core's inner nodes, as views
 
-    # segment k runs from node k to node k+1 of [lo, x, hi]; its left node
-    # value is ends[0] for k = 0, else y[k-1], and its right one y[k] or ends[1]
+    # segment k runs from node k to node k+1 of [x_lo, x, x_hi]; its left node
+    # value is y_lo for k = 0, else y[k-1], and its right one y[k] or y_hi
     full = np.empty(m.size, dtype=bool)  # piece [x_k, x_{k+1}): left node below m
-    full[0] = ends[0] < m[0]
+    full[0] = y_lo < m[0]
     np.less(y, m[1:], out=full[1:])
     inside = np.empty(m.size, dtype=bool)  # full, or piece (x_cross, x_{k+1}): right node below m
     np.less(y, m[:-1], out=inside[:-1])
@@ -352,16 +400,14 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     np.logical_and(joins[1:], inside[:-1], out=joins[1:])
     bound = np.greater(inside, joins)  # pieces that start a component
     first = np.flatnonzero(bound)
-    if first.size == 0:
-        return IntervalFamily(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
     np.greater(inside[:-1], joins[1:], out=bound[:-1])  # pieces that end one
     bound[-1] = inside[-1]
     last = np.flatnonzero(bound)
 
-    left = x[first - 1]  # first = 0 reads x[-1] and is set to lo below
+    left = x[first - 1]  # first = 0 reads x[-1] and is set to x_lo below
     y_l = y[first - 1]
     if first[0] == 0:
-        left[0], y_l[0] = lo, ends[0]
+        left[0], y_l[0] = x_lo, y_lo
     crossing = ~(y_l < m[first])  # not full: the comparison again, as full now holds joins
     if np.any(crossing):
         k = first[crossing]
@@ -369,9 +415,9 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
         x_l = left[crossing]
         t = (y_l - m[k]) / (y_l - y[k])
         left[crossing] = x_l + t * (x[k] - x_l)
-    right = x[np.minimum(last, y.size - 1)]  # last = y.size ends at hi
+    right = x[np.minimum(last, y.size - 1)]  # last = y.size ends at x_hi
     if last[-1] == y.size:
-        right[-1] = hi
+        right[-1] = x_hi
     edge = (left == lo) | (right == hi)
     return IntervalFamily(left, right, edge)
 
@@ -388,6 +434,39 @@ def _window_trend(gamma: PiecewiseLinear, ends, i: int, j: int) -> int:
     if trend == -1 and ends[0] >= first and last >= ends[1]:
         return -1
     return 0
+
+
+def _rising_pairs(gamma: PiecewiseLinear, ends, i: int, j: int):
+    """(f, l): the first and last rising pair of the window's grid
+    [ends[0], gamma.y[i:j], ends[1]], or None when no pair rises.
+
+    The grid's pairs are (ends[0], y[i]), ``gamma.rises[i:j-1]`` and
+    (y[j-1], ends[1]), numbered 0 to n = j-i.  ``argmax`` stops at the
+    first inner rise, and ``_last_true`` scans back from the end.
+    """
+    n = j - i
+    inner = gamma.rises[i : j - 1]
+    head, tail = ends[0] < gamma.y[i], gamma.y[j - 1] < ends[1]
+    k = int(inner.argmax()) if inner.size else 0
+    if not (inner.size and inner[k]):  # no inner pair rises
+        return (0 if head else n, n if tail else 0) if head or tail else None
+    return (0 if head else k + 1), (n if tail else _last_true(inner) + 1)
+
+
+def _last_true(mask: np.ndarray) -> int:
+    """Index of the last True of a bool array that holds one.
+
+    Blocks from the end, growing fourfold, are searched in turn, so the
+    cost follows the distance of that True from the end: a dense mask
+    costs one small block, a sparse one about a pass.
+    """
+    stop, width = mask.size, 1024
+    while True:
+        start = max(stop - width, 0)
+        hits = mask[start:stop].nonzero()[0]
+        if hits.size:
+            return start + int(hits[-1])
+        stop, width = start, 4 * width
 
 
 def is_almost_decreasing(gamma: PiecewiseLinear, radii) -> tuple[str, ShortnessReport]:

@@ -288,26 +288,28 @@ class PiecewiseLinear:
     right_slope: float
 
     @functools.cached_property
+    def rises(self) -> np.ndarray:
+        """The rising-pair mask y[:-1] < y[1:], one bool per segment between
+        nodes.  Computed once, on the ordinates as stored."""
+        return self.y[:-1] < self.y[1:]
+
+    @functools.cached_property
     def trend(self) -> int:
         """1 when the node ordinates increase strictly, -1 when they never
-        increase, 0 otherwise.  Computed once, on the ordinates as stored."""
-        before, after = self.y[:-1], self.y[1:]
-        if np.all(before < after):
+        increase, 0 otherwise; derived from ``rises``."""
+        if self.rises.all():
             return 1
-        if np.all(before >= after):
-            return -1
-        return 0
+        return 0 if self.rises.any() else -1
 
-    def suffix_max(self, i: int, j: int, end: float) -> np.ndarray:
-        """m[k] = max(y[i+k:j], end) for k = 0 .. j-i: at each node of the
-        slice, the maximum of the nodes from there up to j, and ``end``.
-        One reverse accumulate over a copy of the slice with ``end`` after it.
+    def suffix_max(self, i: int, j: int, end: float, out: np.ndarray) -> None:
+        """Write m[k] = max(y[i+k:j], end) for k = 0 .. j-i into ``out``: at
+        each node of the slice, the maximum of the nodes from there up to j,
+        and ``end``.  One reverse accumulate over a copy of the slice with
+        ``end`` after it; where values tie it keeps the leftmost.
         """
-        m = np.empty(j - i + 1)
-        m[-1] = end
-        m[:-1] = self.y[i:j]
-        np.maximum.accumulate(m[::-1], out=m[::-1])
-        return m
+        out[-1] = end
+        out[:-1] = self.y[i:j]
+        np.maximum.accumulate(out[::-1], out=out[::-1])
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)

@@ -221,6 +221,20 @@ def test_lattice_step_grammar():
     assert payload["window"] == [-20.0, 20.0]
 
 
+@pytest.mark.parametrize(
+    "step, radius, n_max, exit_code", [(0.52, 7.8, 14, 2), (0.08, 91.6, 1144, 0), (0.01, 13.7, 1369, 0)]
+)
+def test_lattice_keeps_only_the_points_within_its_radius(step, radius, n_max, exit_code):
+    # radius/step rounds up to n_max + 1, whose multiple of step lies past the
+    # radius; 29 points at 0.52 resolve slopes only to 2*delta/R > --tol, so exit 2
+    assert math.floor(radius / step) == n_max + 1 and (n_max + 1) * step > radius
+    code, payload = run_json(["density", "--seq", f"lattice:{step}", "--radius", radius])
+    assert code == exit_code
+    assert payload["n_points"] == 2 * n_max + 1
+    assert payload["window"] == [-radius, radius]
+    assert payload["a_lower"] <= 1.0 / step <= payload["a_upper"]
+
+
 def test_squares_generator_counts_zero_once():
     _, payload = run_json(["density", "--seq", "squares", "--radius", 100])
     assert payload["n_points"] == 21

@@ -90,6 +90,25 @@ def test_logperturbed_polya_with_pinned_bracket():
     assert rep.a_upper == pytest.approx(0.9265140170783054, rel=1e-12)
 
 
+@pytest.mark.parametrize("radius", [3000.0, 30000.0])
+def test_two_sided_density_is_the_sparser_side(tmp_path, radius):
+    # step 1 on the left and 3 on the right: the density is 1/3.  For a in
+    # (1/3, 1) gamma_a falls on the left and rises on the right, so every
+    # window's grid has a head that never increases before its first rise
+    path = tmp_path / "two-sided.txt"
+    points = np.concatenate((np.arange(-30000, 0), np.arange(0, 30001, 3)))
+    path.write_text("\n".join(map(str, points.tolist())) + "\n")
+    seq = parse_generator(f"file:{path}", radius)
+    for a in (0.375, 0.5, 0.9):
+        y = gamma_line(seq, a).y
+        rises = y[:-1] < y[1:]
+        assert not rises[seq.points[1:] <= 0.0].any() and rises[seq.points[:-1] >= 0.0].all()
+    rep = interior_density(seq)
+    assert rep.polya_class == POLYA
+    assert rep.a_lower <= 1.0 / 3.0 <= rep.a_upper
+    assert (rep.a_lower, rep.a_upper) == (0.3125, 0.34375)
+
+
 # ------------------------------------------------------------------- guards
 
 

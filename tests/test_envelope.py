@@ -573,13 +573,17 @@ def sweep_reference(gamma, window):
     Returns (left, right, edge) lists.  A segment is in the set whole when
     its left node lies below the maximum of the nodes right of it, from
     the crossing with that level when only its right node does; a piece
-    joins the previous one unless it starts at a crossing.
+    joins the previous one unless it starts at a crossing.  Where node
+    values tie, the level is the leftmost of them, as numpy's maximum
+    keeps it; that fixes the sign of a zero level, which a crossing at a
+    node -0.0 with value -0.0 carries into its left end.
     """
     xs, ys = (v.tolist() for v in gamma.grid_on(window))
     pieces = [None] * (len(xs) - 1)
     level = -math.inf
     for j in range(len(xs) - 2, -1, -1):
-        level = max(level, ys[j + 1])
+        if ys[j + 1] >= level:
+            level = ys[j + 1]
         if ys[j] < level:
             pieces[j] = (xs[j], False)
         elif ys[j + 1] < level:
@@ -606,28 +610,54 @@ def _nudge(x, steps):
     return float(x)
 
 
+def _same_family(fam, expected, window):
+    """``fam`` equals the columns (left, right, edge), zero signs included."""
+    left, right, edge = expected
+    assert (fam.left.tolist(), fam.right.tolist(), fam.edge.tolist()) == (left, right, edge), window
+    signs = [np.signbit(np.array(v, dtype=float)).tolist() for v in (left, right)]
+    assert [np.signbit(fam.left).tolist(), np.signbit(fam.right).tolist()] == signs, window
+
+
 @st.composite
 def shaped_gamma(draw):
     """A gamma whose nodes increase strictly, stay flat, never increase,
-    tie once, wander, or come from gamma_line on a lattice at a slope a few
-    ulps above 1/delta, where rounding makes neighbours tie."""
-    shape = draw(st.sampled_from(["increasing", "flat", "non-increasing", "one tie", "random", "lattice"]))
+    tie once, wander, come from gamma_line on a lattice at a slope a few
+    ulps above 1/delta, where rounding makes neighbours tie, never increase
+    before and after a wandering core, never increase but at one rising
+    segment, or take values in {0.0, -0.0, 1, -1, 2}.  The first node may
+    be -0.0."""
+    shape = draw(
+        st.sampled_from(
+            ["increasing", "flat", "non-increasing", "one tie", "random", "lattice", "core", "one rise", "zeros"]
+        )
+    )
     if shape == "lattice":
         step = draw(st.sampled_from([1.0, 0.5, 0.1, 0.3, 0.7, 2.5]))
         seq = load_sequence(np.arange(-draw(st.integers(2, 200)), draw(st.integers(2, 200)) + 1) * step)
         return gamma_line(seq, _nudge(1.0 / seq.delta, draw(st.integers(-1, 3))))
     k = draw(st.integers(2, 24))
     gaps = draw(st.lists(st.floats(0.01, 4.0), min_size=k - 1, max_size=k - 1))
-    xs = np.cumsum([draw(st.floats(-20.0, 20.0))] + gaps)
+    xs = np.cumsum([draw(st.one_of(st.just(-0.0), st.floats(-20.0, 20.0)))] + gaps)
     rises = np.array(draw(st.lists(st.floats(1e-9, 3.0), min_size=k - 1, max_size=k - 1)))
     y0 = draw(st.floats(-10.0, 10.0))
     if shape == "flat":
         ys = np.full(k, y0)
-    elif shape == "non-increasing":
+    elif shape in ("non-increasing", "one rise"):
         keep = np.array(draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1)))
         ys = y0 - np.concatenate(([0.0], np.cumsum(rises * keep)))
+        if shape == "one rise":
+            j = draw(st.integers(1, k - 1))
+            ys[j:] += ys[j - 1] - ys[j] + draw(st.floats(1e-6, 30.0))
     elif shape == "random":
         ys = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k)))
+    elif shape == "core":
+        ys = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k)))
+        head = draw(st.integers(0, k))
+        tail = draw(st.integers(0, k - head))
+        ys[:head] = np.sort(ys[:head])[::-1]
+        ys[k - tail :] = np.sort(ys[k - tail :])[::-1]
+    elif shape == "zeros":
+        ys = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]), min_size=k, max_size=k)))
     else:
         ys = y0 + np.concatenate(([0.0], np.cumsum(rises)))
         if shape == "one tie":
@@ -662,11 +692,7 @@ def windows_for(draw, gamma):
 
 def _equals_the_plain_sweep(gamma, windows):
     for window in windows:
-        fam = bm_family(gamma, window)
-        left, right, edge = sweep_reference(gamma, window)
-        assert fam.left.tolist() == left, window
-        assert fam.right.tolist() == right, window
-        assert fam.edge.tolist() == edge, window
+        _same_family(bm_family(gamma, window), sweep_reference(gamma, window), window)
 
 
 @settings(max_examples=300, deadline=None)
@@ -688,12 +714,36 @@ def test_slope_above_one_over_delta_does_not_decide(step, m, ulps, window):
     gamma = gamma_line(seq, _nudge(1.0 / seq.delta, ulps))
     fam = bm_family(gamma, window)
     assert gamma.trend == 0 and len(fam) == 2
-    assert (fam.left.tolist(), fam.right.tolist(), fam.edge.tolist()) == sweep_reference(gamma, window)
+    _same_family(fam, sweep_reference(gamma, window), window)
+
+
+@pytest.mark.parametrize(
+    "ys, right_slope, expected",
+    [
+        # nodes -0.0 tie the right end +0.0: the level is the leftmost, -0.0
+        (
+            [-0.0, -1.0, -0.0, -0.0, -1.0, -1.0],
+            1.0,
+            ([-1.0, 0.0, 4.5], [-0.0, 2.5, 6.5], [True, False, True]),
+        ),
+        # the tail after the last rise starts at +0.0 and ties -0.0 after it
+        ([-0.0, -1.0, 0.0, -0.0, -1.0, -1.0], -1.0, ([-1.0, -0.0], [-0.0, 2.5], [True, False])),
+        # the tail starts at -0.0 and ties +0.0 after it
+        ([-0.0, -1.0, -0.0, 0.0, -1.0, -1.0], -1.0, ([-1.0, 0.0], [-0.0, 2.5], [True, False])),
+    ],
+)
+def test_tied_zero_maxima_keep_the_leftmost_sign(ys, right_slope, expected):
+    # a crossing at the node -0.0 of value -0.0 starts at -0.0 + t*dx with
+    # t = (-0.0 - level)/1, so its sign shows which tied zero is the level
+    gamma = PiecewiseLinear(np.array([-0.0, 0.5, 2.5, 4.5, 5.0, 5.5]), np.array(ys), 1.0, right_slope)
+    window = (-1.0, 6.5)
+    _same_family(bm_family(gamma, window), expected, window)
+    _same_family(bm_family(gamma, window), sweep_reference(gamma, window), window)
 
 
 def test_monotone_gamma_needs_no_sweep(monkeypatch):
     # a rising or falling gamma never takes suffix maxima; a swept one does
-    def no_sweep(self, i, j, end):
+    def no_sweep(self, *args):
         raise AssertionError("swept a monotone gamma")
 
     seq = parse_generator("lattice:1", 50.0)
@@ -738,13 +788,39 @@ def jittered_windows(gamma):
     return out
 
 
+def logperturbed_gamma():
+    """gamma_0.9 of logperturbed at radius 1e5: its nodes rise only for
+    |x| below about 2905, so each rung past that has a non-increasing head
+    and tail around the same core."""
+    return gamma_line(parse_generator("logperturbed", 1e5), 0.9)
+
+
 def test_bm_family_on_many_blocks_equals_the_plain_sweep():
     gamma = jittered_gamma()
     assert gamma.trend == 0
     windows = jittered_windows(gamma)
     expected = [sweep_reference(gamma, w) for w in windows]
     assert sum(len(e[0]) for e in expected) > 100
-    for window, (left, right, edge) in zip(windows, expected):
-        fam = bm_family(gamma, window)
-        assert (fam.left.tolist(), fam.right.tolist(), fam.edge.tolist()) == (left, right, edge), window
+    for window, family_expected in zip(windows, expected):
+        _same_family(bm_family(gamma, window), family_expected, window)
+    gamma = logperturbed_gamma()
+    assert gamma.trend == 0
+    _equals_the_plain_sweep(gamma, [(-r, r) for r in default_radius_ladder(1e5)])
+
+
+def test_bm_family_accumulates_only_the_rising_core(monkeypatch):
+    # over the ladder to 1e5 the suffix maxima read the nodes between the
+    # first and the last rise, under a tenth of the windows' nodes
+    gamma = logperturbed_gamma()
+    reads, plain = [], sequences.PiecewiseLinear.suffix_max
+    monkeypatch.setattr(
+        sequences.PiecewiseLinear, "suffix_max", lambda self, i, j, *rest: reads.append(j - i) or plain(self, i, j, *rest)
+    )
+    window_nodes = 0
+    for r in default_radius_ladder(1e5):
+        *_, i, j = gamma.window_ends((-r, r))
+        window_nodes += j - i
+        bm_family(gamma, (-r, r))
+    assert len(reads) == 8
+    assert sum(reads) < 0.1 * window_nodes
 
