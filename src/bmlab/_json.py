@@ -5,11 +5,13 @@ shortest-roundtrip, but key order and numpy scalar handling vary by
 caller.  This emitter pins the contract for CLI output: keys sorted,
 floats rendered with %.17g (roundtrip exact, locale free), numpy
 scalars and arrays coerced, non-finite floats mapped to strings since
-JSON has no literals for them.
+JSON has no literals for them, and a dataclass printed as the object of
+its fields, so a report's JSON keys are its field names.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -39,6 +41,12 @@ def _escape(s: str) -> str:
     return '"' + _ESCAPED.sub(_escape_char, s) + '"'
 
 
+def fields(obj) -> dict:
+    """A dataclass instance's declared fields by name; properties, cached
+    or not, are not fields and never appear."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def dumps(obj) -> str:
     if obj is None:
         return "null"
@@ -64,4 +72,6 @@ def dumps(obj) -> str:
         lookup = {str(k): v for k, v in obj.items()}
         items = [f"{_escape(k)}: {dumps(lookup[k])}" for k in keys]
         return "{" + ", ".join(items) + "}"
+    if dataclasses.is_dataclass(obj):
+        return dumps(fields(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -4,7 +4,11 @@ Each run prints a single JSON object on stdout (or to ``--out``);
 ``--csv-out`` writes plot-friendly curves next to it.  JSON output is
 deterministic: keys are sorted and floats are printed with 17 significant
 digits, so identical argv and input files give byte-identical bytes.
-Every JSON object embeds the resolved parameter set under ``params``.
+Every JSON object embeds the resolved parameter set under ``params``;
+the rest is the report, printed as its own fields.  Two projections are
+narrower than their types: a density trial prints as {a, verdict}, its
+shortness evidence going to the CSV, and an interval family as a list of
+{left, right[, flag]} objects rather than as columns.
 
 Exit codes: 0 definite verdict (and pure construction/dump commands),
 2 Inconclusive verdict, 1 computation errors, 64 usage errors and
@@ -44,7 +48,6 @@ from .errors import (
     EmptyRange,
     NotSeparated,
     SizeGuard,
-    UnknownGenerator,
     WindowTooSmall,
 )
 from .gap import (
@@ -112,7 +115,7 @@ def parse_generator(spec: str, radius: float | None = None):
 
     if name == "file":
         if not param:
-            raise UnknownGenerator("file generator needs a path: file:<path>")
+            raise BadArgument("file generator needs a path: file:<path>")
         base = read_sequence_file(param)
         if radius is None:
             return base
@@ -123,17 +126,17 @@ def parse_generator(spec: str, radius: float | None = None):
 
     if name == "lattice":
         if not param:
-            raise UnknownGenerator("lattice generator needs a step: lattice:<step>")
+            raise BadArgument("lattice generator needs a step: lattice:<step>")
         try:
             step = float(param)
         except ValueError:
-            raise UnknownGenerator(f"lattice step is not a number: {param!r}") from None
+            raise BadArgument(f"lattice step is not a number: {param!r}") from None
         if not (math.isfinite(step) and step > 0):
-            raise UnknownGenerator(f"lattice step must be positive, got {param}")
+            raise BadArgument(f"lattice step must be positive, got {param}")
     elif ":" in spec:
-        raise UnknownGenerator(f"generator {name!r} takes no parameter")
+        raise BadArgument(f"generator {name!r} takes no parameter")
     elif name not in ("squares", "logperturbed"):
-        raise UnknownGenerator(f"unknown generator {spec!r}")
+        raise BadArgument(f"unknown generator {spec!r}")
     if radius is None:
         raise BadArgument(f"a radius is required to materialize {name}")
     window = (-radius, radius)
@@ -227,49 +230,12 @@ def _emit(args, payload) -> None:
         print(text)
 
 
-def _shortness_dict(report):
-    return {
-        "verdict": report.verdict,
-        "model": report.growth_fit.model,
-        "coefficient": report.growth_fit.coefficient,
-        "r_squared": report.growth_fit.r_squared,
-        "radii": report.radii,
-        "partial_sums": report.partial_sums,
-        "degenerate": report.degenerate,
-        "edge_mass": report.edge_mass,
-        "boundary_dominated": report.boundary_dominated,
-    }
+def _density_fields(rep):
+    return {**_json.fields(rep), "trials": [{"a": t.a, "verdict": t.verdict} for t in rep.trials]}
 
 
-def _density_dict(rep):
-    return {
-        "a_lower": rep.a_lower,
-        "a_upper": rep.a_upper,
-        "polya_class": rep.polya_class,
-        "gap_lower": rep.gap_lower,
-        "gap_upper": rep.gap_upper,
-        "radii": rep.radii,
-        "a_tolerance": rep.a_tolerance,
-        "resolution_ok": rep.resolution_ok,
-        "delta": rep.delta,
-        "n_points": rep.n_points,
-        "window": list(rep.window),
-        "trials": [{"a": t.a, "verdict": t.verdict} for t in rep.trials],
-    }
-
-
-def _witness_dict(witness):
-    if witness is None:
-        return None
-    return {
-        "ladder": witness.ladder,
-        "ratios": witness.ratios,
-        "intervals": [
-            {"left": left, "right": right}
-            for left, right in zip(witness.family.left.tolist(), witness.family.right.tolist())
-        ],
-        "shortness": _shortness_dict(witness.shortness),
-    }
+def _intervals(fam, keys=("left", "right")):
+    return [dict(zip(keys, row)) for row in zip(fam.left.tolist(), fam.right.tolist(), fam.flags)]
 
 
 def _cmd_density(parser, args) -> int:
@@ -278,7 +244,7 @@ def _cmd_density(parser, args) -> int:
     rep = interior_density(seq, radii=ladder, a_tolerance=args.tol)
     payload = {
         "params": {"command": "density", "seq": spec, "radius": radius, "tol": args.tol},
-        **_density_dict(rep),
+        **_density_fields(rep),
     }
     _emit(args, payload)
     if args.csv_out:
@@ -298,9 +264,12 @@ def _cmd_classify(parser, args) -> int:
     payload = {
         "params": {"command": "classify", "seq": spec, "radius": radius, "tol": args.tol},
         "polya_class": polya_class,
-        "density": _density_dict(density),
-        "witness": _witness_dict(witness),
+        "density": _density_fields(density),
+        "witness": None,
     }
+    if witness is not None:
+        payload["witness"] = fields = _json.fields(witness)
+        fields["intervals"] = _intervals(fields.pop("family"))
     _emit(args, payload)
     if args.csv_out:
         blocks = [("trials", "a,verdict", [(t.a, t.verdict) for t in density.trials])]
@@ -329,10 +298,7 @@ def _cmd_bm(parser, args) -> int:
             "window": list(window),
         },
         "count": len(fam),
-        "intervals": [
-            {"left": left, "right": right, "flag": flag}
-            for left, right, flag in zip(fam.left.tolist(), fam.right.tolist(), fam.flags)
-        ],
+        "intervals": _intervals(fam, ("left", "right", "flag")),
     }
     _emit(args, payload)
     if args.csv_out:
@@ -347,8 +313,9 @@ def _cmd_short(parser, args) -> int:
         if args.radius:
             r_max = args.radius[0]
         elif len(fam):
-            # sorted and disjoint: the extreme endpoints are the outermost ones
-            r_max = max(abs(fam.left[0]), abs(fam.right[-1]))
+            # sorted and disjoint: the extreme endpoints are the outermost ones; the
+            # floor keeps the first rung, r_max/2^7, above the smallest normal double
+            r_max = max(abs(fam.left[0]), abs(fam.right[-1]), 2.0**8 * sys.float_info.min)
         else:
             r_max = 16.0
         ladder = default_radius_ladder(r_max)
@@ -356,7 +323,7 @@ def _cmd_short(parser, args) -> int:
     payload = {
         "params": {"command": "short", "family": args.family, "radii": ladder},
         "count": len(fam),
-        **_shortness_dict(rep),
+        **_json.fields(rep),
     }
     _emit(args, payload)
     if args.csv_out:
@@ -376,15 +343,7 @@ def _cmd_gap_probe(parser, args) -> int:
             "gap": args.gap,
             "sizes": sizes,
         },
-        "classification": rep.classification,
-        "sizes": rep.sizes,
-        "min_eigenvalues": rep.min_eigenvalues,
-        "floored_eigenvalues": rep.floored_eigenvalues,
-        "noise_floors": rep.noise_floors,
-        "fall_factor": rep.fall_factor,
-        "step_ratios": rep.step_ratios,
-        "vector_l1": rep.vector_l1,
-        "breakdown": rep.breakdown,
+        **_json.fields(rep),
     }
     _emit(args, payload)
     if args.csv_out:
@@ -422,13 +381,7 @@ def _cmd_gap_measure(parser, args) -> int:
     }
     if args.verify_interval:
         lo, hi = _parse_pair(parser, args.verify_interval, "--verify-interval")
-        check = verify_gap(mu, (lo, hi), args.grid_step)
-        payload["verify"] = {
-            "interval": [lo, hi],
-            "grid_step": check.grid_step,
-            "max_abs": check.max_abs,
-            "argmax": check.argmax,
-        }
+        payload["verify"] = verify_gap(mu, (lo, hi), args.grid_step)
     else:
         check_grid_step(args.grid_step)  # unused, but echoed under params
     _emit(args, payload)
@@ -454,12 +407,7 @@ def _cmd_cauchy(parser, args) -> int:
             "tol": args.tol,
         },
         "half_gap": a / 2.0,
-        "verdict": rep.verdict,
-        "x": rep.x,
-        "tolerance": rep.tolerance,
-        "y_values": rep.y_values,
-        "plus": {"rate": rep.plus.rate, "log_abs": rep.plus.log_abs},
-        "minus": {"rate": rep.minus.rate, "log_abs": rep.minus.log_abs},
+        **_json.fields(rep),
     }
     _emit(args, payload)
     if args.csv_out:
@@ -481,11 +429,7 @@ def _cmd_ftype(parser, args) -> int:
             "y_max": args.y_max,
             "y_count": args.y_count,
         },
-        "fitted_type": est.fitted_type,
-        "fitted_sqrt_coeff": est.fitted_sqrt_coeff,
-        "y_max": est.y_max,
-        "y_values": est.y_values,
-        "log_moduli": est.log_moduli,
+        **_json.fields(est),
     }
     _emit(args, payload)
     if args.csv_out:
@@ -599,7 +543,7 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(parser, args)
-    except (UnknownGenerator, BadArgument) as exc:
+    except BadArgument as exc:
         parser.error(str(exc))
     except (OSError, BadDataFile, DuplicatePoint, NotSeparated, EmptyRange) as exc:
         print(f"{parser.prog}: data error: {exc}", file=sys.stderr)

@@ -182,17 +182,12 @@ def shortness_partial_sum(family: IntervalFamily, radius: float) -> float:
 
 
 @dataclass
-class GrowthFit:
-    model: str           # Bounded | LogGrowth | Other
-    coefficient: float
-    r_squared: float
-
-
-@dataclass
 class ShortnessReport:
     radii: list[float]
     partial_sums: list[float]
-    growth_fit: GrowthFit
+    model: str           # growth fit of the partial sums: Bounded | LogGrowth | Other
+    coefficient: float
+    r_squared: float
     verdict: str
     degenerate: bool = False
     edge_mass: list[float] | None = None
@@ -272,15 +267,13 @@ def classify_short_long(family_at_radius, radii) -> ShortnessReport:
 
     degenerate = all(len(f) == 0 for f in families)
     if degenerate:
-        fit = GrowthFit("Bounded", 0.0, 1.0)
-        return ShortnessReport(radii, sums, fit, SHORT, degenerate=True)
+        return ShortnessReport(radii, sums, "Bounded", 0.0, 1.0, SHORT, degenerate=True)
 
     half = _half_index(radii)
     if half is not None:
         rel_inc = (sums[-1] - sums[half]) / max(sums[-1], 1e-300)
         if rel_inc <= TAU_CONV and sums[-1] <= SUM_CAP:
-            fit = GrowthFit("Bounded", sums[-1], 1.0)
-            return ShortnessReport(radii, sums, fit, SHORT)
+            return ShortnessReport(radii, sums, "Bounded", sums[-1], 1.0, SHORT)
 
     # power growth first: a log-log line with a clearly positive slope; the
     # log-growth test would also score well on power data but not vice versa
@@ -290,16 +283,13 @@ def classify_short_long(family_at_radius, radii) -> ShortnessReport:
             np.log([r for r, _ in positive]), np.log([s for _, s in positive])
         ) or (0.0, 0.0)
         if slope >= POWER_SLOPE_MIN and r2 >= R2_MIN:
-            fit = GrowthFit("Other", slope, r2)
-            return ShortnessReport(radii, sums, fit, LONG)
+            return ShortnessReport(radii, sums, "Other", slope, r2, LONG)
 
     slope, r2 = linear_fit(np.log(radii), sums) or (0.0, 0.0)
     if slope >= LOG_SLOPE_MIN and r2 >= R2_MIN:
-        fit = GrowthFit("LogGrowth", slope, r2)
-        return ShortnessReport(radii, sums, fit, LONG)
+        return ShortnessReport(radii, sums, "LogGrowth", slope, r2, LONG)
 
-    fit = GrowthFit("Other", slope, r2)
-    return ShortnessReport(radii, sums, fit, INCONCLUSIVE)
+    return ShortnessReport(radii, sums, "Other", slope, r2, INCONCLUSIVE)
 
 
 def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:

@@ -54,7 +54,3 @@ class NumericalBreakdown(BmLabError):
 
 class BadDataFile(BmLabError):
     """An input data file exists but cannot be parsed."""
-
-
-class UnknownGenerator(BmLabError):
-    """A sequence spec string does not match the generator grammar."""

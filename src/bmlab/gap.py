@@ -221,8 +221,7 @@ def verify_gap(mu: DiscreteMeasure, interval, grid_step: float) -> GapCheck:
 
 @dataclass
 class CauchyBranch:
-    values: np.ndarray       # exp(sign*x*y) * sum w_n/(lambda_n - sign*i*y)
-    log_abs: np.ndarray      # stable log magnitudes, fit input
+    log_abs: np.ndarray      # log |exp(sign*x*y) * sum w_n/(lambda_n - sign*i*y)|, fit input
     rate: float              # least squares slope of log_abs against y, top half
 
 
@@ -237,19 +236,12 @@ class CauchyDecayReport:
 
 
 def _cauchy_branch(mu: DiscreteMeasure, x: float, ys: np.ndarray, sign: float) -> CauchyBranch:
-    vals = np.empty(ys.size, dtype=complex)
     log_abs = np.empty(ys.size, dtype=float)
     for k, y in enumerate(ys):
-        s = np.sum(mu.weights / (mu.points - sign * 1j * y))
-        mag = abs(s)
-        expo = sign * x * y
-        log_abs[k] = expo + (math.log(mag) if mag > 0.0 else -math.inf)
-        if expo < 700.0:
-            vals[k] = s * math.exp(expo)
-        else:
-            vals[k] = complex(math.inf, math.inf)  # magnitude tracked in log_abs
+        mag = abs(np.sum(mu.weights / (mu.points - sign * 1j * y)))
+        log_abs[k] = sign * x * y + (math.log(mag) if mag > 0.0 else -math.inf)
     rate = top_half_slope(ys, log_abs, too_few=-math.inf, flat=0.0)
-    return CauchyBranch(vals, log_abs, rate)
+    return CauchyBranch(log_abs, rate)
 
 
 def cauchy_decay(mu: DiscreteMeasure, x: float, y_values, tolerance: float = 1e-6) -> CauchyDecayReport:
@@ -316,7 +308,6 @@ def gram_matrix(points, a: float, centered: bool = False) -> np.ndarray:
 
 @dataclass
 class GapProbeReport:
-    gap_length: float
     sizes: list[int]
     min_eigenvalues: list[float]       # raw eigensolver output
     floored_eigenvalues: list[float]   # raw floored at the backward error scale
@@ -422,7 +413,6 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
         classification = INCONCLUSIVE
 
     return GapProbeReport(
-        gap_length=float(a),
         sizes=sizes[: len(raw)] if breakdown else sizes,
         min_eigenvalues=raw,
         floored_eigenvalues=floored,

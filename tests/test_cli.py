@@ -190,6 +190,83 @@ def test_json_strings_escape_by_the_rule():
         assert _json.dumps({text: 0}) == "{" + want + ": 0}", repr(text)
 
 
+def key_paths(obj, prefix=""):
+    """The nested key tree of a JSON value as sorted dotted paths; a list
+    of objects contributes its first element's keys under ``[]``."""
+    if isinstance(obj, dict):
+        paths = []
+        for k, v in obj.items():
+            paths += key_paths(v, f"{prefix}{k}.") or [prefix + k]
+        return sorted(paths)
+    if isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        return key_paths(obj[0], prefix[:-1] + "[].")
+    return []
+
+
+DENSITY_KEYS = """a_lower a_tolerance a_upper delta gap_lower gap_upper n_points polya_class
+    radii resolution_ok trials[].a trials[].verdict window""".split()
+SHORTNESS_KEYS = """boundary_dominated coefficient degenerate edge_mass model partial_sums
+    r_squared radii verdict""".split()
+MEASURE_KEYS = """margin n_atoms params.command params.gap params.grid_step params.n
+    params.smoothness params.verify_interval total_variation""".split()
+SEQ_PARAMS = "params.command params.radius params.seq".split()
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["density", "--seq", "lattice:1", "--radius", 100], [*DENSITY_KEYS, *SEQ_PARAMS, "params.tol"]),
+        (
+            ["classify", "--seq", "lattice:1", "--radius", 100],
+            [*("density." + k for k in DENSITY_KEYS), *SEQ_PARAMS, "params.tol", "polya_class", "witness"],
+        ),
+        (
+            ["classify", "--seq", "squares", "--radius", "1e4"],
+            [
+                *("density." + k for k in DENSITY_KEYS), *SEQ_PARAMS, "params.tol", "polya_class",
+                "witness.intervals[].left", "witness.intervals[].right", "witness.ladder", "witness.ratios",
+                *("witness.shortness." + k for k in SHORTNESS_KEYS),
+            ],
+        ),
+        (
+            ["bm", "--seq", "lattice:1", "--radius", 20, "--a", 1.2],
+            ["count", "intervals[].flag", "intervals[].left", "intervals[].right", *SEQ_PARAMS,
+             "params.a", "params.window"],
+        ),
+        (["short", "--family", "{fam}"], [*SHORTNESS_KEYS, "count", "params.command", "params.family", "params.radii"]),
+        (
+            ["gap-probe", "--seq", "lattice:1", "--radius", 101, "--gap", 3, "--n", 11, "--n", 21],
+            ["breakdown", "classification", "fall_factor", "floored_eigenvalues", "min_eigenvalues",
+             "noise_floors", *SEQ_PARAMS, "params.gap", "params.sizes", "sizes", "step_ratios", "vector_l1"],
+        ),
+        (["gap-measure", "--gap", 2, "--n", 64], MEASURE_KEYS),
+        (
+            ["gap-measure", "--gap", 2, "--n", 64, "--verify-interval", "2.5,3.5"],
+            [*MEASURE_KEYS, "verify.argmax", "verify.grid_step", "verify.interval", "verify.max_abs"],
+        ),
+        (
+            ["cauchy", "--gap", 3, "--x", 0.5],
+            ["half_gap", "minus.log_abs", "minus.rate", "params.command", "params.gap", "params.n",
+             "params.tol", "params.x", "params.y_count", "params.y_max", "params.y_min", "plus.log_abs",
+             "plus.rate", "tolerance", "verdict", "x", "y_values"],
+        ),
+        (
+            ["ftype", "--y-count", 16],
+            ["fitted_sqrt_coeff", "fitted_type", "log_moduli", "params.command", "params.function",
+             "params.y_count", "params.y_max", "params.y_min", "y_max", "y_values"],
+        ),
+    ],
+    ids="density classify classify-witness bm short gap-probe gap-measure gap-measure-verify cauchy ftype".split(),
+)
+def test_json_key_tree_of_every_subcommand(tmp_path, argv, keys):
+    # JSON prints a report as its own fields, so an added or dropped field shows up here
+    fam = tmp_path / "fam.csv"
+    fam.write_text("1,2,Interior\n4,8,TouchesWindowEdge\n")
+    code, payload = run_json([str(a).format(fam=fam) for a in argv])
+    assert code in (0, 2)
+    assert key_paths(payload) == sorted(keys)
+
+
 def test_params_echo_resolved_arguments():
     _, payload = run_json(["density", "--seq", "lattice:0.5", "--radius", 20])
     assert payload["params"] == {
@@ -514,6 +591,16 @@ def test_default_ladder_of_a_data_file_beyond_the_bound_ends_at_it(tmp_path):
         density = payload if command == "density" else payload["density"]
         assert code == 0 and density["radii"][-1] == 1e50
         assert payload["polya_class"] == "NotPolya"
+
+
+def test_default_ladder_of_a_family_at_subnormal_endpoints_is_classified(tmp_path):
+    # r_max/2^7 would be subnormal; the ladder the user never gave ends at 2^8 * 2.2e-308 instead
+    fam = tmp_path / "fam.csv"
+    fam.write_text("1e-310,2e-310\n")
+    code, payload = run_json(["short", "--family", fam])
+    assert code == 0 and payload["verdict"] == "Short"
+    assert payload["radii"][0] == 2.0 * sys.float_info.min
+    assert payload["radii"][-1] == 2.0**8 * sys.float_info.min
 
 
 def test_every_csv_cell_is_a_label_or_a_float(tmp_path):

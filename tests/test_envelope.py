@@ -336,8 +336,8 @@ def test_classify_dyadic_long():
     radii = [float(2**k) for k in range(4, 21)]
     report = classify_short_long(fam_at, radii)
     assert report.verdict == LONG
-    assert report.growth_fit.model == "LogGrowth"
-    assert report.growth_fit.r_squared > 0.99
+    assert report.model == "LogGrowth"
+    assert report.r_squared > 0.99
 
 
 def test_classify_empty_family_short_flagged():
@@ -365,7 +365,7 @@ def test_classify_power_growth_is_other_model():
     radii = [float(4**k) for k in range(1, 9)]
     report = classify_short_long(fam_at, radii)
     assert report.verdict == LONG
-    assert report.growth_fit.model == "Other"
+    assert report.model == "Other"
 
 
 # ---------------------------------------------------------------- bm_family

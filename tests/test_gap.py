@@ -374,9 +374,9 @@ def test_cauchy_delta_measure_trivial_sense():
     mu = DiscreteMeasure(np.array([0.0]), np.array([1.0 + 0j]))
     ys = np.geomspace(1e2, 1e7, 16)
     rep = cauchy_decay(mu, 0.0, ys)
-    # closed form 1/(-iy) on the +i branch
-    for y, v in zip(ys, rep.plus.values):
-        assert v == pytest.approx(1.0 / (0.0 - 1j * y), rel=1e-12)
+    # closed form |1/(-+iy)| = 1/y on both branches
+    for branch in (rep.plus, rep.minus):
+        assert branch.log_abs == pytest.approx(-np.log(ys), rel=1e-12)
     assert rep.verdict == "VanishesCompatible"
     assert abs(rep.plus.rate) < 1e-5
     assert abs(rep.minus.rate) < 1e-5
@@ -414,12 +414,13 @@ def test_cauchy_requires_increasing_positive_ladder():
 
 
 def test_cauchy_overflow_saturates_to_inf():
-    # e^{xy} beyond the double range must saturate, not raise
+    # e^{xy} beyond the double range must not raise: the magnitude lives in log scale
     mu = DiscreteMeasure(np.array([1.0]), np.array([1.0 + 0j]))
     rep = cauchy_decay(mu, 100.0, np.array([2.0, 4.0, 8.0, 16.0]))
     assert rep.verdict == "Not"
-    assert math.isinf(abs(rep.plus.values[-1]))
     assert np.all(np.isfinite(rep.plus.log_abs))
+    # closed form at x*y = 1600: 1600 + log|1/(1 - 16i)|
+    assert rep.plus.log_abs[-1] == pytest.approx(1600.0 - 0.5 * math.log(257.0), rel=1e-15)
 
 
 # -------------------------------------------------------------- gram matrix
