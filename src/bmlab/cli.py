@@ -4,10 +4,15 @@ Each run prints a single JSON object on stdout (or to ``--out``);
 ``--csv-out`` writes plot-friendly curves next to it.  JSON output is
 deterministic: keys are sorted and floats are printed with 17 significant
 digits, so identical argv and input files give byte-identical bytes.
-Every JSON object embeds the resolved parameter set under ``params``;
-the rest is the report, printed as its own fields.  Two projections are
-narrower than their types: a density trial prints as {a, verdict}, its
-shortness evidence going to the CSV, and an interval family as a list of
+Every JSON object embeds the resolved parameter set under ``params``:
+every flag under its dest except ``--out``, ``--csv-out`` and
+``--input``, with the values a command resolves in place of the raw ones
+(``seq`` folds ``--input`` into ``file:<path>``, ``radius`` is the
+largest given; ``window``, ``radii``, ``sizes`` and ``n`` are the ones
+used).  A flag is thus declared once, in the parser.  The rest is the
+report, printed as its own fields.  Two projections are narrower than
+their types: a density trial prints as {a, verdict}, its shortness
+evidence going to the CSV, and an interval family as a list of
 {left, right[, flag]} objects rather than as columns.
 
 Exit codes: 0 definite verdict (and pure construction/dump commands),
@@ -22,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -51,9 +57,9 @@ from .errors import (
     WindowTooSmall,
 )
 from .gap import (
-    TWO_PI,
     cauchy_decay,
     check_grid_step,
+    design_margin,
     lattice_gap_measure,
     measure_to_csv,
     min_gap_residual,
@@ -88,6 +94,15 @@ Built-in generators require --radius; file sources use it as an optional cut."""
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 64 plus grammar."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a value starting with "-" for a flag unless it is a
+        # plain decimal, so "--window -10,10" or "--a -1e-3" would fail with
+        # "expected one argument"; no bm-lab flag starts with "-" and a digit,
+        # ".digit", "inf" or "nan", so such a value is always a value.  There
+        # is no public hook for this; subparsers are _Parser too.
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -166,30 +181,28 @@ def parse_generator(spec: str, radius: float | None = None):
     return load_sequence(n + n / np.log(np.abs(n) + 2.0)).within(radius)
 
 
-def _seq_spec(parser, args) -> str:
-    if args.seq and args.input:
-        parser.error("use exactly one of --seq and --input")
-    if args.input:
-        return f"file:{args.input}"
-    if args.seq:
-        return args.seq
-    parser.error("one of --seq or --input is required")
-
-
-def _evidence_ladder(parser, args):
+def _evidence_ladder(parser, radii):
     """Explicit radius ladder when --radius is repeated, else None."""
-    if args.radius and len(args.radius) > 1:
-        ladder = sorted(set(args.radius))
+    if radii and len(radii) > 1:
+        ladder = sorted(set(radii))
         if len(ladder) < 4:
             parser.error("an explicit radius ladder needs at least 4 distinct values")
         return ladder
     return None
 
 
-def _build_sequence(parser, args):
-    spec = _seq_spec(parser, args)
+def _build_sequence(args):
+    spec = args.seq if args.input is None else f"file:{args.input}"
     radius = max(args.radius) if args.radius else None
     return parse_generator(spec, radius), spec, radius
+
+
+_NOT_ECHOED = ("handler", "out", "csv_out", "input")
+
+
+def _params(args, **resolved):
+    """The parsed flags by dest, with the values the command resolved in place of the raw ones."""
+    return {**{k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}, **resolved}
 
 
 def _parse_pair(parser, text, flag):
@@ -239,13 +252,10 @@ def _intervals(fam, keys=("left", "right")):
 
 
 def _cmd_density(parser, args) -> int:
-    seq, spec, radius = _build_sequence(parser, args)
-    ladder = _evidence_ladder(parser, args)
+    seq, spec, radius = _build_sequence(args)
+    ladder = _evidence_ladder(parser, args.radius)
     rep = interior_density(seq, radii=ladder, a_tolerance=args.tol)
-    payload = {
-        "params": {"command": "density", "seq": spec, "radius": radius, "tol": args.tol},
-        **_density_fields(rep),
-    }
+    payload = {"params": _params(args, seq=spec, radius=radius), **_density_fields(rep)}
     _emit(args, payload)
     if args.csv_out:
         sums = [(t.a, r, s) for t in rep.trials for r, s in zip(t.shortness.radii, t.shortness.partial_sums)]
@@ -255,14 +265,14 @@ def _cmd_density(parser, args) -> int:
 
 
 def _cmd_classify(parser, args) -> int:
-    seq, spec, radius = _build_sequence(parser, args)
-    ladder = _evidence_ladder(parser, args)
+    seq, spec, radius = _build_sequence(args)
+    ladder = _evidence_ladder(parser, args.radius)
     density = interior_density(seq, radii=ladder, a_tolerance=args.tol)
     witness = null_ratio_witness(seq)
     # a long null-ratio family is a certificate, it overrides the bracket
     polya_class = NOT_POLYA if witness is not None else density.polya_class
     payload = {
-        "params": {"command": "classify", "seq": spec, "radius": radius, "tol": args.tol},
+        "params": _params(args, seq=spec, radius=radius),
         "polya_class": polya_class,
         "density": _density_fields(density),
         "witness": None,
@@ -281,7 +291,7 @@ def _cmd_classify(parser, args) -> int:
 
 
 def _cmd_bm(parser, args) -> int:
-    seq, spec, radius = _build_sequence(parser, args)
+    seq, spec, radius = _build_sequence(args)
     if args.window:
         window = _parse_pair(parser, args.window, "--window")
     elif radius is not None:
@@ -290,13 +300,7 @@ def _cmd_bm(parser, args) -> int:
         window = seq.window
     fam = bm_family(gamma_line(seq, args.a), window)
     payload = {
-        "params": {
-            "command": "bm",
-            "seq": spec,
-            "radius": radius,
-            "a": args.a,
-            "window": list(window),
-        },
+        "params": _params(args, seq=spec, radius=radius, window=list(window)),
         "count": len(fam),
         "intervals": _intervals(fam, ("left", "right", "flag")),
     }
@@ -308,10 +312,10 @@ def _cmd_bm(parser, args) -> int:
 
 def _cmd_short(parser, args) -> int:
     fam = family_from_csv(args.family)
-    ladder = _evidence_ladder(parser, args)
+    ladder = _evidence_ladder(parser, args.radii)
     if ladder is None:
-        if args.radius:
-            r_max = args.radius[0]
+        if args.radii:
+            r_max = args.radii[0]
         elif len(fam):
             # sorted and disjoint: the extreme endpoints are the outermost ones; the
             # floor keeps the first rung, r_max/2^7, above the smallest normal double
@@ -320,11 +324,7 @@ def _cmd_short(parser, args) -> int:
             r_max = 16.0
         ladder = default_radius_ladder(r_max)
     rep = classify_short_long(lambda _r: fam, ladder)
-    payload = {
-        "params": {"command": "short", "family": args.family, "radii": ladder},
-        "count": len(fam),
-        **_json.fields(rep),
-    }
+    payload = {"params": _params(args, radii=ladder), "count": len(fam), **_json.fields(rep)}
     _emit(args, payload)
     if args.csv_out:
         write_csv(args.csv_out, (None, "radius,partial_sum", zip(rep.radii, rep.partial_sums)))
@@ -332,19 +332,10 @@ def _cmd_short(parser, args) -> int:
 
 
 def _cmd_gap_probe(parser, args) -> int:
-    seq, spec, radius = _build_sequence(parser, args)
-    sizes = sorted(set(args.n or (21, 51, 101, 201)))
+    seq, spec, radius = _build_sequence(args)
+    sizes = sorted(set(args.sizes or (21, 51, 101, 201)))
     rep = min_gap_residual(seq, args.gap, sizes)
-    payload = {
-        "params": {
-            "command": "gap-probe",
-            "seq": spec,
-            "radius": radius,
-            "gap": args.gap,
-            "sizes": sizes,
-        },
-        **_json.fields(rep),
-    }
+    payload = {"params": _params(args, seq=spec, radius=radius, sizes=sizes), **_json.fields(rep)}
     _emit(args, payload)
     if args.csv_out:
         header = "size,min_eigenvalue,floored,noise_floor,vector_l1"
@@ -367,17 +358,10 @@ def _cmd_gap_measure(parser, args) -> int:
     smooth = _parse_smoothness(parser, args.smoothness)
     mu = lattice_gap_measure(a, n, smooth)
     payload = {
-        "params": {
-            "command": "gap-measure",
-            "gap": a,
-            "n": n,
-            "smoothness": args.smoothness,
-            "verify_interval": args.verify_interval,
-            "grid_step": args.grid_step,
-        },
+        "params": _params(args, n=n),
         "n_atoms": len(mu),
         "total_variation": mu.total_variation,
-        "margin": (TWO_PI - a) / 8.0,
+        "margin": design_margin(a),
     }
     if args.verify_interval:
         lo, hi = _parse_pair(parser, args.verify_interval, "--verify-interval")
@@ -395,20 +379,7 @@ def _cmd_cauchy(parser, args) -> int:
     ys = _y_ladder(parser, args, "linear")
     mu = symmetric_gap_measure(a / 2.0, n)
     rep = cauchy_decay(mu, args.x, ys, args.tol)
-    payload = {
-        "params": {
-            "command": "cauchy",
-            "gap": a,
-            "n": n,
-            "x": args.x,
-            "y_min": args.y_min,
-            "y_max": args.y_max,
-            "y_count": args.y_count,
-            "tol": args.tol,
-        },
-        "half_gap": a / 2.0,
-        **_json.fields(rep),
-    }
+    payload = {"params": _params(args, n=n), "half_gap": a / 2.0, **_json.fields(rep)}
     _emit(args, payload)
     if args.csv_out:
         rows = zip(rep.y_values, rep.plus.log_abs, rep.minus.log_abs)
@@ -421,36 +392,28 @@ def _cmd_ftype(parser, args) -> int:
     # resolved per call from the module globals, so a rebound bmlab.cli.log_abs_* is what runs
     log_modulus = log_abs_qcos if args.function == "qcos" else log_abs_cos
     est = type_estimate(log_modulus, ys)
-    payload = {
-        "params": {
-            "command": "ftype",
-            "function": args.function,
-            "y_min": args.y_min,
-            "y_max": args.y_max,
-            "y_count": args.y_count,
-        },
-        **_json.fields(est),
-    }
+    payload = {"params": _params(args), **_json.fields(est)}
     _emit(args, payload)
     if args.csv_out:
         write_csv(args.csv_out, (None, "y,log_modulus", zip(est.y_values, est.log_moduli)))
     return EXIT_OK
 
 
-def _add_out_flags(p) -> None:
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--csv-out", help="write plot-friendly curves to this CSV file")
-
-
-def _add_seq_flags(p) -> None:
-    p.add_argument("--seq", help="sequence generator spec; see the grammar below --help")
-    p.add_argument("--input", help="sequence file path, same as --seq file:<path>")
-    p.add_argument(
-        "--radius",
-        action="append",
-        type=float,
-        help="window radius; repeat 4+ times for an explicit evidence ladder",
-    )
+def _subcommand(sub, name, handler, summary, seq=False):
+    """A subparser whose handler runs with it; ``seq`` adds the sequence source flags."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(handler=(handler, p))
+    if seq:
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--seq", help="sequence generator spec; see the grammar below --help")
+        source.add_argument("--input", help="sequence file path, same as --seq file:<path>")
+        p.add_argument(
+            "--radius",
+            action="append",
+            type=float,
+            help="window radius; repeat 4+ times for an explicit evidence ladder",
+        )
+    return p
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls
@@ -464,59 +427,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("density", help="bracket the interior density by bisection")
-    p.set_defaults(handler=_cmd_density)
-    _add_seq_flags(p)
-    p.add_argument("--tol", type=float, default=0.05, help="bracket tolerance on a")
-    _add_out_flags(p)
+    for name, handler, summary in (
+        ("density", _cmd_density, "bracket the interior density by bisection"),
+        ("classify", _cmd_classify, "full classification: density bracket plus witness search"),
+    ):
+        p = _subcommand(sub, name, handler, summary, seq=True)
+        p.add_argument("--tol", type=float, default=0.05, help="bracket tolerance on a")
 
-    p = sub.add_parser("classify", help="full classification: density bracket plus witness search")
-    p.set_defaults(handler=_cmd_classify)
-    _add_seq_flags(p)
-    p.add_argument("--tol", type=float, default=0.05, help="bracket tolerance on a")
-    _add_out_flags(p)
-
-    p = sub.add_parser("bm", help="dump the envelope interval family of a*x - n(x)")
-    p.set_defaults(handler=_cmd_bm)
-    _add_seq_flags(p)
+    p = _subcommand(sub, "bm", _cmd_bm, "dump the envelope interval family of a*x - n(x)", seq=True)
     p.add_argument("--a", type=float, required=True, help="slope of the test line")
     p.add_argument("--window", help="computation window lo,hi (default -radius,radius)")
-    _add_out_flags(p)
 
-    p = sub.add_parser("short", help="classify an interval family file as Short or Long")
-    p.set_defaults(handler=_cmd_short)
+    p = _subcommand(sub, "short", _cmd_short, "classify an interval family file as Short or Long")
     p.add_argument("--family", required=True, help="CSV file with left,right[,flag] rows")
     p.add_argument(
         "--radius",
         action="append",
         type=float,
+        dest="radii",
+        metavar="RADIUS",
         help="evidence radius; repeat 4+ times for an explicit ladder",
     )
-    _add_out_flags(p)
 
-    p = sub.add_parser("gap-probe", help="smallest Gram eigenvalue along growing windows")
-    p.set_defaults(handler=_cmd_gap_probe)
-    _add_seq_flags(p)
+    p = _subcommand(sub, "gap-probe", _cmd_gap_probe, "smallest Gram eigenvalue along growing windows", seq=True)
     p.add_argument("--gap", type=float, required=True, help="interval length a of the Gram inner product")
     p.add_argument(
         "--n",
         action="append",
         type=int,
+        dest="sizes",
+        metavar="N",
         help="window sizes (repeatable); default 21 51 101 201",
     )
-    _add_out_flags(p)
 
-    p = sub.add_parser("gap-measure", help="design an integer-atom measure with a spectral gap")
-    p.set_defaults(handler=_cmd_gap_measure)
+    p = _subcommand(sub, "gap-measure", _cmd_gap_measure, "design an integer-atom measure with a spectral gap")
     p.add_argument("--gap", type=float, required=True, help="designed gap length a in (0, 2*pi)")
     p.add_argument("--n", action="append", type=int, help="coefficient cutoff N (default 256)")
     p.add_argument("--smoothness", default="inf", help="'inf' or an integer k for a C^k bump")
     p.add_argument("--verify-interval", help="check max |transform| on lo,hi")
     p.add_argument("--grid-step", type=float, default=1e-3, help="verification grid step")
-    _add_out_flags(p)
 
-    p = sub.add_parser("cauchy", help="Cauchy transform decay test on a symmetric gap measure")
-    p.set_defaults(handler=_cmd_cauchy)
+    p = _subcommand(sub, "cauchy", _cmd_cauchy, "Cauchy transform decay test on a symmetric gap measure")
     p.add_argument("--gap", type=float, required=True, help="symmetric gap length; transform vanishes on +-gap/2")
     p.add_argument("--n", action="append", type=int, help="coefficient cutoff N (default 256)")
     p.add_argument("--x", type=float, required=True, help="test abscissa of the decay criterion")
@@ -524,32 +475,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-max", type=float, default=20.0)
     p.add_argument("--y-count", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-6, help="terminal magnitude for VanishesCompatible")
-    _add_out_flags(p)
 
-    p = sub.add_parser("ftype", help="exponential type fit along the imaginary axis")
-    p.set_defaults(handler=_cmd_ftype)
+    p = _subcommand(sub, "ftype", _cmd_ftype, "exponential type fit along the imaginary axis")
     p.add_argument("--function", choices=("qcos", "cos"), default="qcos")
     p.add_argument("--y-min", type=float, default=10.0)
     p.add_argument("--y-max", type=float, default=1e6)
     p.add_argument("--y-count", type=int, default=64)
-    _add_out_flags(p)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write the JSON report here instead of stdout")
+        p.add_argument("--csv-out", help="write plot-friendly curves to this CSV file")
 
     return parser
 
 
 def run(argv) -> int:
     """Execute one subcommand; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    root = build_parser()
+    args = root.parse_args(argv)
+    handler, parser = args.handler
     try:
-        return args.handler(parser, args)
+        return handler(parser, args)
     except BadArgument as exc:
         parser.error(str(exc))
     except (OSError, BadDataFile, DuplicatePoint, NotSeparated, EmptyRange) as exc:
-        print(f"{parser.prog}: data error: {exc}", file=sys.stderr)
+        print(f"{root.prog}: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except BmLabError as exc:
-        print(f"{parser.prog}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"{root.prog}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -53,6 +53,7 @@ Polya sequence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,9 +106,15 @@ class DensityReport:
 
 
 def default_radius_ladder(r_max: float) -> list[float]:
-    """Doubling ladder of 8 rungs ending at r_max."""
+    """Doubling ladder of 8 rungs ending at r_max, within the range
+    ``increasing_ladder`` accepts: first rung above the smallest normal
+    double, last at most ENDPOINT_BOUND."""
     if not 0.0 < r_max < math.inf:
         raise BadArgument(f"r_max must be positive and finite, got {r_max!r}")
+    if not (r_max / 2.0**7 > sys.float_info.min and r_max <= ENDPOINT_BOUND):
+        raise BadArgument(
+            f"r_max must be in (2^7 * 2.2e-308, {ENDPOINT_BOUND:g}] for 8 doubling rungs, got {r_max!r}"
+        )
     return [r_max / 2.0 ** (7 - j) for j in range(8)]
 
 

@@ -93,6 +93,11 @@ def _bump(t, width: float, smoothness) -> np.ndarray:
     return out
 
 
+def design_margin(a: float) -> float:
+    """Margin m = (2*pi - a)/8 between the designed gap [0, a] and the bump."""
+    return (TWO_PI - a) / 8.0
+
+
 def lattice_gap_measure(a: float, n_terms: int, smoothness="inf") -> DiscreteMeasure:
     """Design an integer-atom measure whose transform vanishes on [0, a].
 
@@ -125,7 +130,7 @@ def lattice_gap_measure(a: float, n_terms: int, smoothness="inf") -> DiscreteMea
         raise BadArgument(f"n_terms must be at least 32, got {n_terms}")
     if n_terms > TERMS_CAP:
         raise SizeGuard(f"n_terms {n_terms} beyond the cap {TERMS_CAP}")
-    margin = (TWO_PI - a) / 8.0
+    margin = design_margin(a)
     lo = a + margin
     width = (TWO_PI - margin) - lo
     nodes = 1 << (16 * n_terms - 1).bit_length()
@@ -213,10 +218,9 @@ def verify_gap(mu: DiscreteMeasure, interval, grid_step: float) -> GapCheck:
     if not steps < GRID_POINTS_CAP:
         raise SizeGuard(f"grid of {steps + 1:.3g} points beyond the cap {GRID_POINTS_CAP}")
     count = int(math.floor(steps)) + 1
-    xs = lo + grid_step * np.arange(count)
     vals = np.abs(_grid_transform(mu, lo, grid_step, count))
     k = int(np.argmax(vals))
-    return GapCheck((lo, hi), grid_step, float(vals[k]), float(xs[k]))
+    return GapCheck((lo, hi), grid_step, float(vals[k]), lo + grid_step * k)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 
 import bmlab
 from bmlab import _json
-from bmlab.cli import GENERATOR_GRAMMAR, parse_generator, run
+from bmlab.cli import GENERATOR_GRAMMAR, build_parser, parse_generator, run
 
 PI = math.pi
 
@@ -275,6 +276,45 @@ def test_params_echo_resolved_arguments():
         "radius": 20.0,
         "tol": 0.05,
     }
+
+
+def flag_dests(command):
+    """The dests of a subcommand's flags, read from the parser that declares them."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"}
+
+
+@pytest.mark.parametrize(
+    "argv, resolved",
+    [
+        (["density", "--seq", "lattice:1", "--radius", 100, "--radius", 12.5, "--radius", 25, "--radius", 50],
+         {"seq": "lattice:1", "radius": 100.0}),
+        (["classify", "--input", "{pts}"], {"seq": "file:{pts}", "radius": None}),
+        (["bm", "--seq", "lattice:1", "--radius", 20, "--a", 1.2], {"window": [-20.0, 20.0]}),
+        (["bm", "--seq", "lattice:1", "--radius", 20, "--a", 1.2, "--window", "-10,10"], {"window": [-10.0, 10.0]}),
+        (["short", "--family", "{fam}", "--radius", 8], {"radii": [8.0 / 2**k for k in range(7, -1, -1)]}),
+        (["gap-probe", "--seq", "lattice:1", "--radius", 101, "--gap", 3, "--n", 21, "--n", 11, "--n", 21],
+         {"sizes": [11, 21]}),
+        (["gap-measure", "--gap", 2, "--n", 64], {"n": 64}),
+        (["cauchy", "--gap", 3, "--x", 0.5], {"n": 256}),
+        (["ftype", "--y-count", 16], {"y_count": 16}),
+    ],
+    ids="density classify bm bm-window short gap-probe gap-measure cauchy ftype".split(),
+)
+def test_params_are_the_flag_dests_with_resolved_values(tmp_path, argv, resolved):
+    # every echoed key is a flag's dest, so a flag is declared in one place
+    fam, pts = tmp_path / "fam.csv", tmp_path / "pts.txt"
+    fam.write_text("1,2,Interior\n4,8,TouchesWindowEdge\n")
+    pts.write_text("".join(f"{k}\n" for k in range(-20, 21)))
+    fill = {"fam": fam, "pts": pts}
+    code, payload = run_json([str(a).format(**fill) for a in argv])
+    assert code in (0, 2)
+    params = payload["params"]
+    assert set(params) == {"command"} | flag_dests(argv[0]) - {"out", "csv_out", "input"}
+    assert params["command"] == argv[0]
+    for key, value in resolved.items():
+        value = value.format(**fill) if isinstance(value, str) else value
+        assert params[key] == value, key  # n prints as 64, not as the parsed [64]
 
 
 def test_out_flag_writes_file_and_silences_stdout(tmp_path):
@@ -554,8 +594,45 @@ def test_short_refuses_a_negative_radius_naming_r_max(tmp_path):
     code, out, err = run_cli(["short", "--family", fam, "--radius", -1])
     assert code == 64 and out == ""
     assert [line for line in err.splitlines() if "error:" in line] == [
-        "bm-lab: error: r_max must be positive and finite, got -1.0"
+        "bm-lab short: error: r_max must be positive and finite, got -1.0"
     ]
+
+
+@pytest.mark.parametrize("radius", ["1e-310", "1e60"])
+def test_short_refuses_a_radius_beyond_the_ladder_range_naming_it(tmp_path, radius):
+    fam = tmp_path / "fam.csv"
+    fam.write_text("left,right\n1,2\n")
+    code, out, err = run_cli(["short", "--family", fam, "--radius", radius])
+    assert code == 64 and out == ""
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert line.startswith("bm-lab short: error: r_max must be in") and line.endswith(f"got {float(radius)!r}")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bm", "--seq", "lattice:1", "--radius", 20, "--a", 1.2, "--window", "-10,10"], 0),
+        (["gap-measure", "--gap", 2, "--n", 64, "--verify-interval", "-1,2"], 0),
+        (["bm", "--seq", "lattice:1", "--radius", 20, "--a", "-1e-3"], 0),
+        (["cauchy", "--gap", 3, "--x", "-1e-1"], 0),
+        (["bm", "--seq", "lattice:1", "--radius", 20, "--a", "-inf"], 64),
+    ],
+    ids="window verify-interval a x a-inf".split(),
+)
+def test_a_value_starting_with_minus_is_a_value(argv, code):
+    # argparse alone reads "-10,10", "-1e-3" and "-inf" as flags: "expected one argument"
+    got, out, err = run_cli(argv)
+    assert got == code, err
+    assert "expected one argument" not in err
+    if code == 64:
+        assert "bm-lab bm: error: the slope a must keep a*x finite on the sequence, got -inf" in err.splitlines()
+
+
+def test_handler_usage_errors_print_the_subcommand_usage():
+    code, out, err = run_cli(["gap-measure", "--gap", 3, "--smoothness", "soft"])
+    assert code == 64 and out == ""
+    assert err.startswith("usage: bm-lab gap-measure ")
+    assert "bm-lab gap-measure: error: --smoothness must be 'inf'" in err
 
 
 def test_tolerance_above_half_inverse_delta_is_refused():
