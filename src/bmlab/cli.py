@@ -34,6 +34,7 @@ import numpy as np
 
 from . import _json
 from .density import (
+    LADDER_END_FLOOR,
     NOT_POLYA,
     default_radius_ladder,
     interior_density,
@@ -292,7 +293,7 @@ def _cmd_classify(parser, args) -> int:
 
 def _cmd_bm(parser, args) -> int:
     seq, spec, radius = _build_sequence(args)
-    if args.window:
+    if args.window is not None:
         window = _parse_pair(parser, args.window, "--window")
     elif radius is not None:
         window = (-radius, radius)
@@ -317,9 +318,8 @@ def _cmd_short(parser, args) -> int:
         if args.radii:
             r_max = args.radii[0]
         elif len(fam):
-            # sorted and disjoint: the extreme endpoints are the outermost ones; the
-            # floor keeps the first rung, r_max/2^7, above the smallest normal double
-            r_max = max(abs(fam.left[0]), abs(fam.right[-1]), 2.0**8 * sys.float_info.min)
+            # sorted and disjoint: the extreme endpoints are the outermost ones
+            r_max = max(abs(fam.left[0]), abs(fam.right[-1]), LADDER_END_FLOOR)
         else:
             r_max = 16.0
         ladder = default_radius_ladder(r_max)
@@ -338,8 +338,8 @@ def _cmd_gap_probe(parser, args) -> int:
     payload = {"params": _params(args, seq=spec, radius=radius, sizes=sizes), **_json.fields(rep)}
     _emit(args, payload)
     if args.csv_out:
-        header = "size,min_eigenvalue,floored,noise_floor,vector_l1"
-        columns = (rep.min_eigenvalues, rep.floored_eigenvalues, rep.noise_floors, rep.vector_l1)
+        header = "size,min_eigenvalue,floored,noise_floor"
+        columns = (rep.min_eigenvalues, rep.floored_eigenvalues, rep.noise_floors)
         write_csv(args.csv_out, (None, header, zip(rep.sizes, *columns)))
     return EXIT_INCONCLUSIVE if rep.classification == INCONCLUSIVE else EXIT_OK
 
@@ -363,7 +363,7 @@ def _cmd_gap_measure(parser, args) -> int:
         "total_variation": mu.total_variation,
         "margin": design_margin(a),
     }
-    if args.verify_interval:
+    if args.verify_interval is not None:
         lo, hi = _parse_pair(parser, args.verify_interval, "--verify-interval")
         payload["verify"] = verify_gap(mu, (lo, hi), args.grid_step)
     else:

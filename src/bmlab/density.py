@@ -81,6 +81,10 @@ NOT_POLYA = "NotPolya"
 # points per unit length: the harmonic cap 1/(k+1), forcing the ratios to 0
 RATIO_CAP = tuple(1.0 / (k + 1) for k in range(64))
 
+# the least end of a ladder derived from data: its first rung, r/2^7, stays
+# above the smallest normal double
+LADDER_END_FLOOR = 2.0**8 * sys.float_info.min
+
 
 @dataclass
 class DensityTrial:
@@ -133,7 +137,8 @@ def interior_density(
         Radius ladder for the shortness evidence; defaults to 8 doublings
         ending at the largest symmetric radius the window supports, or at
         ENDPOINT_BOUND, the largest ladder value, when the window reaches
-        beyond it.
+        beyond it; at LADDER_END_FLOOR, which no window so narrow reaches
+        (WindowTooSmall), when that radius leaves the first rung subnormal.
     a_tolerance : float
         Bracket width at which bisection stops; it also stops at the
         window's resolution 2*delta/R.  The Polya / NotPolya call
@@ -147,9 +152,11 @@ def interior_density(
     lo, hi = seq.window
     if not (lo < 0.0 < hi):
         raise WindowTooSmall("density needs a two-sided window around 0")
-    r_max = min(-lo, hi)
     if radii is None:
-        radii = default_radius_ladder(min(r_max, ENDPOINT_BOUND))
+        r_max = min(-lo, hi, ENDPOINT_BOUND)
+        if not r_max / 2.0**7 > sys.float_info.min:
+            r_max = LADDER_END_FLOOR
+        radii = default_radius_ladder(r_max)
     radii = increasing_ladder(radii, 4, "radii")
     if radii[-1] > max(-lo, hi):
         raise WindowTooSmall("radius ladder exceeds the data window")

@@ -22,16 +22,15 @@ Two independent diagnostics accompany the construction.
 * Gram matrices of exponentials on [0, a]:
   G[m][n] = integral_0^a exp(i (lambda_n - lambda_m) t) dt in closed
   form.  The decay of the smallest eigenvalue along growing centered
-  point windows is finite-section evidence about the gap; it is evidence
-  only, not a decision procedure.  The probe records the l1 norm of the
-  l2-normalized minimizing coefficient vector (the classical problem
-  normalizes mass in l1 while eigenvalues minimize in l2).  It works on
-  the real sinc kernel, the Gram matrix on [-a/2, a/2], which is
-  unitarily similar to G: the eigenvalues come from a values-only
-  symmetric solver and the vector from one shifted linear solve (one
-  step of inverse iteration).  At a repeated or floored eigenvalue the
-  minimizing vector is not unique, and its l1 norm is not reproducible
-  across solvers.
+  point windows is finite-section evidence, not a decision procedure.
+  The probe works on the real sinc kernel, the Gram matrix on
+  [-a/2, a/2], which is unitarily similar to G, with a values-only
+  symmetric solver.  It measures the upper uniform density D+, not D_*:
+  the exponentials form a Riesz sequence on an interval of length a when
+  D+ < a/2pi (Beurling, Kahane) and fail to when D+ > a/2pi (Landau,
+  Acta Math. 117, 1967), so the flip from DecaysToZero to BoundedBelow
+  estimates 2pi*D+.  That is the gap characteristic 2pi*D_* only where
+  D_* = D+, as on lattices and their bounded perturbations.
 """
 
 from __future__ import annotations
@@ -319,7 +318,6 @@ class GapProbeReport:
     classification: str                # DecaysToZero | BoundedBelow | Inconclusive
     fall_factor: float
     step_ratios: list[float]
-    vector_l1: list[float]             # l1 norms of the unit minimizing vectors
     breakdown: bool = False
 
 
@@ -331,10 +329,10 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
     dense values-only real symmetric solver, on [-a/2, a/2] where the
     matrix is the real sinc kernel S (gram_matrix with centered=True).  S
     is unitarily similar to the Gram matrix on [0, a], so the eigenvalues
-    and the eigenvector norms are those of [0, a].  The windows are
-    nested, so S is built once on the largest and each smaller one is its
-    contiguous centered block.  Raw eigenvalues below the backward error
-    scale N * eps * lambda_max are floored before classification:
+    are those of [0, a].  The windows are nested, so S is built once on
+    the largest and each smaller one is its contiguous centered block.
+    Raw eigenvalues below the backward error scale
+    N * eps * max(lambda_max, 1) are floored before classification:
 
     * DecaysToZero   when the final raw eigenvalue sits at or below its
       noise floor (the centered windows are nested, so the exact value is
@@ -348,25 +346,8 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
     The plunge past the time-bandwidth product is superexponential, so on
     coarse size ladders the eigenvalue can be at machine zero already at
     the first window; the terminal-floor rule is what keeps that case out
-    of Inconclusive.
-
-    The minimizing vector is one step of inverse iteration (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 4): one solve of
-    (S - (lambda_min - u) I) x = b, normalized, where
-    u = eps * max(lambda_max, 1) is one rounding unit of the spectrum
-    (the floor is N * u).  The offset u keeps the shifted matrix
-    nonsingular (u = 0 makes a 1x1 window exactly singular), and a step
-    separates lambda_min from a neighbour one floor above it by a factor
-    N + 1, where an offset of one floor gives 2.  The start
-    b_k = sin(k^2 + 1) is a chirp.  It has no reflection symmetry
-    (centered windows of symmetric sequences have even and odd
-    eigenvectors, and a symmetric start misses an odd ground state), and
-    its spectrum is flat, so it overlaps the oscillating eigenvectors of
-    a sinc kernel's near-null space, which a smooth start such as
-    1 + k/N misses by factors of 1e-7.  At a repeated or floored
-    eigenvalue the minimizing vector lies in a (numerically) degenerate
-    eigenspace, so its l1 norm depends on the start and the solver and is
-    not reproducible.
+    of Inconclusive.  As a grows the class flips near 2*pi*D+, the upper
+    density, which is 2*pi*D_* only where the two agree (module docstring).
     """
     sizes = [int(n) for n in sizes]
     if not sizes or sizes[0] < 1 or any(b <= a_ for a_, b in zip(sizes, sizes[1:])):
@@ -376,29 +357,23 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
     if sizes[-1] > len(seq):
         raise BadArgument(f"size {sizes[-1]} exceeds the {len(seq)} available points")
 
-    raw, floored, floors, l1s = [], [], [], []
+    raw, floored, floors = [], [], []
     breakdown = False
     base = (len(seq) - sizes[-1]) // 2
     big = gram_matrix(seq.points[base : base + sizes[-1]], a, centered=True)
-    chirp = np.sin(np.arange(sizes[-1], dtype=float) ** 2 + 1.0)
     for n in sizes:
         s = (len(seq) - n) // 2 - base
-        block = big[s : s + n, s : s + n]
         try:
-            vals = np.linalg.eigvalsh(block)
-            lam_min = float(vals[0])
-            unit = np.finfo(float).eps * max(float(vals[-1]), 1.0)
-            shifted = block.copy()
-            shifted.flat[:: n + 1] -= lam_min - unit
-            vec = np.linalg.solve(shifted, chirp[:n])
+            vals = np.linalg.eigvalsh(big[s : s + n, s : s + n])
         except np.linalg.LinAlgError:
             breakdown = True
             break
+        lam_min = float(vals[0])
+        unit = np.finfo(float).eps * max(float(vals[-1]), 1.0)
         floor = float(n * unit)
         raw.append(lam_min)
         floors.append(floor)
         floored.append(max(lam_min, floor))
-        l1s.append(float(np.abs(vec).sum() / np.linalg.norm(vec)))
 
     if breakdown and not raw:
         raise NumericalBreakdown("eigensolver failed on the smallest window")
@@ -424,6 +399,5 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
         classification=classification,
         fall_factor=float(fall),
         step_ratios=ratios,
-        vector_l1=l1s,
         breakdown=breakdown,
     )

@@ -238,7 +238,7 @@ SEQ_PARAMS = "params.command params.radius params.seq".split()
         (
             ["gap-probe", "--seq", "lattice:1", "--radius", 101, "--gap", 3, "--n", 11, "--n", 21],
             ["breakdown", "classification", "fall_factor", "floored_eigenvalues", "min_eigenvalues",
-             "noise_floors", *SEQ_PARAMS, "params.gap", "params.sizes", "sizes", "step_ratios", "vector_l1"],
+             "noise_floors", *SEQ_PARAMS, "params.gap", "params.sizes", "sizes", "step_ratios"],
         ),
         (["gap-measure", "--gap", 2, "--n", 64], MEASURE_KEYS),
         (
@@ -547,7 +547,7 @@ def test_gap_probe_csv(tmp_path):
          "--csv-out", str(csv)]
     )
     lines = csv.read_text().splitlines()
-    assert lines[0] == "size,min_eigenvalue,floored,noise_floor,vector_l1"
+    assert lines[0] == "size,min_eigenvalue,floored,noise_floor"
     assert len(lines) == 5
 
 
@@ -628,6 +628,20 @@ def test_a_value_starting_with_minus_is_a_value(argv, code):
         assert "bm-lab bm: error: the slope a must keep a*x finite on the sequence, got -inf" in err.splitlines()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bm", "--seq", "lattice:1", "--radius", 10, "--a", 1, "--window", ""], "window"),
+        (["gap-measure", "--gap", 3, "--n", 32, "--verify-interval", ""], "verify-interval"),
+    ],
+    ids=["window", "verify-interval"],
+)
+def test_an_empty_pair_is_refused_not_taken_as_absent(argv, flag):
+    code, out, err = run_cli(argv)
+    assert code == 64 and out == ""
+    assert f"error: --{flag} expects lo,hi" in err
+
+
 def test_handler_usage_errors_print_the_subcommand_usage():
     code, out, err = run_cli(["gap-measure", "--gap", 3, "--smoothness", "soft"])
     assert code == 64 and out == ""
@@ -678,6 +692,22 @@ def test_default_ladder_of_a_family_at_subnormal_endpoints_is_classified(tmp_pat
     assert code == 0 and payload["verdict"] == "Short"
     assert payload["radii"][0] == 2.0 * sys.float_info.min
     assert payload["radii"][-1] == 2.0**8 * sys.float_info.min
+
+
+def test_density_of_a_file_within_the_subnormal_range_is_a_window_error(tmp_path):
+    # the 41 points k*1e-307 reach 2e-306, where the first of 8 doubling
+    # rungs would be subnormal: the derived ladder end is raised to
+    # 2^8 * 2.2e-308, which the data window does not reach
+    path = tmp_path / "tiny.txt"
+    path.write_text("\n".join(repr(k * 1e-307) for k in range(-20, 21)) + "\n")
+    for command in ("density", "classify"):
+        code, out, err = run_cli([command, "--input", path])
+        assert code == 1 and out == ""
+        assert err == "bm-lab: WindowTooSmall: radius ladder exceeds the data window\n"
+    # at k*2e-307 the reach, 4e-306, is inside the ladder's range and is the ladder's end
+    path.write_text("\n".join(repr(k * 2e-307) for k in range(-20, 21)) + "\n")
+    code, payload = run_json(["density", "--input", path])
+    assert code == 2 and payload["radii"][-1] == 20 * 2e-307
 
 
 def test_every_csv_cell_is_a_label_or_a_float(tmp_path):

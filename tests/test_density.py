@@ -269,16 +269,19 @@ EQUIVALENCE_SLACK = 0.01  # relative widening of 2*pi*[a_lower, a_upper]
 )
 def test_gap_probe_flips_where_the_density_says(build, decays, bounded):
     # The paper's equivalence: for a separated sequence the gap
-    # characteristic is 2*pi times the interior density.  The density
+    # characteristic is 2*pi times the interior density D_*.  The density
     # comes from the gamma_a envelopes, the probe from the sinc Gram
     # kernel's smallest eigenvalue; the two share no code.  The probe's
     # classification flips from DecaysToZero to BoundedBelow inside
     # [decays, bounded]; the interval where it flips must meet the
-    # density's 2*pi bracket.  logperturbed's bracket carries the window
-    # bias of a finite radius, and the probe sees the same.  squares is
-    # left out, the open disagreement of ROADMAP item 4: the density says
-    # NotPolya with 2*pi*a_upper near 0.2, while the probe, with sizes 8
-    # to 64, says BoundedBelow from a = 3 on.
+    # density's 2*pi bracket.  The probe measures the upper density D+
+    # (a Riesz sequence for a > 2*pi*D+ by Beurling and Kahane, none for
+    # a < 2*pi*D+ by Landau), so the check holds only where D_* = D+, as
+    # on these five sequences.
+    # logperturbed's bracket carries the window bias of a finite radius,
+    # and the probe sees the same.  squares is left out: D+ = 0 there, so
+    # BoundedBelow is the true limit for every a > 0, and its DecaysToZero
+    # at small a comes from the probe's terminal-floor rule.
     rep = interior_density(build(2000.0))
     probe = build(1500.0)
 
