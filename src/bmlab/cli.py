@@ -8,12 +8,19 @@ Every JSON object embeds the resolved parameter set under ``params``:
 every flag under its dest except ``--out``, ``--csv-out`` and
 ``--input``, with the values a command resolves in place of the raw ones
 (``seq`` folds ``--input`` into ``file:<path>``, ``radius`` is the
-largest given; ``window``, ``radii``, ``sizes`` and ``n`` are the ones
-used).  A flag is thus declared once, in the parser.  The rest is the
-report, printed as its own fields.  Two projections are narrower than
-their types: a density trial prints as {a, verdict}, its shortness
-evidence going to the CSV, and an interval family as a list of
+largest given; ``window``, ``radii`` and ``sizes`` are the ones used).
+A flag is thus declared once, in the parser.  The rest is the report,
+printed as its own fields.  Two projections are narrower than their
+types: a density trial prints as {a, verdict}, its shortness evidence
+going to the CSV, and an interval family as a list of
 {left, right[, flag]} objects rather than as columns.
+
+A ``_cmd_*`` handler takes the parsed arguments only and returns
+``(verdict, payload, write_csv_to)``; it raises ``BadArgument`` for an
+argument outside its domain.  ``run`` alone prints the payload (or
+writes it to ``--out``), calls ``write_csv_to`` on ``--csv-out``, whose
+rows are built only then, and maps the verdict (None for construction
+and dump commands) to the exit code.  An empty path fails to open: 65.
 
 Exit codes: 0 definite verdict (and pure construction/dump commands),
 2 Inconclusive verdict, 1 computation errors, 64 usage errors and
@@ -182,12 +189,12 @@ def parse_generator(spec: str, radius: float | None = None):
     return load_sequence(n + n / np.log(np.abs(n) + 2.0)).within(radius)
 
 
-def _evidence_ladder(parser, radii):
+def _evidence_ladder(radii):
     """Explicit radius ladder when --radius is repeated, else None."""
     if radii and len(radii) > 1:
         ladder = sorted(set(radii))
         if len(ladder) < 4:
-            parser.error("an explicit radius ladder needs at least 4 distinct values")
+            raise BadArgument("an explicit radius ladder needs at least 4 distinct values")
         return ladder
     return None
 
@@ -206,42 +213,25 @@ def _params(args, **resolved):
     return {**{k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}, **resolved}
 
 
-def _parse_pair(parser, text, flag):
+def _parse_pair(text, flag):
     parts = text.split(",")
     if len(parts) != 2:
-        parser.error(f"{flag} expects lo,hi")
+        raise BadArgument(f"{flag} expects lo,hi")
     try:
         return float(parts[0]), float(parts[1])
     except ValueError:
-        parser.error(f"{flag} expects two numbers, got {text!r}")
+        raise BadArgument(f"{flag} expects two numbers, got {text!r}") from None
 
 
-def _single_n(parser, args, default):
-    if not args.n:
-        return default
-    if len(args.n) > 1:
-        parser.error("--n must be given exactly once for this subcommand")
-    return int(args.n[0])
-
-
-def _y_ladder(parser, args, spacing):
+def _y_ladder(args, spacing):
     """The ladder the flags describe; whether it is a valid one is the engine's call."""
     if args.y_count > Y_COUNT_CAP:
         raise SizeGuard(f"--y-count {args.y_count} beyond the cap {Y_COUNT_CAP}")
     if spacing == "log" and not (args.y_min > 0 and args.y_max > 0):  # what geomspace needs
-        parser.error("a log ladder needs --y-min > 0 and --y-max > 0")
+        raise BadArgument("a log ladder needs --y-min > 0 and --y-max > 0")
     build = np.geomspace if spacing == "log" else np.linspace
     with np.errstate(all="ignore"):  # the engine refuses the non-finite values an overflow or a non-finite end leaves
         return build(args.y_min, args.y_max, max(args.y_count, 0))
-
-
-def _emit(args, payload) -> None:
-    text = _json.dumps(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 def _density_fields(rep):
@@ -252,23 +242,19 @@ def _intervals(fam, keys=("left", "right")):
     return [dict(zip(keys, row)) for row in zip(fam.left.tolist(), fam.right.tolist(), fam.flags)]
 
 
-def _cmd_density(parser, args) -> int:
+def _cmd_density(args):
     seq, spec, radius = _build_sequence(args)
-    ladder = _evidence_ladder(parser, args.radius)
-    rep = interior_density(seq, radii=ladder, a_tolerance=args.tol)
+    rep = interior_density(seq, radii=_evidence_ladder(args.radius), a_tolerance=args.tol)
     payload = {"params": _params(args, seq=spec, radius=radius), **_density_fields(rep)}
-    _emit(args, payload)
-    if args.csv_out:
-        sums = [(t.a, r, s) for t in rep.trials for r, s in zip(t.shortness.radii, t.shortness.partial_sums)]
-        trials = [(t.a, t.verdict) for t in rep.trials]
-        write_csv(args.csv_out, ("trials", "a,verdict", trials), ("partial_sums", "a,radius,partial_sum", sums))
-    return EXIT_INCONCLUSIVE if rep.polya_class == INCONCLUSIVE else EXIT_OK
+    trials = ((t.a, t.verdict) for t in rep.trials)
+    sums = ((t.a, r, s) for t in rep.trials for r, s in zip(t.shortness.radii, t.shortness.partial_sums))
+    blocks = ("trials", "a,verdict", trials), ("partial_sums", "a,radius,partial_sum", sums)
+    return rep.polya_class, payload, lambda path: write_csv(path, *blocks)
 
 
-def _cmd_classify(parser, args) -> int:
+def _cmd_classify(args):
     seq, spec, radius = _build_sequence(args)
-    ladder = _evidence_ladder(parser, args.radius)
-    density = interior_density(seq, radii=ladder, a_tolerance=args.tol)
+    density = interior_density(seq, radii=_evidence_ladder(args.radius), a_tolerance=args.tol)
     witness = null_ratio_witness(seq)
     # a long null-ratio family is a certificate, it overrides the bracket
     polya_class = NOT_POLYA if witness is not None else density.polya_class
@@ -278,23 +264,19 @@ def _cmd_classify(parser, args) -> int:
         "density": _density_fields(density),
         "witness": None,
     }
+    blocks = [("trials", "a,verdict", ((t.a, t.verdict) for t in density.trials))]
     if witness is not None:
         payload["witness"] = fields = _json.fields(witness)
         fields["intervals"] = _intervals(fields.pop("family"))
-    _emit(args, payload)
-    if args.csv_out:
-        blocks = [("trials", "a,verdict", [(t.a, t.verdict) for t in density.trials])]
-        if witness is not None:
-            rows = zip(witness.family.left, witness.family.right, witness.ratios)
-            blocks.append(("witness", "left,right,ratio", rows))
-        write_csv(args.csv_out, *blocks)
-    return EXIT_INCONCLUSIVE if polya_class == INCONCLUSIVE else EXIT_OK
+        rows = zip(witness.family.left, witness.family.right, witness.ratios)
+        blocks.append(("witness", "left,right,ratio", rows))
+    return polya_class, payload, lambda path: write_csv(path, *blocks)
 
 
-def _cmd_bm(parser, args) -> int:
+def _cmd_bm(args):
     seq, spec, radius = _build_sequence(args)
     if args.window is not None:
-        window = _parse_pair(parser, args.window, "--window")
+        window = _parse_pair(args.window, "--window")
     elif radius is not None:
         window = (-radius, radius)
     else:
@@ -305,15 +287,12 @@ def _cmd_bm(parser, args) -> int:
         "count": len(fam),
         "intervals": _intervals(fam, ("left", "right", "flag")),
     }
-    _emit(args, payload)
-    if args.csv_out:
-        family_to_csv(fam, args.csv_out)
-    return EXIT_OK
+    return None, payload, lambda path: family_to_csv(fam, path)
 
 
-def _cmd_short(parser, args) -> int:
+def _cmd_short(args):
     fam = family_from_csv(args.family)
-    ladder = _evidence_ladder(parser, args.radii)
+    ladder = _evidence_ladder(args.radii)
     if ladder is None:
         if args.radii:
             r_max = args.radii[0]
@@ -325,78 +304,61 @@ def _cmd_short(parser, args) -> int:
         ladder = default_radius_ladder(r_max)
     rep = classify_short_long(lambda _r: fam, ladder)
     payload = {"params": _params(args, radii=ladder), "count": len(fam), **_json.fields(rep)}
-    _emit(args, payload)
-    if args.csv_out:
-        write_csv(args.csv_out, (None, "radius,partial_sum", zip(rep.radii, rep.partial_sums)))
-    return EXIT_INCONCLUSIVE if rep.verdict == INCONCLUSIVE else EXIT_OK
+    rows = zip(rep.radii, rep.partial_sums)
+    return rep.verdict, payload, lambda path: write_csv(path, (None, "radius,partial_sum", rows))
 
 
-def _cmd_gap_probe(parser, args) -> int:
+def _cmd_gap_probe(args):
     seq, spec, radius = _build_sequence(args)
     sizes = sorted(set(args.sizes or (21, 51, 101, 201)))
     rep = min_gap_residual(seq, args.gap, sizes)
     payload = {"params": _params(args, seq=spec, radius=radius, sizes=sizes), **_json.fields(rep)}
-    _emit(args, payload)
-    if args.csv_out:
-        header = "size,min_eigenvalue,floored,noise_floor"
-        columns = (rep.min_eigenvalues, rep.floored_eigenvalues, rep.noise_floors)
-        write_csv(args.csv_out, (None, header, zip(rep.sizes, *columns)))
-    return EXIT_INCONCLUSIVE if rep.classification == INCONCLUSIVE else EXIT_OK
+    header = "size,min_eigenvalue,floored,noise_floor"
+    rows = zip(rep.sizes, rep.min_eigenvalues, rep.floored_eigenvalues, rep.noise_floors)
+    return rep.classification, payload, lambda path: write_csv(path, (None, header, rows))
 
 
-def _parse_smoothness(parser, text):
+def _parse_smoothness(text):
     if text == "inf":
         return "inf"
     try:
         return int(text)
     except ValueError:
-        parser.error(f"--smoothness must be 'inf' or a nonnegative integer, got {text!r}")
+        raise BadArgument(f"--smoothness must be 'inf' or a nonnegative integer, got {text!r}") from None
 
 
-def _cmd_gap_measure(parser, args) -> int:
-    a, n = args.gap, _single_n(parser, args, 256)
-    smooth = _parse_smoothness(parser, args.smoothness)
-    mu = lattice_gap_measure(a, n, smooth)
+def _cmd_gap_measure(args):
+    mu = lattice_gap_measure(args.gap, args.n, _parse_smoothness(args.smoothness))
     payload = {
-        "params": _params(args, n=n),
+        "params": _params(args),
         "n_atoms": len(mu),
         "total_variation": mu.total_variation,
-        "margin": design_margin(a),
+        "margin": design_margin(args.gap),
     }
     if args.verify_interval is not None:
-        lo, hi = _parse_pair(parser, args.verify_interval, "--verify-interval")
-        payload["verify"] = verify_gap(mu, (lo, hi), args.grid_step)
+        payload["verify"] = verify_gap(mu, _parse_pair(args.verify_interval, "--verify-interval"), args.grid_step)
     else:
         check_grid_step(args.grid_step)  # unused, but echoed under params
-    _emit(args, payload)
-    if args.csv_out:
-        measure_to_csv(mu, args.csv_out)
-    return EXIT_OK
+    return None, payload, lambda path: measure_to_csv(mu, path)
 
 
-def _cmd_cauchy(parser, args) -> int:
-    a, n = args.gap, _single_n(parser, args, 256)
-    ys = _y_ladder(parser, args, "linear")
-    mu = symmetric_gap_measure(a / 2.0, n)
+def _cmd_cauchy(args):
+    ys = _y_ladder(args, "linear")
+    mu = symmetric_gap_measure(args.gap / 2.0, args.n)
     rep = cauchy_decay(mu, args.x, ys, args.tol)
-    payload = {"params": _params(args, n=n), "half_gap": a / 2.0, **_json.fields(rep)}
-    _emit(args, payload)
-    if args.csv_out:
-        rows = zip(rep.y_values, rep.plus.log_abs, rep.minus.log_abs)
-        write_csv(args.csv_out, (None, "y,log_abs_plus,log_abs_minus", rows))
-    return EXIT_OK
+    payload = {"params": _params(args), "half_gap": args.gap / 2.0, **_json.fields(rep)}
+    rows = zip(rep.y_values, rep.plus.log_abs, rep.minus.log_abs)
+    return rep.verdict, payload, lambda path: write_csv(path, (None, "y,log_abs_plus,log_abs_minus", rows))
 
 
-def _cmd_ftype(parser, args) -> int:
-    ys = _y_ladder(parser, args, "log")
+def _cmd_ftype(args):
+    ys = _y_ladder(args, "log")
     # resolved per call from the module globals, so a rebound bmlab.cli.log_abs_* is what runs
     log_modulus = log_abs_qcos if args.function == "qcos" else log_abs_cos
     est = type_estimate(log_modulus, ys)
     payload = {"params": _params(args), **_json.fields(est)}
-    _emit(args, payload)
-    if args.csv_out:
-        write_csv(args.csv_out, (None, "y,log_modulus", zip(est.y_values, est.log_moduli)))
-    return EXIT_OK
+    rows = zip(est.y_values, est.log_moduli)
+    return None, payload, lambda path: write_csv(path, (None, "y,log_modulus", rows))
 
 
 def _subcommand(sub, name, handler, summary, seq=False):
@@ -462,14 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "gap-measure", _cmd_gap_measure, "design an integer-atom measure with a spectral gap")
     p.add_argument("--gap", type=float, required=True, help="designed gap length a in (0, 2*pi)")
-    p.add_argument("--n", action="append", type=int, help="coefficient cutoff N (default 256)")
+    p.add_argument("--n", type=int, default=256, help="coefficient cutoff N (default 256)")
     p.add_argument("--smoothness", default="inf", help="'inf' or an integer k for a C^k bump")
     p.add_argument("--verify-interval", help="check max |transform| on lo,hi")
     p.add_argument("--grid-step", type=float, default=1e-3, help="verification grid step")
 
     p = _subcommand(sub, "cauchy", _cmd_cauchy, "Cauchy transform decay test on a symmetric gap measure")
     p.add_argument("--gap", type=float, required=True, help="symmetric gap length; transform vanishes on +-gap/2")
-    p.add_argument("--n", action="append", type=int, help="coefficient cutoff N (default 256)")
+    p.add_argument("--n", type=int, default=256, help="coefficient cutoff N (default 256)")
     p.add_argument("--x", type=float, required=True, help="test abscissa of the decay criterion")
     p.add_argument("--y-min", type=float, default=2.0)
     p.add_argument("--y-max", type=float, default=20.0)
@@ -495,7 +457,16 @@ def run(argv) -> int:
     args = root.parse_args(argv)
     handler, parser = args.handler
     try:
-        return handler(parser, args)
+        verdict, payload, write_csv_to = handler(args)
+        text = _json.dumps(payload)
+        if args.out is None:
+            print(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        if args.csv_out is not None:
+            write_csv_to(args.csv_out)
+        return EXIT_INCONCLUSIVE if verdict == INCONCLUSIVE else EXIT_OK
     except BadArgument as exc:
         parser.error(str(exc))
     except (OSError, BadDataFile, DuplicatePoint, NotSeparated, EmptyRange) as exc:

@@ -340,7 +340,8 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
       certifies the decay), or when the floored values fall by at least
       10x overall with a monotone trend (each step below 1.5x the
       previous value),
-    * BoundedBelow   when every value stays within 2x of the initial one,
+    * BoundedBelow   when there are two windows or more and every value
+      stays within 2x of the initial one (one window shows no trend),
     * Inconclusive   otherwise.
 
     The plunge past the time-bandwidth product is superexponential, so on
@@ -386,7 +387,7 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
         classification = "DecaysToZero"
     elif fall >= 10.0 and all(r <= 1.5 for r in ratios):
         classification = "DecaysToZero"
-    elif all(0.5 * floored[0] <= v <= 2.0 * floored[0] for v in floored):
+    elif len(floored) > 1 and all(0.5 * floored[0] <= v <= 2.0 * floored[0] for v in floored):
         classification = "BoundedBelow"
     else:
         classification = INCONCLUSIVE

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import bmlab
-from bmlab import _json
+from bmlab import _json, cli
 from bmlab.cli import GENERATOR_GRAMMAR, build_parser, parse_generator, run
 
 PI = math.pi
@@ -278,10 +279,14 @@ def test_params_echo_resolved_arguments():
     }
 
 
+def subparsers():
+    """{command: the subparser that declares its flags}."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def flag_dests(command):
     """The dests of a subcommand's flags, read from the parser that declares them."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"}
+    return {a.dest for a in subparsers()[command]._actions if a.option_strings and a.dest != "help"}
 
 
 @pytest.mark.parametrize(
@@ -296,10 +301,12 @@ def flag_dests(command):
         (["gap-probe", "--seq", "lattice:1", "--radius", 101, "--gap", 3, "--n", 21, "--n", 11, "--n", 21],
          {"sizes": [11, 21]}),
         (["gap-measure", "--gap", 2, "--n", 64], {"n": 64}),
+        (["gap-measure", "--gap", 3, "--n", 64, "--n", 32], {"n": 32}),  # the last value, as for --gap
         (["cauchy", "--gap", 3, "--x", 0.5], {"n": 256}),
+        (["cauchy", "--gap", 3, "--x", 0.5, "--n", 64, "--n", 40], {"n": 40}),
         (["ftype", "--y-count", 16], {"y_count": 16}),
     ],
-    ids="density classify bm bm-window short gap-probe gap-measure cauchy ftype".split(),
+    ids="density classify bm bm-window short gap-probe gap-measure gap-measure-last-n cauchy cauchy-last-n ftype".split(),
 )
 def test_params_are_the_flag_dests_with_resolved_values(tmp_path, argv, resolved):
     # every echoed key is a flag's dest, so a flag is declared in one place
@@ -314,7 +321,16 @@ def test_params_are_the_flag_dests_with_resolved_values(tmp_path, argv, resolved
     assert params["command"] == argv[0]
     for key, value in resolved.items():
         value = value.format(**fill) if isinstance(value, str) else value
-        assert params[key] == value, key  # n prints as 64, not as the parsed [64]
+        assert params[key] == value, key
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv-out"])
+def test_an_empty_output_path_is_a_data_error(flag):
+    # "" is a path that cannot be opened, not an absent flag
+    code, out, err = run_cli(["bm", "--seq", "lattice:1", "--radius", 10, "--a", 1, flag, ""])
+    assert code == 65
+    assert "data error" in err
+    assert (out == "") == (flag == "--out")
 
 
 def test_out_flag_writes_file_and_silences_stdout(tmp_path):
@@ -642,11 +658,46 @@ def test_an_empty_pair_is_refused_not_taken_as_absent(argv, flag):
     assert f"error: --{flag} expects lo,hi" in err
 
 
-def test_handler_usage_errors_print_the_subcommand_usage():
-    code, out, err = run_cli(["gap-measure", "--gap", 3, "--smoothness", "soft"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bm", "--seq", "lattice:1", "--radius", 10, "--a", 1, "--window", "1,x"],
+         "--window expects two numbers, got '1,x'"),
+        (["bm", "--seq", "lattice:1", "--radius", 10, "--a", 1, "--window", "1,2,3"], "--window expects lo,hi"),
+        (["ftype", "--y-min", -1], "a log ladder needs --y-min > 0 and --y-max > 0"),
+        (["density", "--seq", "lattice:1", "--radius", 10, "--radius", 20],
+         "an explicit radius ladder needs at least 4 distinct values"),
+        (["gap-measure", "--gap", 3, "--smoothness", "soft"],
+         "--smoothness must be 'inf' or a nonnegative integer, got 'soft'"),
+    ],
+    ids="window-numbers window-pair y-ladder radius-ladder smoothness".split(),
+)
+def test_handler_usage_errors_print_the_subcommand_usage(argv, message):
+    code, out, err = run_cli(argv)
+    command = argv[0]
     assert code == 64 and out == ""
-    assert err.startswith("usage: bm-lab gap-measure ")
-    assert "bm-lab gap-measure: error: --smoothness must be 'inf'" in err
+    assert err.startswith(f"usage: bm-lab {command} ")
+    assert err == f"{subparsers()[command].format_usage()}bm-lab {command}: error: {message}\n{GENERATOR_GRAMMAR}\n"
+
+
+def test_no_handler_writes_output_or_calls_the_parser():
+    # a handler returns (verdict, payload, write_csv_to); run alone prints, writes and exits
+    handlers = {p.get_default("handler")[0].__name__ for p in subparsers().values()}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    defs = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")]
+    assert {fn.name for fn in defs} == handlers
+    found = []
+    for fn in defs:
+        found += [f"{fn.name}({a.arg})" for a in fn.args.args if a.arg == "parser"]
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr in ("out", "csv_out"):
+                found.append(f"{fn.name}: .{node.attr}")
+            elif isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) in ("print", "open", "_emit")
+                or getattr(node.func, "attr", None) == "error"
+            ):
+                found.append(f"{fn.name}: {ast.unparse(node.func)}()")
+    assert found == []
 
 
 def test_tolerance_above_half_inverse_delta_is_refused():

@@ -554,6 +554,13 @@ def test_gap_probe_lattice_above_two_pi(lattice301):
         assert v == pytest.approx(TWO_PI, rel=1e-9)
 
 
+def test_gap_probe_one_window_is_no_evidence_of_a_bound(lattice301):
+    # "every value within 2x of the first" holds vacuously for one value
+    rep = min_gap_residual(lattice301, 7.0, [201])
+    assert rep.classification == "Inconclusive"
+    assert rep.min_eigenvalues == [pytest.approx(TWO_PI, rel=1e-9)]
+
+
 def test_gap_probe_squares_recorded_classification():
     sq = parse_generator("squares", 10000.0)
     rep = min_gap_residual(sq, 0.5, [21, 51, 101, 201])
