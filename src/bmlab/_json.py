@@ -6,12 +6,21 @@ caller.  This emitter pins the contract for CLI output: keys sorted,
 floats rendered with %.17g (roundtrip exact, locale free), numpy
 scalars and arrays coerced, non-finite floats mapped to strings since
 JSON has no literals for them, and a dataclass printed as the object of
-its fields, so a report's JSON keys are its field names.
+its fields, so a report's JSON keys are its field names.  Dict keys must
+be str; any other key is a TypeError.
+
+``Table`` holds equal-length column arrays that print as a JSON list of
+objects, one per row, with the same bytes as that list of dicts: the
+keys are sorted and escaped once per table, each column is formatted in
+one pass (a float array by the float rule, a str array by the string
+rule, any other column value by value through ``dumps``), and each row is
+one fill of a row template.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -41,19 +50,62 @@ def _escape(s: str) -> str:
     return '"' + _ESCAPED.sub(_escape_char, s) + '"'
 
 
+@functools.lru_cache(maxsize=1024)  # keys are field names and flag dests, a few hundred at most
+def _key(key) -> str:
+    """A dict key as JSON text; a key that is not str is refused."""
+    if not isinstance(key, str):
+        raise TypeError(f"cannot serialize a dict key of type {type(key).__name__}")
+    return _escape(key)
+
+
 def fields(obj) -> dict:
     """A dataclass instance's declared fields by name; properties, cached
     or not, are not fields and never appear."""
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
+class Table:
+    """Equal-length column arrays by key, printed by ``dumps`` as a list of objects, one per row."""
+
+    def __init__(self, **columns):
+        self.columns = columns
+
+    def json(self) -> str:
+        keys = sorted(self.columns)
+        columns = [_column(self.columns[k]) for k in keys]
+        template = "{" + ", ".join(_key(k).replace("%", "%%") + ": " + c[0] for k, c in zip(keys, columns)) + "}"
+        return "[" + ", ".join(map(template.__mod__, zip(*(c[1] for c in columns)))) + "]"
+
+
+def _column(col: np.ndarray):
+    """(conversion, values) for a column array: finite floats go to ``%.17g`` as
+    they are, strings to their distinct values escaped once, anything else cell
+    by cell through ``dumps``."""
+    if col.dtype.kind == "f":
+        values = col.astype(float, copy=False)
+        return ("%.17g", values.tolist()) if np.isfinite(values).all() else ("%s", map(_fmt_float, values.tolist()))
+    values = col.tolist()
+    if col.dtype.kind == "U":
+        return "%s", map({v: _escape(v) for v in set(values)}.__getitem__, values)
+    return "%s", map(dumps, values)
+
+
 def dumps(obj) -> str:
+    t = type(obj)
+    if t is float:
+        return _fmt_float(obj)
+    if t is str:
+        return _escape(obj)
+    if t is dict:
+        return "{" + ", ".join([_key(k) + ": " + dumps(obj[k]) for k in sorted(obj)]) + "}"
+    if t is list:
+        return "[" + ", ".join(map(dumps, obj)) + "]"
+    if t is Table:
+        return obj.json()
     if obj is None:
         return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if obj is True or obj is False or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
     if isinstance(obj, str):
         return _escape(obj)
     if isinstance(obj, (int, np.integer)):
@@ -66,12 +118,9 @@ def dumps(obj) -> str:
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist())
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
+        return "[" + ", ".join(map(dumps, obj)) + "]"
     if isinstance(obj, dict):
-        keys = sorted(str(k) for k in obj)
-        lookup = {str(k): v for k, v in obj.items()}
-        items = [f"{_escape(k)}: {dumps(lookup[k])}" for k in keys]
-        return "{" + ", ".join(items) + "}"
+        return dumps(dict(obj))
     if dataclasses.is_dataclass(obj):
         return dumps(fields(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")

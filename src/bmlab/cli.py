@@ -49,6 +49,8 @@ from .density import (
 )
 from .envelope import (
     INCONCLUSIVE,
+    INTERIOR,
+    TOUCHES_WINDOW_EDGE,
     bm_family,
     classify_short_long,
     family_from_csv,
@@ -238,8 +240,10 @@ def _density_fields(rep):
     return {**_json.fields(rep), "trials": [{"a": t.a, "verdict": t.verdict} for t in rep.trials]}
 
 
-def _intervals(fam, keys=("left", "right")):
-    return [dict(zip(keys, row)) for row in zip(fam.left.tolist(), fam.right.tolist(), fam.flags)]
+def _intervals(fam, flag=False):
+    if flag:
+        return _json.Table(left=fam.left, right=fam.right, flag=np.where(fam.edge, TOUCHES_WINDOW_EDGE, INTERIOR))
+    return _json.Table(left=fam.left, right=fam.right)
 
 
 def _cmd_density(args):
@@ -285,7 +289,7 @@ def _cmd_bm(args):
     payload = {
         "params": _params(args, seq=spec, radius=radius, window=list(window)),
         "count": len(fam),
-        "intervals": _intervals(fam, ("left", "right", "flag")),
+        "intervals": _intervals(fam, flag=True),
     }
     return None, payload, lambda path: family_to_csv(fam, path)
 

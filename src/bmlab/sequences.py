@@ -94,17 +94,31 @@ def check_utf8_line(path, lineno: int, line: str) -> None:
             raise BadDataFile(f"{path}:{lineno}: not UTF-8 text") from None
 
 
+_FLOATING = (float, np.floating)
+
+
+def _cells(column):
+    """A column's cells as text by the cell rule: repr(float(v)) for float
+    and numpy floating cells, str for the others."""
+    floating = [issubclass(t, _FLOATING) for t in set(map(type, column))]
+    if all(floating):
+        return map(repr, map(float, column))
+    if not any(floating):
+        return map(str, column)
+    return [repr(float(v)) if isinstance(v, _FLOATING) else str(v) for v in column]
+
+
 def write_csv(path, *blocks) -> None:
     """CSV blocks ``(title, header, rows)`` a blank line apart; a title adds a ``# title`` line.
 
     Floats, numpy scalars too, are written as repr(float(v)); labels and sizes as str.
+    A block's rows are equal-length tuples; they are formatted a column at a time
+    by that cell rule and the block is written in one call.
     """
     with open(path, "w", encoding="utf-8") as fh:
         for k, (title, header, rows) in enumerate(blocks):
-            fh.write(("\n" if k else "") + (f"# {title}\n" if title else "") + header + "\n")
-            for row in rows:
-                cells = (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
-                fh.write(",".join(cells) + "\n")
+            lines = map(",".join, zip(*map(_cells, zip(*rows))))
+            fh.write("\n".join([("\n" if k else "") + (f"# {title}\n" if title else "") + header, *lines, ""]))
 
 
 def _checked_window(points: np.ndarray, window) -> tuple[float, float]:
@@ -329,11 +343,19 @@ class PiecewiseLinear:
         ends, and the slice x[i:j] of the breakpoints strictly inside.
 
         The window needs lo < hi and finite function values at both ends.
+        The ends equal ``self([lo, hi])`` bit for bit: ``np.interp`` inside
+        the nodes, and outside them the edge slope's line in Python floats,
+        whose overflow gives inf or nan as numpy's does, without a warning.
         """
         lo, hi = float(window[0]), float(window[1])
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-            ends = self(np.array([lo, hi]))
-        if not (lo < hi and np.isfinite(ends).all()):
+        x0, x1 = float(self.x[0]), float(self.x[-1])
+        ends = np.interp((lo, hi), self.x, self.y)
+        for k, t in enumerate((lo, hi)):
+            if t < x0:
+                ends[k] = float(self.y[0]) + float(self.left_slope) * (t - x0)
+            elif t > x1:
+                ends[k] = float(self.y[-1]) + float(self.right_slope) * (t - x1)
+        if not (lo < hi and math.isfinite(ends[0]) and math.isfinite(ends[1])):
             raise BadArgument(f"window must satisfy lo < hi with finite values at both ends, got {lo!r}, {hi!r}")
         i = np.searchsorted(self.x, lo, side="right")
         j = np.searchsorted(self.x, hi, side="left")

@@ -7,13 +7,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bmlab
 from bmlab import _json, cli
 from bmlab.cli import GENERATOR_GRAMMAR, build_parser, parse_generator, run
+from bmlab.envelope import INTERIOR, TOUCHES_WINDOW_EDGE, IntervalFamily
 
 PI = math.pi
 
@@ -190,6 +193,117 @@ def test_json_strings_escape_by_the_rule():
         want = '"' + "".join(escaped_by_rule(ch) for ch in text) + '"'
         assert _json.dumps(text) == want, repr(text)
         assert _json.dumps({text: 0}) == "{" + want + ": 0}", repr(text)
+
+
+def in_text_order(pairs):
+    keys = [k for k, _ in pairs]
+    assert keys == sorted(keys), keys
+    return pairs
+
+
+def parse_raw(text):
+    """The emitted text as the stdlib reads it, every number kept as its
+    ("num", token) and every object as its (key, value) pairs, whose keys
+    must be sorted in the text."""
+    num = lambda token: ("num", token)  # noqa: E731
+    return json.loads(text, parse_float=num, parse_int=num, object_pairs_hook=in_text_order)
+
+
+def g17(x):
+    return ("num", f"{float(x):.17g}")
+
+
+@dataclass
+class _Inner:
+    b: float
+    a: list
+
+
+def test_json_emitter_against_the_stdlib_parser():
+    obj = {
+        "neg_zero": -0.0, "subnormal": 5e-324, "huge": 1e308, "nan": math.nan, "inf": math.inf,
+        "ninf": -math.inf, "f32": np.float32(0.1), "i64": np.int64(-7), "yes": np.bool_(True),
+        "no": np.False_, "inner": _Inner(b=1 / 3, a=[2, "x", None, (0.5,)]), "empty_list": [], "empty_dict": {},
+    }
+    text = _json.dumps(obj)
+    assert parse_raw(text) == [
+        ("empty_dict", []), ("empty_list", []), ("f32", g17(np.float32(0.1))), ("huge", g17(1e308)),
+        ("i64", ("num", "-7")), ("inf", "inf"),
+        ("inner", [("a", [("num", "2"), "x", None, [g17(0.5)]]), ("b", g17(1 / 3))]),
+        ("nan", "nan"), ("neg_zero", ("num", "-0")), ("ninf", "-inf"), ("no", False),
+        ("subnormal", g17(5e-324)), ("yes", True),
+    ]
+    assert '"empty_dict": {}' in text and '"empty_list": []' in text
+
+
+def test_json_prints_numpy_bools():
+    assert _json.dumps(np.True_) == "true" and _json.dumps(np.False_) == "false"
+    assert _json.dumps({"ok": np.arange(3) < 2}) == '{"ok": [true, true, false]}'
+    assert _json.dumps([np.bool_(1 > 2)]) == "[false]"
+
+
+@pytest.mark.parametrize("obj", [{1: 2, "1": 3}, {1: 2}, {None: 0}, {"a": {("b",): 1}}, {1.5: 0, 2.5: 1}])
+def test_json_refuses_a_dict_key_that_is_not_str(obj):
+    with pytest.raises(TypeError):
+        _json.dumps(obj)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1000])
+@pytest.mark.parametrize("flag", [False, True])
+def test_json_column_table_is_the_list_of_its_rows(rows, flag):
+    rng = np.random.default_rng(rows)
+    special = [-0.0, 5e-324, 1e50, -1e50][: 2 * rows]
+    ends = np.sort(np.concatenate([special, rng.normal(size=2 * rows - len(special)) * 1e3]))
+    fam = IntervalFamily(ends[0::2], ends[1::2], rng.random(rows) < 0.5)
+    table = cli._intervals(fam, flag=flag)
+    text = _json.dumps({"intervals": table})
+    [(key, got)] = parse_raw(text)
+    flags = [TOUCHES_WINDOW_EDGE if e else INTERIOR for e in fam.edge.tolist()]
+    want = [
+        [("flag", f)] * flag + [("left", g17(lo)), ("right", g17(hi))]
+        for lo, hi, f in zip(fam.left.tolist(), fam.right.tolist(), flags)
+    ]
+    assert key == "intervals" and got == want
+    as_dicts = [
+        {"left": lo, "right": hi, **({"flag": f} if flag else {})}
+        for lo, hi, f in zip(fam.left.tolist(), fam.right.tolist(), flags)
+    ]
+    assert _json.dumps(table) == _json.dumps(as_dicts)
+
+
+def test_json_column_table_takes_any_column_by_the_value_rule():
+    table = _json.Table(**{
+        "x": np.array([math.nan, -0.0, -math.inf]),
+        'k"%s': np.array(['a"b', "c\n", "a\"b"]),
+        "n": np.array([1, -2, 3]),
+        "o": np.array([None, np.True_, [1.5]], dtype=object),
+    })
+    rows = [
+        {"x": math.nan, 'k"%s': 'a"b', "n": 1, "o": None},
+        {"x": -0.0, 'k"%s': "c\n", "n": -2, "o": True},
+        {"x": -math.inf, 'k"%s': 'a"b', "n": 3, "o": [1.5]},
+    ]
+    assert _json.dumps(table) == _json.dumps(rows)
+    assert _json.dumps(_json.Table(x=np.zeros(0))) == "[]"
+
+
+def test_bm_json_makes_as_many_dumps_calls_for_any_family_size(monkeypatch, tmp_path):
+    # the family prints from its columns: no Python-level call per interval
+    counts = []
+    dumps = _json.dumps
+
+    def counted(obj):
+        counts[-1] += 1
+        return dumps(obj)
+
+    monkeypatch.setattr(_json, "dumps", counted)
+    for radius in (10, 1000):
+        points = tmp_path / f"points{radius}.txt"
+        points.write_text("".join(f"{k + 0.25 * (k % 2)!r}\n" for k in range(-radius, radius + 1)))
+        counts.append(0)
+        code, payload = run_json(["bm", "--input", points, "--radius", radius, "--a", 1.0])
+        assert code == 0 and payload["count"] == radius
+    assert counts[0] == counts[1]
 
 
 def key_paths(obj, prefix=""):

@@ -94,6 +94,22 @@ def test_family_csv_round_trip(tmp_path):
     assert back.flags == [TOUCHES_WINDOW_EDGE, INTERIOR]
 
 
+def test_family_csv_bytes_are_pinned_and_read_back_bit_exact(tmp_path):
+    fam = family([(-1e50, -3.5), (-0.0, 5e-324), (1.0, 1e50)], [True, False, True])
+    path = tmp_path / "fam.csv"
+    family_to_csv(fam, path)
+    assert path.read_bytes() == (
+        b"left,right,flag\n"
+        b"-1e+50,-3.5,TouchesWindowEdge\n"
+        b"-0.0,5e-324,Interior\n"
+        b"1.0,1e+50,TouchesWindowEdge\n"
+    )
+    back = family_from_csv(path)
+    for got, want in ((back.left, fam.left), (back.right, fam.right)):
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()  # -0.0 is not 0.0 here
+    assert back.edge.tolist() == [True, False, True]
+
+
 def test_family_csv_plain_two_columns(tmp_path):
     # the documented external format is bare `left,right` lines
     path = tmp_path / "fam.csv"

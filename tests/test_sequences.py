@@ -300,6 +300,56 @@ def test_pwl_grid_includes_breakpoints():
     assert np.allclose(ys, f(xs))
 
 
+PWL_MILD = PiecewiseLinear(np.array([-1.0, 0.0, 0.5, 2.0]), np.array([0.25, -0.0, 1.0, -3.0]), 0.7, -1.3)
+PWL_AT_ZERO = PiecewiseLinear(np.array([0.0, 1.0, 3.0]), np.array([-0.0, 2.0, 1.5]), 1e10, -1e10)
+
+
+@pytest.mark.parametrize(
+    "f, window",
+    [
+        (PWL_MILD, (-0.5, 1.5)),     # inside
+        (PWL_MILD, (-3.0, 1.0)),     # straddles the first node
+        (PWL_MILD, (0.25, 7.5)),     # straddles the last node
+        (PWL_MILD, (-9.0, 9.0)),     # holds every node
+        (PWL_MILD, (-9.0, -2.0)),    # wholly left
+        (PWL_MILD, (3.0, 11.0)),     # wholly right
+        (PWL_MILD, (-1.0, 2.0)),     # ends on the outer nodes
+        (PWL_MILD, (0.0, 0.5)),      # ends on inner nodes
+        (PWL_MILD, (-0.0, 0.5)),
+        (PWL_MILD, (-1e300, 1e300)),  # far but finite
+        (PWL_AT_ZERO, (-0.0, 1.0)),  # -0 on the first node x = +0
+        (PWL_AT_ZERO, (-5e-324, 3.0)),
+        (PWL_AT_ZERO, (-1e-300, 3.0 + 1e-12)),
+        (PWL_AT_ZERO, (-7.0, -2.0)),
+    ],
+)
+def test_window_ends_are_the_function_at_the_ends_bit_for_bit(f, window):
+    lo, hi, ends, i, j = f.window_ends(window)
+    want = f(np.array([float(window[0]), float(window[1])]))
+    assert (lo, hi) == window
+    assert ends.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert f.x[i:j].tolist() == [v for v in f.x.tolist() if lo < v < hi]
+
+
+@pytest.mark.parametrize(
+    "f, window",
+    [
+        (PWL_AT_ZERO, (-1e300, 1.0)),   # the left line overflows to -inf
+        (PWL_AT_ZERO, (0.5, 1e300)),    # the right line overflows to -inf
+        (PWL_MILD, (0.0, 1.7e308)),     # the distance to the last node, times the slope
+        (PWL_MILD, (-math.inf, 0.0)),
+        (PWL_MILD, (0.0, math.nan)),
+        (PWL_MILD, (1.0, 0.5)),
+    ],
+)
+def test_window_ends_that_are_not_finite_are_refused(f, window):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = f(np.array(window, dtype=float))
+    assert not (window[0] < window[1] and np.isfinite(want).all())
+    with pytest.raises(BadArgument, match="finite values at both ends"):
+        f.window_ends(window)
+
+
 def test_sequence_preconditions_raise_bad_argument():
     seq = parse_generator("lattice:1", 5.0)
     f = seq.counting
