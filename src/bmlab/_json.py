@@ -20,7 +20,6 @@ one fill of a row template.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import re
 
@@ -50,7 +49,6 @@ def _escape(s: str) -> str:
     return '"' + _ESCAPED.sub(_escape_char, s) + '"'
 
 
-@functools.lru_cache(maxsize=1024)  # keys are field names and flag dests, a few hundred at most
 def _key(key) -> str:
     """A dict key as JSON text; a key that is not str is refused."""
     if not isinstance(key, str):
@@ -91,36 +89,29 @@ def _column(col: np.ndarray):
 
 
 def dumps(obj) -> str:
-    t = type(obj)
-    if t is float:
-        return _fmt_float(obj)
-    if t is str:
+    if isinstance(obj, float):
+        return _fmt_float(float(obj))
+    if isinstance(obj, str):
         return _escape(obj)
-    if t is dict:
+    if isinstance(obj, dict):
         return "{" + ", ".join([_key(k) + ": " + dumps(obj[k]) for k in sorted(obj)]) + "}"
-    if t is list:
+    if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(map(dumps, obj)) + "]"
-    if t is Table:
+    if isinstance(obj, Table):
         return obj.json()
     if obj is None:
         return "null"
     if obj is True or obj is False or isinstance(obj, np.bool_):
         return "true" if obj else "false"
-    if isinstance(obj, str):
-        return _escape(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, np.floating):
         return _fmt_float(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
         c = complex(obj)
         return dumps({"re": c.real, "im": c.imag})
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(map(dumps, obj)) + "]"
-    if isinstance(obj, dict):
-        return dumps(dict(obj))
     if dataclasses.is_dataclass(obj):
         return dumps(fields(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -113,12 +113,12 @@ def write_csv(path, *blocks) -> None:
 
     Floats, numpy scalars too, are written as repr(float(v)); labels and sizes as str.
     A block's rows are equal-length tuples; they are formatted a column at a time
-    by that cell rule and the block is written in one call.
+    by that cell rule and written line by line.
     """
     with open(path, "w", encoding="utf-8") as fh:
         for k, (title, header, rows) in enumerate(blocks):
-            lines = map(",".join, zip(*map(_cells, zip(*rows))))
-            fh.write("\n".join([("\n" if k else "") + (f"# {title}\n" if title else "") + header, *lines, ""]))
+            fh.write(("\n" if k else "") + (f"# {title}\n" if title else "") + header + "\n")
+            fh.writelines(line + "\n" for line in map(",".join, zip(*map(_cells, zip(*rows)))))
 
 
 def _checked_window(points: np.ndarray, window) -> tuple[float, float]:
