@@ -9,12 +9,14 @@ JSON has no literals for them, and a dataclass printed as the object of
 its fields, so a report's JSON keys are its field names.  Dict keys must
 be str; any other key is a TypeError.
 
-``Table`` holds equal-length column arrays that print as a JSON list of
-objects, one per row, with the same bytes as that list of dicts: the
-keys are sorted and escaped once per table, each column is formatted in
-one pass (a float array by the float rule, a str array by the string
-rule, any other column value by value through ``dumps``), and each row is
-one fill of a row template.
+``Table``, equal-length column arrays by name in a declared order, is
+the one representation of a report table, with two printers.
+``sequences.write_csv`` prints it as a CSV block headed by its column
+names.  ``dumps`` prints it as a JSON list of objects, one per row, with
+the bytes of that list of dicts: the keys are sorted and escaped once,
+each column is formatted in one pass (a float array by the float rule, a
+str array by the string rule, any other column value by value through
+``dumps``), and each row is one fill of a row template.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ def fields(obj) -> dict:
 
 
 class Table:
-    """Equal-length column arrays by key, printed by ``dumps`` as a list of objects, one per row."""
+    """Equal-length columns by name, in the order given, each held as a numpy array."""
 
     def __init__(self, **columns):
-        self.columns = columns
+        self.columns = {name: np.asarray(col) for name, col in columns.items()}
 
     def json(self) -> str:
         keys = sorted(self.columns)

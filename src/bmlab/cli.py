@@ -10,17 +10,18 @@ every flag under its dest except ``--out``, ``--csv-out`` and
 (``seq`` folds ``--input`` into ``file:<path>``, ``radius`` is the
 largest given; ``window``, ``radii`` and ``sizes`` are the ones used).
 A flag is thus declared once, in the parser.  The rest is the report,
-printed as its own fields.  Two projections are narrower than their
-types: a density trial prints as {a, verdict}, its shortness evidence
-going to the CSV, and an interval family as a list of
-{left, right[, flag]} objects rather than as columns.
+printed as its own fields.  A report table is declared once, as a
+``_json.Table`` of columns: a CSV block is a Table, and a Table in the
+payload prints as a list of row objects.  So the density trials are one
+Table {a, verdict}, the JSON ``trials`` and the CSV ``# trials`` block,
+and an interval family prints as the Table {left, right[, flag]}.
 
 A ``_cmd_*`` handler takes the parsed arguments only and returns
 ``(verdict, payload, write_csv_to)``; it raises ``BadArgument`` for an
 argument outside its domain.  ``run`` alone prints the payload (or
-writes it to ``--out``), calls ``write_csv_to`` on ``--csv-out``, whose
-rows are built only then, and maps the verdict (None for construction
-and dump commands) to the exit code.  An empty path fails to open: 65.
+writes it to ``--out``), calls ``write_csv_to`` on ``--csv-out``, and
+maps the verdict (None for construction and dump commands) to the exit
+code.  An empty path fails to open: 65.
 
 Exit codes: 0 definite verdict (and pure construction/dump commands),
 2 Inconclusive verdict, 1 computation errors, 64 usage errors and
@@ -49,8 +50,6 @@ from .density import (
 )
 from .envelope import (
     INCONCLUSIVE,
-    INTERIOR,
-    TOUCHES_WINDOW_EDGE,
     bm_family,
     classify_short_long,
     family_from_csv,
@@ -71,7 +70,6 @@ from .gap import (
     check_grid_step,
     design_margin,
     lattice_gap_measure,
-    measure_to_csv,
     min_gap_residual,
     symmetric_gap_measure,
     verify_gap,
@@ -236,24 +234,33 @@ def _y_ladder(args, spacing):
         return build(args.y_min, args.y_max, max(args.y_count, 0))
 
 
-def _density_fields(rep):
-    return {**_json.fields(rep), "trials": [{"a": t.a, "verdict": t.verdict} for t in rep.trials]}
+def _csv(**columns):
+    """The ``write_csv_to`` of one untitled table."""
+    return lambda path: write_csv(path, (None, _json.Table(**columns)))
 
 
-def _intervals(fam, flag=False):
-    if flag:
-        return _json.Table(left=fam.left, right=fam.right, flag=np.where(fam.edge, TOUCHES_WINDOW_EDGE, INTERIOR))
-    return _json.Table(left=fam.left, right=fam.right)
+def _trials(rep):
+    """A density report's trials as the table {a, verdict}."""
+    return _json.Table(a=[t.a for t in rep.trials], verdict=[t.verdict for t in rep.trials])
+
+
+def _partial_sums(rep):
+    """Each trial's shortness sums, a row per rung of the report's ladder, which is every trial's."""
+    return _json.Table(
+        a=np.repeat([t.a for t in rep.trials], len(rep.radii)),
+        radius=np.tile(rep.radii, len(rep.trials)),
+        partial_sum=np.ravel([t.shortness.partial_sums for t in rep.trials]),
+    )
 
 
 def _cmd_density(args):
     seq, spec, radius = _build_sequence(args)
     rep = interior_density(seq, radii=_evidence_ladder(args.radius), a_tolerance=args.tol)
-    payload = {"params": _params(args, seq=spec, radius=radius), **_density_fields(rep)}
-    trials = ((t.a, t.verdict) for t in rep.trials)
-    sums = ((t.a, r, s) for t in rep.trials for r, s in zip(t.shortness.radii, t.shortness.partial_sums))
-    blocks = ("trials", "a,verdict", trials), ("partial_sums", "a,radius,partial_sum", sums)
-    return rep.polya_class, payload, lambda path: write_csv(path, *blocks)
+    trials = _trials(rep)
+    payload = {"params": _params(args, seq=spec, radius=radius), **_json.fields(rep), "trials": trials}
+    return rep.polya_class, payload, lambda path: write_csv(
+        path, ("trials", trials), ("partial_sums", _partial_sums(rep))
+    )
 
 
 def _cmd_classify(args):
@@ -262,18 +269,19 @@ def _cmd_classify(args):
     witness = null_ratio_witness(seq)
     # a long null-ratio family is a certificate, it overrides the bracket
     polya_class = NOT_POLYA if witness is not None else density.polya_class
+    trials = _trials(density)
     payload = {
         "params": _params(args, seq=spec, radius=radius),
         "polya_class": polya_class,
-        "density": _density_fields(density),
+        "density": {**_json.fields(density), "trials": trials},
         "witness": None,
     }
-    blocks = [("trials", "a,verdict", ((t.a, t.verdict) for t in density.trials))]
+    blocks = [("trials", trials)]
     if witness is not None:
         payload["witness"] = fields = _json.fields(witness)
-        fields["intervals"] = _intervals(fields.pop("family"))
-        rows = zip(witness.family.left, witness.family.right, witness.ratios)
-        blocks.append(("witness", "left,right,ratio", rows))
+        fam = fields.pop("family")
+        fields["intervals"] = _json.Table(left=fam.left, right=fam.right)
+        blocks.append(("witness", _json.Table(left=fam.left, right=fam.right, ratio=witness.ratios)))
     return polya_class, payload, lambda path: write_csv(path, *blocks)
 
 
@@ -289,7 +297,7 @@ def _cmd_bm(args):
     payload = {
         "params": _params(args, seq=spec, radius=radius, window=list(window)),
         "count": len(fam),
-        "intervals": _intervals(fam, flag=True),
+        "intervals": _json.Table(left=fam.left, right=fam.right, flag=fam.flags),
     }
     return None, payload, lambda path: family_to_csv(fam, path)
 
@@ -308,8 +316,7 @@ def _cmd_short(args):
         ladder = default_radius_ladder(r_max)
     rep = classify_short_long(lambda _r: fam, ladder)
     payload = {"params": _params(args, radii=ladder), "count": len(fam), **_json.fields(rep)}
-    rows = zip(rep.radii, rep.partial_sums)
-    return rep.verdict, payload, lambda path: write_csv(path, (None, "radius,partial_sum", rows))
+    return rep.verdict, payload, _csv(radius=rep.radii, partial_sum=rep.partial_sums)
 
 
 def _cmd_gap_probe(args):
@@ -317,9 +324,12 @@ def _cmd_gap_probe(args):
     sizes = sorted(set(args.sizes or (21, 51, 101, 201)))
     rep = min_gap_residual(seq, args.gap, sizes)
     payload = {"params": _params(args, seq=spec, radius=radius, sizes=sizes), **_json.fields(rep)}
-    header = "size,min_eigenvalue,floored,noise_floor"
-    rows = zip(rep.sizes, rep.min_eigenvalues, rep.floored_eigenvalues, rep.noise_floors)
-    return rep.classification, payload, lambda path: write_csv(path, (None, header, rows))
+    return rep.classification, payload, _csv(
+        size=rep.sizes,
+        min_eigenvalue=rep.min_eigenvalues,
+        floored=rep.floored_eigenvalues,
+        noise_floor=rep.noise_floors,
+    )
 
 
 def _parse_smoothness(text):
@@ -343,7 +353,7 @@ def _cmd_gap_measure(args):
         payload["verify"] = verify_gap(mu, _parse_pair(args.verify_interval, "--verify-interval"), args.grid_step)
     else:
         check_grid_step(args.grid_step)  # unused, but echoed under params
-    return None, payload, lambda path: measure_to_csv(mu, path)
+    return None, payload, _csv(point=mu.points, re=mu.weights.real, im=mu.weights.imag)
 
 
 def _cmd_cauchy(args):
@@ -351,8 +361,7 @@ def _cmd_cauchy(args):
     mu = symmetric_gap_measure(args.gap / 2.0, args.n)
     rep = cauchy_decay(mu, args.x, ys, args.tol)
     payload = {"params": _params(args), "half_gap": args.gap / 2.0, **_json.fields(rep)}
-    rows = zip(rep.y_values, rep.plus.log_abs, rep.minus.log_abs)
-    return rep.verdict, payload, lambda path: write_csv(path, (None, "y,log_abs_plus,log_abs_minus", rows))
+    return rep.verdict, payload, _csv(y=rep.y_values, log_abs_plus=rep.plus.log_abs, log_abs_minus=rep.minus.log_abs)
 
 
 def _cmd_ftype(args):
@@ -361,8 +370,7 @@ def _cmd_ftype(args):
     log_modulus = log_abs_qcos if args.function == "qcos" else log_abs_cos
     est = type_estimate(log_modulus, ys)
     payload = {"params": _params(args), **_json.fields(est)}
-    rows = zip(est.y_values, est.log_moduli)
-    return None, payload, lambda path: write_csv(path, (None, "y,log_modulus", rows))
+    return None, payload, _csv(y=est.y_values, log_modulus=est.log_moduli)
 
 
 def _subcommand(sub, name, handler, summary, seq=False):

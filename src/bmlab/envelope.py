@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._json import Table
 from .errors import BadArgument, BadDataFile
 from .sequences import PiecewiseLinear, check_file_size, check_utf8_line, write_csv
 
@@ -87,7 +88,7 @@ class IntervalFamily:
     is a bool array marking the intervals flagged TouchesWindowEdge (the
     others are Interior).  Closures of neighbours may share an endpoint.
     The constructor checks nothing (see the module docstring); ``flags``
-    is a derived view.
+    is the derived str column of flags.
     """
 
     left: np.ndarray
@@ -98,8 +99,8 @@ class IntervalFamily:
         return self.left.size
 
     @property
-    def flags(self) -> list[str]:
-        return [TOUCHES_WINDOW_EDGE if e else INTERIOR for e in self.edge.tolist()]
+    def flags(self) -> np.ndarray:
+        return np.where(self.edge, TOUCHES_WINDOW_EDGE, INTERIOR)
 
     def interior_part(self) -> "IntervalFamily":
         keep = ~self.edge
@@ -126,17 +127,19 @@ def _mass(left, right) -> float:
 
 def family_to_csv(family: IntervalFamily, path) -> None:
     """Write a family as CSV with columns left,right,flag."""
-    write_csv(path, (None, "left,right,flag", zip(family.left.tolist(), family.right.tolist(), family.flags)))
+    write_csv(path, (None, Table(left=family.left, right=family.right, flag=family.flags)))
 
 
 def family_from_csv(path) -> IntervalFamily:
     """Read a family from CSV lines ``left,right[,flag]``; header optional.
 
-    Rows go straight into endpoint columns and an edge flag, checked in
-    file order with faults naming ``path:line``: UTF-8 text, two numbers,
-    endpoints finite and at most ENDPOINT_BOUND in magnitude, left < right,
-    a known flag.  The rows are then sorted stably by left endpoint and
-    must be disjoint.  The file's size is checked first (``check_file_size``).
+    The first data line is a header, and skipped, only when its first cell
+    is not a number.  Rows go straight into endpoint columns and an edge
+    flag, checked in file order with faults naming ``path:line``: UTF-8
+    text, two or three cells of which the first two are numbers, endpoints
+    finite and at most ENDPOINT_BOUND in magnitude, left < right, a known
+    flag.  The rows are then sorted stably by left endpoint and must be
+    disjoint.  The file's size is checked first (``check_file_size``).
     """
     check_file_size(path)
     left, right, edge = array("d"), array("d"), bytearray()
@@ -148,14 +151,16 @@ def family_from_csv(path) -> IntervalFamily:
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
+            header, first_data_line = first_data_line, False
+            lo = hi = None
             try:
-                lo, hi = float(parts[0]), float(parts[1])
+                lo = float(parts[0])
+                hi = float(parts[1])
             except (ValueError, IndexError):
-                if first_data_line:
-                    first_data_line = False
-                    continue  # header line
-                raise BadDataFile(f"{path}:{lineno}: expected left,right[,flag]") from None
-            first_data_line = False
+                if header and lo is None:
+                    continue  # header line: its first cell is not a number
+            if hi is None or len(parts) > 3:
+                raise BadDataFile(f"{path}:{lineno}: expected left,right[,flag]")
             if not (abs(lo) <= ENDPOINT_BOUND and abs(hi) <= ENDPOINT_BOUND):
                 raise BadDataFile(
                     f"{path}:{lineno}: endpoints must be finite and at most {ENDPOINT_BOUND:g} in magnitude"

@@ -43,7 +43,7 @@ import numpy as np
 
 from .envelope import ENDPOINT_BOUND, INCONCLUSIVE, increasing_ladder, top_half_slope
 from .errors import BadArgument, NumericalBreakdown, SizeGuard
-from .sequences import SeparatedSequence, as_bounds, write_csv
+from .sequences import SeparatedSequence, as_bounds
 
 TWO_PI = 2.0 * math.pi  # the transform period of a lattice measure, and gap / density
 
@@ -68,11 +68,6 @@ class DiscreteMeasure:
 
     def __len__(self):
         return int(self.points.size)
-
-
-def measure_to_csv(mu: DiscreteMeasure, path) -> None:
-    """Write atoms as CSV with columns point,re,im."""
-    write_csv(path, (None, "point,re,im", zip(mu.points, mu.weights.real, mu.weights.imag)))
 
 
 def _bump(t, width: float, smoothness) -> np.ndarray:

@@ -94,31 +94,20 @@ def check_utf8_line(path, lineno: int, line: str) -> None:
             raise BadDataFile(f"{path}:{lineno}: not UTF-8 text") from None
 
 
-_FLOATING = (float, np.floating)
-
-
-def _cells(column):
-    """A column's cells as text by the cell rule: repr(float(v)) for float
-    and numpy floating cells, str for the others."""
-    floating = [issubclass(t, _FLOATING) for t in set(map(type, column))]
-    if all(floating):
-        return map(repr, map(float, column))
-    if not any(floating):
-        return map(str, column)
-    return [repr(float(v)) if isinstance(v, _FLOATING) else str(v) for v in column]
-
-
 def write_csv(path, *blocks) -> None:
-    """CSV blocks ``(title, header, rows)`` a blank line apart; a title adds a ``# title`` line.
+    """CSV blocks ``(title, table)`` a blank line apart; a title adds a ``# title`` line.
 
-    Floats, numpy scalars too, are written as repr(float(v)); labels and sizes as str.
-    A block's rows are equal-length tuples; they are formatted a column at a time
-    by that cell rule and written line by line.
+    ``table`` is a ``_json.Table``: its header is the column names in their
+    declared order, and a cell is ``str`` of the column's Python value,
+    which for a float is its ``repr`` (the shortest text that reads back to
+    the same double).  A block is formatted a column at a time and written
+    line by line.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for k, (title, header, rows) in enumerate(blocks):
-            fh.write(("\n" if k else "") + (f"# {title}\n" if title else "") + header + "\n")
-            fh.writelines(line + "\n" for line in map(",".join, zip(*map(_cells, zip(*rows)))))
+        for k, (title, table) in enumerate(blocks):
+            fh.write(("\n" if k else "") + (f"# {title}\n" if title else "") + ",".join(table.columns) + "\n")
+            cells = [map(str, col.tolist()) for col in table.columns.values()]
+            fh.writelines(line + "\n" for line in map(",".join, zip(*cells)))
 
 
 def _checked_window(points: np.ndarray, window) -> tuple[float, float]:

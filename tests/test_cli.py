@@ -16,7 +16,9 @@ import pytest
 import bmlab
 from bmlab import _json, cli
 from bmlab.cli import GENERATOR_GRAMMAR, build_parser, parse_generator, run
+from bmlab.density import interior_density
 from bmlab.envelope import INTERIOR, TOUCHES_WINDOW_EDGE, IntervalFamily
+from bmlab.gap import lattice_gap_measure
 
 PI = math.pi
 
@@ -255,7 +257,7 @@ def test_json_column_table_is_the_list_of_its_rows(rows, flag):
     special = [-0.0, 5e-324, 1e50, -1e50][: 2 * rows]
     ends = np.sort(np.concatenate([special, rng.normal(size=2 * rows - len(special)) * 1e3]))
     fam = IntervalFamily(ends[0::2], ends[1::2], rng.random(rows) < 0.5)
-    table = cli._intervals(fam, flag=flag)
+    table = _json.Table(left=fam.left, right=fam.right, **({"flag": fam.flags} if flag else {}))
     text = _json.dumps({"intervals": table})
     [(key, got)] = parse_raw(text)
     flags = [TOUCHES_WINDOW_EDGE if e else INTERIOR for e in fam.edge.tolist()]
@@ -875,7 +877,79 @@ def test_density_of_a_file_within_the_subnormal_range_is_a_window_error(tmp_path
     assert code == 2 and payload["radii"][-1] == 20 * 2e-307
 
 
+def _csv_blocks(text):
+    """A CSV file's blocks by title (None for an untitled one), each as (header, {column: cells})."""
+    blocks = {}
+    for chunk in text.split("\n\n"):
+        lines = chunk.splitlines()
+        title = lines.pop(0)[2:] if lines[0].startswith("# ") else None
+        header, rows = lines[0], [line.split(",") for line in lines[1:]]
+        blocks[title] = header, {name: [row[k] for row in rows] for k, name in enumerate(header.split(","))}
+    return blocks
+
+
+def _reprs(values):
+    """JSON floats as the CSV writes them: repr, with "nan" and "+-inf" read back from their strings."""
+    return [repr(float(v)) for v in values]
+
+
+def _csv_mirrors_of_the_json(p):
+    """The CSV blocks each subcommand's JSON report ``p`` says it writes: header and cells."""
+    command = p["params"]["command"]
+    if command in ("density", "classify"):
+        density = p if command == "density" else p["density"]
+        trials = {"a": _reprs(t["a"] for t in density["trials"]), "verdict": [t["verdict"] for t in density["trials"]]}
+        blocks = {"trials": ("a,verdict", trials)}
+        if command == "density":
+            reports = interior_density(parse_generator(p["params"]["seq"], p["params"]["radius"])).trials
+            blocks["partial_sums"] = "a,radius,partial_sum", {
+                "a": [a for a in trials["a"] for _ in density["radii"]],
+                "radius": _reprs(density["radii"]) * len(trials["a"]),
+                "partial_sum": [repr(s) for t in reports for s in t.shortness.partial_sums],
+            }
+        else:
+            intervals = p["witness"]["intervals"]
+            blocks["witness"] = "left,right,ratio", {
+                "left": _reprs(i["left"] for i in intervals),
+                "right": _reprs(i["right"] for i in intervals),
+                "ratio": _reprs(p["witness"]["ratios"]),
+            }
+        return blocks
+    if command == "bm":
+        intervals = p["intervals"]
+        return {None: ("left,right,flag", {
+            "left": _reprs(i["left"] for i in intervals),
+            "right": _reprs(i["right"] for i in intervals),
+            "flag": [i["flag"] for i in intervals],
+        })}
+    if command == "short":
+        return {None: ("radius,partial_sum", {"radius": _reprs(p["radii"]), "partial_sum": _reprs(p["partial_sums"])})}
+    if command == "gap-probe":
+        return {None: ("size,min_eigenvalue,floored,noise_floor", {
+            "size": [str(n) for n in p["sizes"]],
+            "min_eigenvalue": _reprs(p["min_eigenvalues"]),
+            "floored": _reprs(p["floored_eigenvalues"]),
+            "noise_floor": _reprs(p["noise_floors"]),
+        })}
+    if command == "gap-measure":
+        # the atoms are not in the JSON: they are the design's, bit for bit
+        mu = lattice_gap_measure(p["params"]["gap"], p["params"]["n"], "inf")
+        return {None: ("point,re,im", {
+            name: [repr(x) for x in col.tolist()]
+            for name, col in (("point", mu.points), ("re", mu.weights.real), ("im", mu.weights.imag))
+        })}
+    if command == "cauchy":
+        return {None: ("y,log_abs_plus,log_abs_minus", {
+            "y": _reprs(p["y_values"]),
+            "log_abs_plus": _reprs(p["plus"]["log_abs"]),
+            "log_abs_minus": _reprs(p["minus"]["log_abs"]),
+        })}
+    assert command == "ftype"
+    return {None: ("y,log_modulus", {"y": _reprs(p["y_values"]), "log_modulus": _reprs(p["log_moduli"])})}
+
+
 def test_every_csv_cell_is_a_label_or_a_float(tmp_path):
+    # each block's header is pinned, and each cell is the repr of the JSON value it mirrors
     fam = tmp_path / "fam.csv"
     fam.write_text("left,right\n" + "\n".join(f"{2**k},{2**k + 1}" for k in range(2, 12)) + "\n")
     csv = tmp_path / "out.csv"
@@ -889,13 +963,20 @@ def test_every_csv_cell_is_a_label_or_a_float(tmp_path):
         ["cauchy", "--gap", 3.0, "--x", 0.75],
         ["ftype", "--y-count", 8],
     ):
-        code, _, err = run_cli(argv + ["--csv-out", csv])
+        code, out, err = run_cli(argv + ["--csv-out", csv])
         assert code in (0, 2), err
-        rows = [line for line in csv.read_text().splitlines() if line and not line.startswith("#")]
-        assert len(rows) > 1, argv
-        for cell in ",".join(rows).split(","):
-            if not cell.isidentifier():  # a label or a header name
-                float(cell)
+        blocks = _csv_blocks(csv.read_text())
+        want = _csv_mirrors_of_the_json(json.loads(out))
+        assert list(blocks) == list(want), argv
+        for title, (header, columns) in want.items():
+            assert blocks[title][0] == header, argv
+            assert blocks[title][1] == columns, (argv, title)
+            assert all(columns.values()), (argv, title)  # no empty block
+        if argv[0] == "gap-measure":
+            mu = lattice_gap_measure(3.0, 32)
+            for name, col in (("point", mu.points), ("re", mu.weights.real), ("im", mu.weights.imag)):
+                got = np.array(blocks[None][1][name], dtype=float)
+                assert got.view(np.int64).tolist() == col.view(np.int64).tolist()
 
 
 VALID_PROBE = ["gap-probe", "--seq", "lattice:1", "--radius", "101", "--gap", "7.0"]
@@ -946,7 +1027,7 @@ def test_data_files_beyond_the_line_cap_exit_one(tmp_path, monkeypatch, flag):
 @pytest.mark.parametrize("flag", ["--input", "--seq", "--family"])
 def test_data_files_that_are_not_utf8_exit_sixtyfive(tmp_path, flag):
     path = tmp_path / "data.txt"
-    path.write_bytes(b"1.0\n\xff2.0\n")
+    path.write_bytes(b"1.0,2.0\n\xff3.0,4.0\n" if flag == "--family" else b"1.0\n\xff2.0\n")
     if flag == "--family":
         argv = ["short", "--family", path]
     else:

@@ -91,7 +91,7 @@ def test_family_csv_round_trip(tmp_path):
     family_to_csv(fam, path)
     back = family_from_csv(path)
     assert pairs_of(back) == [(-3.5, -1.25), (0.0, 2.0)]
-    assert back.flags == [TOUCHES_WINDOW_EDGE, INTERIOR]
+    assert back.flags.tolist() == [TOUCHES_WINDOW_EDGE, INTERIOR]
 
 
 def test_family_csv_bytes_are_pinned_and_read_back_bit_exact(tmp_path):
@@ -116,7 +116,7 @@ def test_family_csv_plain_two_columns(tmp_path):
     path.write_text("1.0,2.0\n4.0,8.0\n")
     fam = family_from_csv(path)
     assert len(fam) == 2
-    assert fam.flags == [INTERIOR, INTERIOR]
+    assert fam.flags.tolist() == [INTERIOR, INTERIOR]
 
 
 def test_family_csv_bad_line(tmp_path):
@@ -126,9 +126,37 @@ def test_family_csv_bad_line(tmp_path):
         family_from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1.0,x2.0\n4,5\n8,9\n", 1),  # a first row that is data, not a header
+        ("1\n4,5\n8,9\n", 1),
+        ("left,right\n1,2,Interior,x\n4,5\n", 2),  # four cells
+        ("1,2\n4,5,TouchesWindowEdge,\n", 2),
+    ],
+)
+def test_family_csv_malformed_rows_are_refused_at_their_line(tmp_path, text, line):
+    path = tmp_path / "fam.csv"
+    path.write_text(text)
+    with pytest.raises(BadDataFile) as info:
+        family_from_csv(path)
+    assert str(info.value) == f"{path}:{line}: expected left,right[,flag]"
+
+
+@pytest.mark.parametrize("header", ["left,right", "left,right,flag", "x,y", "# note\nleft"])
+def test_family_csv_header_is_a_first_line_whose_first_cell_is_not_a_number(tmp_path, header):
+    path = tmp_path / "fam.csv"
+    path.write_text(header + "\n1,2\n4,8,TouchesWindowEdge\n")
+    fam = family_from_csv(path)
+    assert pairs_of(fam) == [(1.0, 2.0), (4.0, 8.0)]
+    assert fam.edge.tolist() == [False, True]
+
+
 def reference_family_read(path):
     """The row reader family_from_csv had, kept as the reference: it reads
-    every row, then checks the flags and the disjointness of the sorted rows."""
+    every row, then checks the flags and the disjointness of the sorted rows.
+    The first data line is a header only when its first cell is not a
+    number, and a row has two or three cells."""
     rows = []
     first_data_line = True
     with open(path, "r", encoding="utf-8") as fh:
@@ -137,14 +165,18 @@ def reference_family_read(path):
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
+            if first_data_line:
+                first_data_line = False
+                try:
+                    float(parts[0])
+                except ValueError:
+                    continue  # header line
             try:
+                if len(parts) > 3:
+                    raise ValueError("more than three cells")
                 left, right = float(parts[0]), float(parts[1])
             except (ValueError, IndexError):
-                if first_data_line:
-                    first_data_line = False
-                    continue  # header line
                 raise BadDataFile(f"{path}:{lineno}: expected left,right[,flag]") from None
-            first_data_line = False
             if not (abs(left) <= ENDPOINT_BOUND and abs(right) <= ENDPOINT_BOUND):
                 raise BadDataFile(
                     f"{path}:{lineno}: endpoints must be finite and at most {ENDPOINT_BOUND:g} in magnitude"
@@ -317,12 +349,12 @@ def random_family(draw):
 def test_columnar_sums_match_plain_loop_bit_for_bit(data):
     pairs, edge, radius = data
     fam = family(pairs, edge)
-    assert fam.flags == [TOUCHES_WINDOW_EDGE if e else INTERIOR for e in edge]
+    assert fam.flags.tolist() == [TOUCHES_WINDOW_EDGE if e else INTERIOR for e in edge]
     # interior and edge parts partition the family
     interior = [iv for iv, e in zip(pairs, edge) if not e]
     at_edge = [iv for iv, e in zip(pairs, edge) if e]
     assert pairs_of(fam.interior_part()) == interior
-    assert fam.interior_part().flags == [INTERIOR] * len(interior)
+    assert fam.interior_part().flags.tolist() == [INTERIOR] * len(interior)
     assert len(interior) + len(at_edge) == len(fam)
     # exact equality: a pairwise or reordered sum moves the last bits
     inside = [(a, b) for a, b in pairs if a >= -radius and b <= radius]

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bmlab import sequences
+from bmlab._json import Table
 from bmlab.cli import parse_generator
 from bmlab.errors import (
     BadArgument,
@@ -27,6 +28,7 @@ from bmlab.sequences import (
     gamma_line,
     load_sequence,
     read_sequence_file,
+    write_csv,
 )
 
 
@@ -510,3 +512,44 @@ def test_restricted_sequences_keep_their_points_and_gap():
     assert seq.within(0.1).delta == math.inf
     with pytest.raises(EmptyRange):
         load_sequence([5.0, 6.0]).within(1.0)
+
+
+# ---------------------------------------------------------------- csv tables
+
+
+def test_csv_cells_follow_the_column_dtype(tmp_path):
+    # a float column as repr, an int or label column as str, the header in declared order
+    path = tmp_path / "out.csv"
+    table = Table(
+        x=np.array([-0.0, 5e-324, math.nan, -math.inf, 1e50]),
+        n=np.array([3, -2, 0, 10**12, 7]),
+        label=np.array(["Interior", "a b", "", "TouchesWindowEdge", "x"]),
+    )
+    write_csv(path, (None, table))
+    assert path.read_bytes() == (
+        b"x,n,label\n"
+        b"-0.0,3,Interior\n"
+        b"5e-324,-2,a b\n"
+        b"nan,0,\n"
+        b"-inf,1000000000000,TouchesWindowEdge\n"
+        b"1e+50,7,x\n"
+    )
+
+
+def test_csv_zero_row_table_writes_only_its_header(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, (None, Table(a=np.zeros(0), verdict=np.array([], dtype=str))))
+    assert path.read_bytes() == b"a,verdict\n"
+
+
+def test_csv_titled_blocks_are_a_blank_line_apart(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(
+        path,
+        ("trials", Table(a=[0.5, 0.25], verdict=["No", "Yes"])),
+        ("partial_sums", Table(a=[0.5], radius=[16.0], partial_sum=[0.1])),
+    )
+    assert path.read_bytes() == (
+        b"# trials\na,verdict\n0.5,No\n0.25,Yes\n"
+        b"\n# partial_sums\na,radius,partial_sum\n0.5,16.0,0.1\n"
+    )
