@@ -54,6 +54,7 @@ from .envelope import (
     classify_short_long,
     family_from_csv,
     family_to_csv,
+    shortness_partial_sum,
 )
 from .errors import (
     BadArgument,
@@ -314,7 +315,7 @@ def _cmd_short(args):
         else:
             r_max = 16.0
         ladder = default_radius_ladder(r_max)
-    rep = classify_short_long(lambda _r: fam, ladder)
+    rep = classify_short_long(ladder, [shortness_partial_sum(fam, r) for r in ladder], degenerate=len(fam) == 0)
     payload = {"params": _params(args, radii=ladder), "count": len(fam), **_json.fields(rep)}
     return rep.verdict, payload, _csv(radius=rep.radii, partial_sum=rep.partial_sums)
 
@@ -373,20 +374,16 @@ def _cmd_ftype(args):
     return None, payload, _csv(y=est.y_values, log_modulus=est.log_moduli)
 
 
-def _subcommand(sub, name, handler, summary, seq=False):
-    """A subparser whose handler runs with it; ``seq`` adds the sequence source flags."""
+def _subcommand(sub, name, handler, summary, radius_help=None):
+    """A subparser whose handler runs with it; ``radius_help`` adds the
+    sequence source flags and a repeatable --radius with that help."""
     p = sub.add_parser(name, help=summary)
     p.set_defaults(handler=(handler, p))
-    if seq:
+    if radius_help is not None:
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--seq", help="sequence generator spec; see the grammar below --help")
         source.add_argument("--input", help="sequence file path, same as --seq file:<path>")
-        p.add_argument(
-            "--radius",
-            action="append",
-            type=float,
-            help="window radius; repeat 4+ times for an explicit evidence ladder",
-        )
+        p.add_argument("--radius", action="append", type=float, help=radius_help)
     return p
 
 
@@ -405,10 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("density", _cmd_density, "bracket the interior density by bisection"),
         ("classify", _cmd_classify, "full classification: density bracket plus witness search"),
     ):
-        p = _subcommand(sub, name, handler, summary, seq=True)
+        p = _subcommand(sub, name, handler, summary, "window radius; repeat 4+ times for an explicit evidence ladder")
         p.add_argument("--tol", type=float, default=0.05, help="bracket tolerance on a")
 
-    p = _subcommand(sub, "bm", _cmd_bm, "dump the envelope interval family of a*x - n(x)", seq=True)
+    one_radius = "window radius; repeated, the largest value is used"
+    p = _subcommand(sub, "bm", _cmd_bm, "dump the envelope interval family of a*x - n(x)", one_radius)
     p.add_argument("--a", type=float, required=True, help="slope of the test line")
     p.add_argument("--window", help="computation window lo,hi (default -radius,radius)")
 
@@ -423,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evidence radius; repeat 4+ times for an explicit ladder",
     )
 
-    p = _subcommand(sub, "gap-probe", _cmd_gap_probe, "smallest Gram eigenvalue along growing windows", seq=True)
+    p = _subcommand(sub, "gap-probe", _cmd_gap_probe, "smallest Gram eigenvalue along growing windows", one_radius)
     p.add_argument("--gap", type=float, required=True, help="interval length a of the Gram inner product")
     p.add_argument(
         "--n",

@@ -69,6 +69,7 @@ from .envelope import (
     classify_short_long,
     increasing_ladder,
     is_almost_decreasing,
+    shortness_partial_sum,
 )
 from .errors import BadArgument, WindowTooSmall
 from .gap import TWO_PI
@@ -256,9 +257,9 @@ def null_ratio_witness(seq: SeparatedSequence) -> WitnessFamily | None:
     The ladders are walked on endpoint columns in a fixed deterministic
     order; ratios are point counts (one ``searchsorted`` pair) over
     lengths, and the k-th interval picked is the next one whose ratio is at
-    most RATIO_CAP[k].  The first candidate family that keeps at least 4
-    intervals and 4 radii and classifies Long is returned, with its columns
-    and ratios sorted by left endpoint.
+    most RATIO_CAP[k].  The first candidate family whose intervals reach
+    at least 4 distinct radii and whose partial sums along them classify
+    Long is returned, with its columns and ratios sorted by left endpoint.
     """
     for base in (4, 2):
         for name, left, right in _geometric_ladders(seq.window, base):
@@ -272,14 +273,14 @@ def null_ratio_witness(seq: SeparatedSequence) -> WitnessFamily | None:
                 last += 1 + int(hits[0])
                 picked.append(last)
             kept = np.array(picked, dtype=np.intp)
-            if kept.size < 4:
-                continue
             kept = kept[np.argsort(left[kept], kind="stable")]
+            # distinct containment radii, no more than the intervals kept
             radii = np.unique(np.maximum(np.abs(left[kept]), np.abs(right[kept])))
             if radii.size < 4:
                 continue
             family = IntervalFamily(left[kept], right[kept], np.zeros(kept.size, dtype=bool))
-            report = classify_short_long(lambda _r: family, radii)
+            sums = [shortness_partial_sum(family, r) for r in radii]
+            report = classify_short_long(radii, sums, degenerate=False)
             if report.verdict == LONG:
                 return WitnessFamily(family, ratios[kept].tolist(), report, name)
     return None

@@ -35,12 +35,13 @@ and long when the sum diverges.  At desk scale the dichotomy is decided
 from partial sums along an increasing radius ladder: convergent increments
 mean Short, a clean unbounded growth fit (linear in log radius, or a power
 law, with r^2 at least ``R2_MIN``) means Long, anything else is
-Inconclusive.  Components whose closure touches the window edge are
-systematically uncertain (the suffix maximum beyond the horizon is
-unknown), so ``is_almost_decreasing`` excludes them from the sums and
-reports their mass separately; edge mass that keeps growing with the
-radius is finite-section evidence of an infinite component, which decides
-No (a family containing an unbounded interval is long).
+Inconclusive (``classify_short_long``, from the sums alone).  Components
+whose closure touches the window edge are systematically uncertain (the
+suffix maximum beyond the horizon is unknown), so ``is_almost_decreasing``
+keeps them out of the sums and weighs their mass against the sums; edge mass
+that keeps growing with the radius is finite-section evidence of an
+infinite component, which decides No (a family containing an unbounded
+interval is long).
 """
 
 from __future__ import annotations
@@ -102,27 +103,21 @@ class IntervalFamily:
     def flags(self) -> np.ndarray:
         return np.where(self.edge, TOUCHES_WINDOW_EDGE, INTERIOR)
 
-    def interior_part(self) -> "IntervalFamily":
-        keep = ~self.edge
-        return IntervalFamily(self.left[keep], self.right[keep], self.edge[keep])
 
-    def edge_mass(self) -> float:
-        """Shortness mass of the TouchesWindowEdge intervals."""
-        return _mass(self.left[self.edge], self.right[self.edge])
+def _masses(left, right) -> np.ndarray:
+    """|I|^2 / (1 + dist(I,0)^2) of each interval; dist(I,0) is max(left, -right, 0), exact.
 
-
-def _mass(left, right) -> float:
-    """Sum of |I|^2 / (1 + dist(I,0)^2) over the columns, added left to right.
-
-    float_power calls the C pow as Python's ** does, and the running sum
-    adds in order, so the result equals a plain loop over the intervals
-    bit for bit (numpy's pairwise sum would not).  dist(I,0) is
-    max(left, -right, 0), exact.
+    float_power calls the C pow as Python's ** does, and ``_sum`` adds in
+    order, so a sum equals a plain loop over the intervals bit for bit
+    (numpy's pairwise sum would not).
     """
-    if left.size == 0:
-        return 0.0
     d = np.maximum(np.maximum(left, -right), 0.0)
-    return float(np.cumsum(np.float_power(right - left, 2) / (1.0 + d * d))[-1])
+    return np.float_power(right - left, 2) / (1.0 + d * d)
+
+
+def _sum(masses) -> float:
+    """The masses added left to right, 0.0 for none."""
+    return float(np.cumsum(masses)[-1]) if masses.size else 0.0
 
 
 def family_to_csv(family: IntervalFamily, path) -> None:
@@ -181,9 +176,11 @@ def family_from_csv(path) -> IntervalFamily:
 
 
 def shortness_partial_sum(family: IntervalFamily, radius: float) -> float:
-    """Sum of |I|^2 / (1 + dist(I,0)^2) over intervals contained in [-radius, radius]."""
-    inside = (family.left >= -radius) & (family.right <= radius)
-    return _mass(family.left[inside], family.right[inside])
+    """Sum of |I|^2 / (1 + dist(I,0)^2) over intervals contained in [-radius, radius]:
+    the family is sorted and disjoint, so they are one contiguous slice."""
+    a = np.searchsorted(family.left, -radius, "left")
+    b = np.searchsorted(family.right, radius, "right")
+    return _sum(_masses(family.left[a:b], family.right[a:b]))
 
 
 @dataclass
@@ -195,8 +192,6 @@ class ShortnessReport:
     r_squared: float
     verdict: str
     degenerate: bool = False
-    edge_mass: list[float] | None = None
-    boundary_dominated: bool = False
 
 
 def linear_fit(x, y):
@@ -254,23 +249,13 @@ def _half_index(radii):
     return None
 
 
-def classify_short_long(family_at_radius, radii) -> ShortnessReport:
-    """Classify the family produced by a radius callback as Short or Long.
-
-    Parameters
-    ----------
-    family_at_radius : callable radius -> IntervalFamily
-        Family visible at a given radius.  For a fixed family pass
-        ``lambda r: family``; containment in [-r, r] is applied here.
-    radii : array_like
-        Strictly increasing ladder, at least 4 values, spanning at least
-        one doubling.
+def classify_short_long(radii, sums, degenerate: bool) -> ShortnessReport:
+    """Classify a family as Short or Long from its partial ``sums`` along
+    ``radii``, a strictly increasing ladder of at least 4 values.  Each
+    caller sums its own family; ``degenerate``, a family with no interval
+    at any radius, is a Short flagged as such.
     """
     radii = increasing_ladder(radii, 4, "radii")
-    families = [family_at_radius(r) for r in radii]
-    sums = [shortness_partial_sum(f, r) for f, r in zip(families, radii)]
-
-    degenerate = all(len(f) == 0 for f in families)
     if degenerate:
         return ShortnessReport(radii, sums, "Bounded", 0.0, 1.0, SHORT, degenerate=True)
 
@@ -468,8 +453,10 @@ def is_almost_decreasing(gamma: PiecewiseLinear, radii) -> tuple[str, ShortnessR
     """Desk-scale test of the almost decreasing property of gamma.
 
     Runs ``bm_family`` on the window [-r, r] for every radius of the
-    ladder, classifies the interior components as Short or Long and tracks
-    the mass of edge-flagged components separately.  The verdict is
+    ladder.  That family lies in [-r, r], so each rung takes the masses of
+    its intervals once and adds them left to right in two parts, split by
+    the edge flag: the interior sum, which ``classify_short_long`` judges
+    Short or Long, and the edge mass, kept here.  The verdict is
 
     * No   when the interior family is Long, when every computed ordinate
            of gamma rises (``gamma.trend``: for gamma_a each segment slope
@@ -482,17 +469,20 @@ def is_almost_decreasing(gamma: PiecewiseLinear, radii) -> tuple[str, ShortnessR
     * Inconclusive otherwise.
     """
     radii = increasing_ladder(radii, 4, "radii")
-    families = {r: bm_family(gamma, (-r, r)) for r in radii}
-
-    report = classify_short_long(lambda r: families[r].interior_part(), radii)
-    report.edge_mass = edge_mass = [families[r].edge_mass() for r in radii]
+    sums, edge_mass, degenerate = [], [], True
+    for r in radii:
+        family = bm_family(gamma, (-r, r))
+        masses = _masses(family.left, family.right)
+        interior = masses[~family.edge]
+        degenerate = degenerate and interior.size == 0
+        sums.append(_sum(interior))
+        edge_mass.append(_sum(masses[family.edge]))
+    report = classify_short_long(radii, sums, degenerate)
 
     half = _half_index(radii)
-    dominated = False
-    if edge_mass[-1] > EDGE_FACTOR * max(1.0, report.partial_sums[-1]):
-        grew = half is None or edge_mass[-1] >= EDGE_GROWTH_MIN * max(edge_mass[half], 1e-300)
-        dominated = bool(grew)
-    report.boundary_dominated = dominated
+    dominated = edge_mass[-1] > EDGE_FACTOR * max(1.0, sums[-1]) and (
+        half is None or edge_mass[-1] >= EDGE_GROWTH_MIN * max(edge_mass[half], 1e-300)
+    )
 
     if report.verdict == LONG or dominated or gamma.trend == 1:
         return NO, report

@@ -323,8 +323,7 @@ def key_paths(obj, prefix=""):
 
 DENSITY_KEYS = """a_lower a_tolerance a_upper delta gap_lower gap_upper n_points polya_class
     radii resolution_ok trials[].a trials[].verdict window""".split()
-SHORTNESS_KEYS = """boundary_dominated coefficient degenerate edge_mass model partial_sums
-    r_squared radii verdict""".split()
+SHORTNESS_KEYS = "coefficient degenerate model partial_sums r_squared radii verdict".split()
 MEASURE_KEYS = """margin n_atoms params.command params.gap params.grid_step params.n
     params.smoothness params.verify_interval total_variation""".split()
 SEQ_PARAMS = "params.command params.radius params.seq".split()
@@ -403,6 +402,14 @@ def subparsers():
 def flag_dests(command):
     """The dests of a subcommand's flags, read from the parser that declares them."""
     return {a.dest for a in subparsers()[command]._actions if a.option_strings and a.dest != "help"}
+
+
+def test_only_density_and_classify_promise_a_radius_ladder():
+    # bm and gap-probe take no ladder: a repeated --radius cuts at the largest
+    sequence_commands = {name: p for name, p in subparsers().items() if "seq" in flag_dests(name)}
+    assert sorted(sequence_commands) == ["bm", "classify", "density", "gap-probe"]
+    promising = {name for name, p in sequence_commands.items() if "ladder" in p.format_help()}
+    assert promising == {"density", "classify"}
 
 
 @pytest.mark.parametrize(
@@ -583,6 +590,35 @@ def test_short_subcommand_long_family(tmp_path):
     assert code == 0
     assert payload["verdict"] == "Long"
     assert payload["model"] == "LogGrowth"
+
+
+def test_short_empty_family_is_a_degenerate_short(tmp_path):
+    fam = tmp_path / "fam.csv"
+    fam.write_text("left,right\n")
+    code, payload = run_json(["short", "--family", fam])
+    assert code == 0
+    assert (payload["verdict"], payload["degenerate"], payload["radii"][-1]) == ("Short", True, 16.0)
+    # an interval beyond every radius leaves the same zero sums, but the family is not empty
+    fam.write_text("100,101\n")
+    code, payload = run_json(["short", "--family", fam, *(a for r in (1, 2, 4, 8) for a in ("--radius", r))])
+    assert code == 0
+    assert (payload["verdict"], payload["degenerate"], payload["partial_sums"]) == ("Short", False, [0.0] * 4)
+
+
+def test_short_ladder_whose_logs_collapse_is_inconclusive(tmp_path):
+    # four adjacent doubles share one log: no growth fit is defined, and the
+    # classifier says Other with slope 0, not a division by zero
+    fam = tmp_path / "fam.csv"
+    fam.write_text("0,1\n2,3\n")
+    rungs = [1e50]
+    for _ in range(3):
+        rungs.insert(0, float(np.nextafter(rungs[0], 0.0)))
+    assert len(set(np.log(rungs).tolist())) == 1
+    code, out, err = run_cli(["short", "--family", fam, *(a for r in rungs for a in ("--radius", repr(r)))])
+    assert code == 2 and err == ""
+    payload = json.loads(out)
+    assert payload["radii"] == rungs
+    assert (payload["verdict"], payload["model"], payload["coefficient"]) == ("Inconclusive", "Other", 0.0)
 
 
 def test_gap_measure_with_verification():

@@ -1,14 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bmlab import density
 from bmlab.cli import parse_generator
 from bmlab.density import NOT_POLYA, POLYA, default_radius_ladder, interior_density, null_ratio_witness
-from bmlab.envelope import INCONCLUSIVE, LONG, NO, YES, IntervalFamily, classify_short_long
+from bmlab.envelope import INCONCLUSIVE, LONG, NO, YES, IntervalFamily, classify_short_long, shortness_partial_sum
 from bmlab.errors import BadArgument, BmLabError, WindowTooSmall
 from bmlab.gap import TWO_PI, cauchy_decay, lattice_gap_measure, min_gap_residual
 from bmlab.sequences import count_in, gamma_line, load_sequence
@@ -355,7 +356,7 @@ def reference_witness(seq, caps):
         radii = sorted({max(abs(left), abs(right)) for (left, right), _ in kept})
         if len(radii) < 4:
             continue
-        report = classify_short_long(lambda _r: family, radii)
+        report = classify_short_long(radii, [shortness_partial_sum(family, r) for r in radii], degenerate=False)
         if report.verdict == LONG:
             return name, [r for _, r in ordered], family, report
     return None
@@ -389,8 +390,9 @@ def scattered(draw):
     """Points spread evenly, or bunched near the low end, over a window."""
     lo, hi = window = draw(WINDOWS)
     u = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60)))
-    points = lo + (hi - lo) * (u * u if draw(st.booleans()) else u)
-    return np.unique(np.clip(points, lo, hi)), window
+    points = np.unique(np.clip(lo + (hi - lo) * (u * u if draw(st.booleans()) else u), lo, hi))
+    assume(not np.any(np.diff(points) < sys.float_info.min))  # a sequence's gaps are normal doubles
+    return points, window
 
 
 @st.composite

@@ -350,68 +350,55 @@ def test_columnar_sums_match_plain_loop_bit_for_bit(data):
     pairs, edge, radius = data
     fam = family(pairs, edge)
     assert fam.flags.tolist() == [TOUCHES_WINDOW_EDGE if e else INTERIOR for e in edge]
-    # interior and edge parts partition the family
-    interior = [iv for iv, e in zip(pairs, edge) if not e]
-    at_edge = [iv for iv, e in zip(pairs, edge) if e]
-    assert pairs_of(fam.interior_part()) == interior
-    assert fam.interior_part().flags.tolist() == [INTERIOR] * len(interior)
-    assert len(interior) + len(at_edge) == len(fam)
     # exact equality: a pairwise or reordered sum moves the last bits
     inside = [(a, b) for a, b in pairs if a >= -radius and b <= radius]
     assert shortness_partial_sum(fam, radius) == plain_mass(inside)
     assert shortness_partial_sum(fam, np.inf) == plain_mass(pairs)
-    assert fam.edge_mass() == plain_mass(at_edge)
+    # at radii on the outer endpoints an interval touches [-r, r] and is contained
+    for r in {abs(x) for iv in pairs[:4] + pairs[-4:] for x in iv}:
+        assert shortness_partial_sum(fam, r) == plain_mass([(a, b) for a, b in pairs if a >= -r and b <= r])
     # term by term too, where no rounding of the sum hides a changed weight
     for iv in pairs:
         assert shortness_partial_sum(family([iv]), np.inf) == plain_mass([iv])
 
 
 def test_classify_unit_intervals_short():
-    def fam_at(r):
-        n_max = int(r) - 1
-        return family([(float(n), float(n + 1)) for n in range(1, max(n_max, 2))])
-
-    report = classify_short_long(fam_at, [100.0, 400.0, 1600.0, 6400.0, 25600.0])
+    # the unit intervals [n, n+1] that end below r, a family that grows with the radius
+    radii = [100.0, 400.0, 1600.0, 6400.0, 25600.0]
+    sums = [shortness_partial_sum(family([(float(n), float(n + 1)) for n in range(1, int(r) - 1)]), r) for r in radii]
+    report = classify_short_long(radii, sums, degenerate=False)
     assert report.verdict == SHORT
     assert report.partial_sums[-1] < 2.0
 
 
 def test_classify_dyadic_long():
-    def fam_at(r):
-        ks = [k for k in range(1, 40) if 2 ** (k + 1) <= r]
-        return family([(float(2**k), float(2 ** (k + 1))) for k in ks])
-
+    fam = family([(float(2**k), float(2 ** (k + 1))) for k in range(1, 40)])
     radii = [float(2**k) for k in range(4, 21)]
-    report = classify_short_long(fam_at, radii)
+    report = classify_short_long(radii, [shortness_partial_sum(fam, r) for r in radii], degenerate=False)
     assert report.verdict == LONG
     assert report.model == "LogGrowth"
     assert report.r_squared > 0.99
 
 
 def test_classify_empty_family_short_flagged():
-    def fam_at(_r):
-        return family([])
-
-    report = classify_short_long(fam_at, [1.0, 2.0, 4.0, 8.0])
+    report = classify_short_long([1.0, 2.0, 4.0, 8.0], [0.0] * 4, degenerate=True)
     assert report.verdict == SHORT
     assert report.degenerate
+    # the same zero sums from a family that is not empty are a plain Short
+    report = classify_short_long([1.0, 2.0, 4.0, 8.0], [0.0] * 4, degenerate=False)
+    assert report.verdict == SHORT and not report.degenerate
 
 
 def test_classify_needs_four_radii():
-    def fam_at(_r):
-        return family([])
-
     with pytest.raises(ValueError):
-        classify_short_long(fam_at, [1.0, 2.0, 4.0])
+        classify_short_long([1.0, 2.0, 4.0], [0.0] * 3, degenerate=True)
 
 
 def test_classify_power_growth_is_other_model():
     # single interval [0, r]: partial sum ~ r^2, a power law
-    def fam_at(r):
-        return family([(0.0, float(r))])
-
     radii = [float(4**k) for k in range(1, 9)]
-    report = classify_short_long(fam_at, radii)
+    sums = [shortness_partial_sum(family([(0.0, r)]), r) for r in radii]
+    report = classify_short_long(radii, sums, degenerate=False)
     assert report.verdict == LONG
     assert report.model == "Other"
 
@@ -566,19 +553,48 @@ def test_decreasing_line_yes():
 def test_half_slope_line_no():
     verdict, report = is_almost_decreasing(line(0.5), RADII)
     assert verdict == NO
-    assert report.boundary_dominated
+    assert report.degenerate  # no interior interval: one flagged component fills the window
 
 
 def test_squares_gamma_no():
     # a = 0.5 far exceeds the vanishing density of the squares: gamma is
     # eventually increasing, the BM set swallows the window as one
-    # edge-flagged component whose mass explodes with the radius
+    # edge-flagged component whose mass explodes with the radius.  Its
+    # ordinates are not monotone and its interior family is Short, so the
+    # No comes from the edge mass alone
     seq = parse_generator("squares", 490000.0)
     gamma = gamma_line(seq, 0.5)
     radii = [1000.0, 4000.0, 16000.0, 64000.0, 256000.0, 490000.0]
     verdict, report = is_almost_decreasing(gamma, radii)
+    assert gamma.trend == 0 and report.verdict == SHORT
     assert verdict == NO
-    assert report.verdict == LONG or report.boundary_dominated
+
+
+def test_window_sums_match_plain_loop_bit_for_bit(monkeypatch):
+    # each rung's interior sum and edge mass are a plain loop over that
+    # window's bm_family, split by the flag; the family lies in [-r, r],
+    # so no containment test drops an interval
+    from bmlab import envelope
+
+    added = []
+    plain_sum = envelope._sum
+    monkeypatch.setattr(envelope, "_sum", lambda masses: added.append(plain_sum(masses)) or added[-1])
+    points = np.array([k + 0.25 * (k % 3) for k in range(-400, 401)], dtype=float)
+    seq = load_sequence(points, (-401.0, 401.0))
+    radii = [25.0, 50.0, 100.0, 200.0, 400.0]
+    for a in (0.7, 0.9, 1.0, 1.05, 1.3):
+        gamma = gamma_line(seq, a)
+        added.clear()
+        _, report = is_almost_decreasing(gamma, radii)
+        expected = []
+        for r in radii:
+            fam = bm_family(gamma, (-r, r))
+            assert np.all(fam.left >= -r) and np.all(fam.right <= r)
+            pairs = pairs_of(fam)
+            expected.append(plain_mass([iv for iv, e in zip(pairs, fam.edge) if not e]))
+            expected.append(plain_mass([iv for iv, e in zip(pairs, fam.edge) if e]))
+        assert added == expected
+        assert report.partial_sums == expected[::2]
 
 
 def test_unit_lattice_gamma_yes():
@@ -596,9 +612,6 @@ def test_flat_gamma_inconclusive_is_allowed():
 
 
 def test_ladders_refuse_values_outside_their_range():
-    def fam_at(_r):
-        return family([])
-
     for radii in (
         [1.0, 2.0, 4.0, np.inf],
         [np.nan, 1.0, 2.0, 4.0],
@@ -606,9 +619,9 @@ def test_ladders_refuse_values_outside_their_range():
         [1.0, 2.0, 4.0, 1e60],
     ):
         with pytest.raises(BadArgument):
-            classify_short_long(fam_at, radii)
+            classify_short_long(radii, [0.0] * 4, degenerate=True)
     # the top end is inclusive: a ladder may reach the largest family-file endpoint
-    assert classify_short_long(fam_at, [1e47, 1e48, 1e49, 1e50]).radii[-1] == 1e50
+    assert classify_short_long([1e47, 1e48, 1e49, 1e50], [0.0] * 4, degenerate=True).radii[-1] == 1e50
 
 
 

@@ -244,6 +244,12 @@ def test_type_of_cos_past_double_range():
     assert est.fitted_type == pytest.approx(1.0, rel=1e-12)
 
 
+def test_type_of_a_modulus_never_finite_is_nan():
+    # no finite point is left to fit: the too_few value of both fits
+    est = type_estimate(lambda _z: -math.inf, np.geomspace(10.0, 1e3, 8))
+    assert math.isnan(est.fitted_type) and math.isnan(est.fitted_sqrt_coeff)
+
+
 def test_type_estimate_needs_eight_values():
     with pytest.raises(ValueError):
         type_estimate(log_abs_cos, np.geomspace(1.0, 10.0, 7))
