@@ -63,6 +63,7 @@ from .errors import (
     DuplicatePoint,
     EmptyRange,
     NotSeparated,
+    OutOfWindow,
     SizeGuard,
     WindowTooSmall,
 )
@@ -131,6 +132,12 @@ def parse_generator(spec: str, radius: float | None = None):
     radius).  A built-in generator of more than POINTS_CAP points, and a
     file of more than POINTS_CAP lines, raise SizeGuard before anything is
     allocated or parsed.
+
+    Only the kept points are built.  ``lattice`` scales the float indices
+    within the radius in place.  ``logperturbed`` is odd: its points for
+    n >= 0 are cut at the radius, and the negative ones are their exact
+    negations (IEEE rounding is symmetric), so the sequence is the
+    whole index range cut to [-radius, radius] bit for bit.
     """
     name, _, param = spec.partition(":")
     name = name.strip()
@@ -172,7 +179,9 @@ def parse_generator(spec: str, radius: float | None = None):
             n_max -= 1
         if n_max < 1:
             raise WindowTooSmall(f"radius {radius:g} is below one lattice step {step:g}")
-        return load_sequence(np.arange(-n_max, n_max + 1) * step, window)
+        points = np.arange(-n_max, n_max + 1, dtype=float)
+        points *= step
+        return load_sequence(points, window)
 
     if name == "squares":
         check_points(2.0 * math.sqrt(radius) + 1.0)
@@ -186,8 +195,11 @@ def parse_generator(spec: str, radius: float | None = None):
     n_max = int(math.floor(radius))
     if n_max < 1:
         raise WindowTooSmall(f"radius {radius:g} holds no perturbed point")
-    n = np.arange(-n_max, n_max + 1).astype(float)
-    return load_sequence(n + n / np.log(np.abs(n) + 2.0)).within(radius)
+    k = np.arange(n_max + 1, dtype=float)
+    half = k / np.log(k + 2.0)
+    half += k
+    half = half[: np.searchsorted(half, radius, "right")]
+    return load_sequence(np.concatenate((-half[:0:-1], half)), window)
 
 
 def _evidence_ladder(radii):
@@ -294,7 +306,12 @@ def _cmd_bm(args):
         window = (-radius, radius)
     else:
         window = seq.window
-    fam = bm_family(gamma_line(seq, args.a), window)
+    gamma = gamma_line(seq, args.a)
+    lo, hi, *_ = gamma.window_ends(window)  # a reversed or non-finite window is refused first
+    data = seq.window
+    if lo < data[0] or hi > data[1]:
+        raise OutOfWindow(f"--window [{lo!r}, {hi!r}] exceeds the data window [{data[0]!r}, {data[1]!r}]")
+    fam = bm_family(gamma, window)
     payload = {
         "params": _params(args, seq=spec, radius=radius, window=list(window)),
         "count": len(fam),

@@ -13,14 +13,16 @@ requested tolerance, at the window's resolution or at the first
 Inconclusive verdict.
 
 Many trials are decided by the counting bound alone.  On the segment
-between neighbouring points, g_a has slope a - 1/gap.  For a > 1/delta
-every segment rises, g_a increases strictly and BM(g_a) on any window is
-the whole window, one edge-flagged interval; for a below 1/(largest
-gap) every segment falls and BM(g_a) is empty.  ``bm_family`` uses this
-without a sweep, but decides it on the computed ordinates of g_a (one
-check per trial, two end comparisons per window), not on a versus
-1/delta: rounding can make neighbouring ordinates tie or dip when a is
-within a few ulps of 1/delta, and the sweep's answer is kept bit for bit.
+between neighbouring points, g_a has slope a - 1/gap.  From a = 1/delta
+on no segment falls, and BM(g_a) on any window is one edge-flagged
+interval, from the window's left end to the node after the last rise
+(the whole window when a > 1/delta and every segment rises); for a below
+1/(largest gap) every segment falls and BM(g_a) is empty.  So the first
+trial's g_a never falls, in exact arithmetic.  ``bm_family`` uses this
+without a sweep, but decides it on the computed ordinates of each
+window, not on a versus 1/delta: rounding can make neighbouring
+ordinates tie or dip when a is within a few ulps of 1/delta, and the
+sweep's answer is kept bit for bit.
 A strictly rising g_a is a No whatever the window sees
 (``is_almost_decreasing``), since then a > 1/delta >= the density.  So is
 every trial whose computed product a*delta exceeds 1: rounding is

@@ -13,7 +13,11 @@ segment grid with exact linear interpolation for the crossing abscissas, so
 endpoint accuracy is limited only by float arithmetic, not by any grid.
 The sweep reads the nodes inside a window as views of g's arrays, not
 copies, and each window of a radius ladder takes its own suffix maxima
-(``PiecewiseLinear.suffix_max``).  It sweeps only the window's core: before
+(``PiecewiseLinear.suffix_max``).  A window whose computed ordinates never
+fall, but perhaps in the last pair, takes no sweep: by the rising-sun
+lemma its family is one interval, from the window's left end to the node
+after the last rising pair, or none when no pair rises.  Otherwise it
+sweeps only the window's core: before
 the first rising pair of ordinates and after the last one, g never
 increases, so a piece of the tail has no higher point to its right, and a
 piece of the head whose left node is at least the maximum S beyond the
@@ -301,15 +305,19 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     operands as a sweep over a copied grid: the family is exact, not an
     approximation of it.
 
-    A monotone gamma needs no sweep.  When the window's ordinates
-    [gamma(lo), nodes strictly inside, gamma(hi)] increase strictly, every
-    point has a higher one to its right and the family is [lo, hi],
-    flagged; when they never increase, no point has, and the family is
-    empty.  That is decided on the computed ordinates, not on the slopes
-    that make them monotone in exact arithmetic: ``gamma.trend`` checks the
-    nodes once, and each window compares only its two ends with the
-    neighbouring nodes, so the result is the sweep's bit for bit even
-    where rounding makes neighbours tie.
+    A window whose ordinates [gamma(lo), nodes strictly inside, gamma(hi)]
+    never fall, but perhaps in the last pair, needs no sweep.  A crossing
+    needs a left node at least the level and a right node below it, a
+    fall; in the last pair the level is the right node itself, so only a
+    fall before it can hold one.  Without such a fall a piece is in the
+    set whole exactly when its left node is below the level, and the
+    family is [lo, the node after the last rising pair], flagged, or
+    empty when no pair rises (the rising-sun lemma of F. Riesz for a
+    non-decreasing function).  A window whose ordinates never rise is
+    empty too.  Both are decided on the computed ordinates, not on the
+    slopes that make them monotone in exact arithmetic (``_rising_pairs``,
+    ``_never_falls_before_last``), so the result is the sweep's bit for
+    bit even where rounding makes neighbours tie.
 
     Otherwise only the window's core is swept.  Two facts on the computed
     ordinates make the rest of the window drop out:
@@ -338,18 +346,17 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     (``_last_true``); the head costs one comparison with S.
     """
     lo, hi, ends, i, j = gamma.window_ends(window)
-    trend = _window_trend(gamma, ends, i, j)
-    if trend == 1:
-        return IntervalFamily(np.array([lo]), np.array([hi]), np.array([True]))
-    rising = None if trend == -1 else _rising_pairs(gamma, ends, i, j)
+    rising = _rising_pairs(gamma, ends, i, j)
     if rising is None:
         return IntervalFamily(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
-
-    # grid node k is (lo, ends[0]) for k = 0, (x[i+k-1], y[i+k-1]) up to
-    # k = j-i, then (hi, ends[1]); pair k is its segment from node k to k+1
     f, l = rising
     b = i + l  # the core ends at node l+1
     x_hi, y_hi = (hi, ends[1]) if b == j else (gamma.x[b], gamma.y[b])
+    if _never_falls_before_last(gamma, ends, i, j):
+        return IntervalFamily(np.array([lo]), np.array([x_hi]), np.array([True]))
+
+    # grid node k is (lo, ends[0]) for k = 0, (x[i+k-1], y[i+k-1]) up to
+    # k = j-i, then (hi, ends[1]); pair k is its segment from node k to k+1
     m = np.empty(l + 1)  # per segment: max over nodes strictly to its right
     gamma.suffix_max(i + f, b, y_hi, m[f:])
     # head nodes at least S = m[f] are out, up to the last: the core starts
@@ -402,35 +409,49 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     return IntervalFamily(left, right, edge)
 
 
-def _window_trend(gamma: PiecewiseLinear, ends, i: int, j: int) -> int:
-    """1 when [ends[0], gamma.y[i:j], ends[1]] increase strictly, -1 when
-    they never increase, 0 when the node trend leaves it open."""
-    if i == j:  # one segment
-        return 1 if ends[0] < ends[1] else -1
-    first, last = gamma.y[i], gamma.y[j - 1]
-    trend = gamma.trend
-    if trend == 1 and ends[0] < first and last < ends[1]:
-        return 1
-    if trend == -1 and ends[0] >= first and last >= ends[1]:
-        return -1
-    return 0
-
-
 def _rising_pairs(gamma: PiecewiseLinear, ends, i: int, j: int):
     """(f, l): the first and last rising pair of the window's grid
     [ends[0], gamma.y[i:j], ends[1]], or None when no pair rises.
 
     The grid's pairs are (ends[0], y[i]), ``gamma.rises[i:j-1]`` and
-    (y[j-1], ends[1]), numbered 0 to n = j-i.  ``argmax`` stops at the
-    first inner rise, and ``_last_true`` scans back from the end.
+    (y[j-1], ends[1]), numbered 0 to n = j-i; a window with no node inside
+    is one pair.  ``argmax`` stops at the first inner rise, and
+    ``_last_true`` scans back from the end; nodes that never rise
+    (``gamma.trend`` -1) leave only the two end pairs to compare.
     """
+    if i == j:
+        return (0, 0) if ends[0] < ends[1] else None
     n = j - i
     inner = gamma.rises[i : j - 1]
     head, tail = ends[0] < gamma.y[i], gamma.y[j - 1] < ends[1]
-    k = int(inner.argmax()) if inner.size else 0
+    k = int(inner.argmax()) if inner.size and gamma.trend != -1 else 0
     if not (inner.size and inner[k]):  # no inner pair rises
         return (0 if head else n, n if tail else 0) if head or tail else None
     return (0 if head else k + 1), (n if tail else _last_true(inner) + 1)
+
+
+def _never_falls_before_last(gamma: PiecewiseLinear, ends, i: int, j: int) -> bool:
+    """Whether no pair of the window's grid [ends[0], gamma.y[i:j], ends[1]]
+    falls, but perhaps the last, whose level is its own right end.
+
+    The head pair is compared first.  The inner pairs then need no look
+    when every node pair rises (``gamma.trend`` 1, as on the trials above
+    1/delta); otherwise they are compared in blocks from the left, growing
+    fourfold, so a fall near the window's left end costs one small block
+    and a window that never falls about a pass.
+    """
+    y = gamma.y
+    if i < j and not ends[0] <= y[i]:
+        return False
+    if gamma.trend == 1:
+        return True
+    start, width = i, 1024
+    while start < j - 1:
+        stop = min(start + width, j)
+        if np.any(y[start : stop - 1] > y[start + 1 : stop]):
+            return False
+        start, width = stop - 1, 4 * width
+    return True
 
 
 def _last_true(mask: np.ndarray) -> int:

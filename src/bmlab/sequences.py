@@ -172,7 +172,8 @@ class SeparatedSequence:
         left_slope = 1.0 / (pts[1] - pts[0])
         right_slope = 1.0 / (pts[-1] - pts[-2])
         anchor = PiecewiseLinear(pts, raw, left_slope, right_slope)(0.0)
-        return PiecewiseLinear(pts, raw - anchor, left_slope, right_slope)
+        raw -= anchor
+        return PiecewiseLinear(pts, raw, left_slope, right_slope)
 
     def within(self, radius: float) -> "SeparatedSequence":
         """The points with |x| <= radius on the data window (-radius, radius).

@@ -7,8 +7,9 @@ _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 
 def logperturbed_points(n_max: int) -> np.ndarray:
-    """n + n/log(|n| + 2) for |n| <= n_max: the points ``parse_generator``
-    builds for ``logperturbed``, before it cuts them to the radius."""
+    """n + n/log(|n| + 2) for |n| <= n_max, over the whole index range: the
+    points of ``logperturbed``, of which ``parse_generator`` keeps those
+    within the radius."""
     n = np.arange(-n_max, n_max + 1).astype(float)
     return n + n / np.log(np.abs(n) + 2.0)
 

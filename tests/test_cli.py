@@ -559,6 +559,30 @@ def test_bm_explicit_window():
     assert payload["count"] == 1
 
 
+@pytest.mark.parametrize(
+    "source, data, window",
+    [
+        (["--seq", "lattice:1", "--radius", 10], "-10,10", "20,30"),
+        (["--seq", "lattice:1", "--radius", 10], "-10,10", "-10,10.5"),
+        (["--seq", "lattice:1", "--radius", 10], "-10,10", "-10.5,0"),
+        (["--seq", "lattice:1", "--radius", 10], "-10,10", "-10,10.000000000000002"),
+        (["--input", "{path}"], "-5,5", "0,9"),
+    ],
+)
+def test_bm_window_past_the_data_window_is_refused(tmp_path, source, data, window):
+    # past the data window gamma would be the edge slope's continuation,
+    # not the sequence: exit 1 naming both windows exactly, even an ulp apart
+    path = tmp_path / "points.txt"
+    path.write_text("".join(f"{k}\n" for k in range(-5, 6)))
+    argv = ["bm", *(str(a).format(path=path) for a in source), "--a", 1]
+    code, out, err = run_cli(argv + [f"--window={window}"])
+    assert (code, out) == (1, "")
+    (lo, hi), (d0, d1) = (map(float, w.split(",")) for w in (window, data))
+    assert err == f"bm-lab: OutOfWindow: --window [{lo!r}, {hi!r}] exceeds the data window [{d0!r}, {d1!r}]\n"
+    # the data window itself is a window
+    assert run_cli(argv + [f"--window={data}"])[0] == 0
+
+
 def test_short_subcommand_short_family(tmp_path):
     fam = tmp_path / "short.csv"
     fam.write_text(

@@ -682,14 +682,18 @@ def _same_family(fam, expected, window):
 @st.composite
 def shaped_gamma(draw):
     """A gamma whose nodes increase strictly, stay flat, never increase,
-    tie once, wander, come from gamma_line on a lattice at a slope a few
-    ulps above 1/delta, where rounding makes neighbours tie, never increase
-    before and after a wandering core, never increase but at one rising
-    segment, or take values in {0.0, -0.0, 1, -1, 2}.  The first node may
-    be -0.0."""
+    never fall, tie once, wander, come from gamma_line on a lattice at a
+    slope a few ulps above 1/delta, where rounding makes neighbours tie,
+    never increase before and after a wandering core, never increase but
+    at one rising segment, or take values in {0.0, -0.0, 1, -1, 2}.  The
+    first node may be -0.0.  Nodes that never fall may tie, hold zeros of
+    both signs and have a flat head and tail; their edge slopes are 0 or
+    positive, so a window past the nodes never falls either and may end
+    on a tie."""
     shape = draw(
         st.sampled_from(
-            ["increasing", "flat", "non-increasing", "one tie", "random", "lattice", "core", "one rise", "zeros"]
+            ["increasing", "flat", "non-increasing", "never falls", "one tie", "random", "lattice", "core",
+             "one rise", "zeros"]
         )
     )
     if shape == "lattice":
@@ -719,6 +723,12 @@ def shaped_gamma(draw):
         ys[k - tail :] = np.sort(ys[k - tail :])[::-1]
     elif shape == "zeros":
         ys = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]), min_size=k, max_size=k)))
+    elif shape == "never falls":
+        values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]) | st.floats(-10.0, 10.0)
+        ys = np.sort(draw(st.lists(values, min_size=k, max_size=k)))
+        ys[: draw(st.integers(0, k))] = ys[0]
+        ys[k - draw(st.integers(0, k)) :] = ys[-1]
+        return PiecewiseLinear(xs, ys, *draw(st.tuples(*[st.sampled_from([0.0, 0.5, 2.0])] * 2)))
     else:
         ys = y0 + np.concatenate(([0.0], np.cumsum(rises)))
         if shape == "one tie":
@@ -827,14 +837,57 @@ def test_monotone_gamma_needs_no_sweep(monkeypatch):
     assert len(calls) == 1
 
 
+def test_gamma_at_one_over_delta_needs_no_sweep(monkeypatch):
+    # at a = 1/delta each segment slope a - 1/gap is at least 0, and on these
+    # sequences the computed ordinates never fall either, though they tie
+    # (trend 0): each window's family is [lo, node after the last rise].
+    # On squares the segments beside 0 are flat, so the windows that end
+    # inside them end on a tie.
+    def no_sweep(self, *args):
+        raise AssertionError("swept a window that never falls")
+
+    seqs = [parse_generator("logperturbed", 1e5), parse_generator("squares", 1e6), jittered_sequence()]
+    monkeypatch.setattr(sequences.PiecewiseLinear, "suffix_max", no_sweep)
+    for seq in seqs:
+        gamma = gamma_line(seq, 1.0 / seq.delta)
+        assert gamma.trend == 0 and not np.any(gamma.y[:-1] > gamma.y[1:])
+        windows = [(-r, r) for r in default_radius_ladder(min(-seq.window[0], seq.window[1]))]
+        for window in windows + [(-0.5, 9.0), (-9.0, 0.5)]:
+            fam = bm_family(gamma, window)
+            _same_family(fam, sweep_reference(gamma, window), window)
+            assert fam.left.tolist() == [window[0]] and fam.edge.tolist() == [True]
+
+
+def test_one_fall_anywhere_takes_the_sweep():
+    # rising nodes with one deep fall: the nodes before it lie below the
+    # last one before the fall, which no node after it reaches, so the
+    # family splits there.  The inner pairs are compared in blocks of
+    # 1024 and 4096 pairs from the left end, and the falls sit at the first
+    # and the last inner pair and on each side of both block seams
+    n = 6000
+    x = np.arange(n, dtype=float)
+    window = (-1.0, float(n))
+    for p in (0, 1022, 1023, 1024, 5117, 5118, 5119, n - 2):
+        y = x.copy()
+        y[p + 1 :] -= 2.0 * n
+        gamma = PiecewiseLinear(x, y, 1.0, 1.0)
+        fam = bm_family(gamma, window)
+        _same_family(fam, sweep_reference(gamma, window), p)
+        assert len(fam) == 2 and fam.right[0] == x[p]
+
+
 # ------------------------------------------- a jittered gamma against the loop
 
 
-def jittered_gamma():
-    """gamma_1 of a fixed-seed 20,001-point lattice jittered by up to 0.3."""
+def jittered_sequence():
+    """A fixed-seed 20,001-point lattice jittered by up to 0.3."""
     k = np.arange(-10000, 10001, dtype=float)
-    points = k + np.random.default_rng(20240).uniform(-0.3, 0.3, k.size)
-    return gamma_line(sequences.load_sequence(points), 1.0)
+    return sequences.load_sequence(k + np.random.default_rng(20240).uniform(-0.3, 0.3, k.size))
+
+
+def jittered_gamma():
+    """gamma_1 of ``jittered_sequence``."""
+    return gamma_line(jittered_sequence(), 1.0)
 
 
 def jittered_windows(gamma):
@@ -871,7 +924,9 @@ def test_bm_family_on_many_blocks_equals_the_plain_sweep():
 
 def test_bm_family_accumulates_only_the_rising_core(monkeypatch):
     # over the ladder to 1e5 the suffix maxima read the nodes between the
-    # first and the last rise, under a tenth of the windows' nodes
+    # first and the last rise, under a tenth of the windows' nodes; the
+    # rungs 781.25 and 1562.5 lie inside the rising region, where the
+    # ordinates never fall, and take no sweep
     gamma = logperturbed_gamma()
     reads, plain = [], sequences.PiecewiseLinear.suffix_max
     monkeypatch.setattr(
@@ -882,6 +937,6 @@ def test_bm_family_accumulates_only_the_rising_core(monkeypatch):
         *_, i, j = gamma.window_ends((-r, r))
         window_nodes += j - i
         bm_family(gamma, (-r, r))
-    assert len(reads) == 8
+    assert len(reads) == 6
     assert sum(reads) < 0.1 * window_nodes
 

@@ -30,6 +30,7 @@ from bmlab.sequences import (
     read_sequence_file,
     write_csv,
 )
+from conftest import logperturbed_points
 
 
 # ---------------------------------------------------------------- sequences
@@ -122,10 +123,26 @@ def test_file_empty(tmp_path):
 # ---------------------------------------------------------------- generators
 
 
+def _bits(points):
+    """The float64 bit patterns of points: equal bits mean equal values and zero signs."""
+    return np.asarray(points, dtype=float).view(np.int64).tolist()
+
+
+def _expected_sequence(points, radius):
+    """(bits, delta, window) of sorted points cut to |x| <= radius."""
+    points = points[np.abs(points) <= radius]
+    delta = float(np.diff(points).min()) if points.size > 1 else math.inf
+    return _bits(points), delta, (-radius, radius)
+
+
 def test_lattice_generate():
-    seq = parse_generator("lattice:0.5", 2.0)
-    assert np.allclose(seq.points, np.arange(-4, 5) * 0.5)
-    assert seq.delta == 0.5 and seq.window == (-2.0, 2.0)
+    # every multiple k*step within the radius, bit for bit
+    for step, radius in [(0.5, 2.0), (1.0, 7.5), (0.1, 0.3), (0.1, 0.7), (0.3, 1.0), (1e-13, 1e-9), (0.7, 50.0)]:
+        m = int(radius / step) + 2
+        seq = parse_generator(f"lattice:{step!r}", radius)
+        expected = _expected_sequence(np.arange(-m, m + 1) * step, radius)
+        assert (_bits(seq.points), seq.delta, seq.window) == expected, (step, radius)
+    assert parse_generator("lattice:0.5", 2.0).points.tolist() == [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
 
 
 def test_squares_includes_zero_once():
@@ -134,12 +151,13 @@ def test_squares_includes_zero_once():
 
 
 def test_logperturbed_points():
-    # the points of |n| <= 50 that stay within the radius
-    seq = parse_generator("logperturbed", 50.0)
-    n = np.arange(-50, 51, dtype=float)
-    expected = np.sort(n + n / np.log(np.abs(n) + 2.0))
-    assert np.allclose(seq.points, expected[np.abs(expected) <= 50.0])
-    assert seq.window == (-50.0, 50.0)
+    # the points n + n/log(|n| + 2) within the radius, zero signs included,
+    # their exact minimal gap and the window (-radius, radius); the last
+    # radius is a point
+    for radius in [1.5, 2.0, 50.0, 3326.18, 1e5, float(logperturbed_points(50)[-1])]:
+        seq = parse_generator("logperturbed", radius)
+        expected = _expected_sequence(logperturbed_points(math.floor(radius)), radius)
+        assert (_bits(seq.points), seq.delta, seq.window) == expected, radius
 
 
 # ---------------------------------------------------------------- counting
