@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 
@@ -65,7 +64,6 @@ from .errors import (
     NotSeparated,
     OutOfWindow,
     SizeGuard,
-    WindowTooSmall,
 )
 from .gap import (
     cauchy_decay,
@@ -76,13 +74,7 @@ from .gap import (
     symmetric_gap_measure,
     verify_gap,
 )
-from .sequences import (
-    check_points,
-    gamma_line,
-    load_sequence,
-    read_sequence_file,
-    write_csv,
-)
+from .sequences import gamma_line, parse_generator, write_csv
 from .zerotype import log_abs_cos, log_abs_qcos, type_estimate
 
 EXIT_OK = 0
@@ -119,87 +111,6 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         print(GENERATOR_GRAMMAR, file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def parse_generator(spec: str, radius: float | None = None):
-    """Materialize a sequence from a generator spec string.
-
-    Grammar: ``lattice:<step>`` | ``squares`` | ``logperturbed`` |
-    ``file:<path>``.  The radius, positive and finite, bounds the built-in
-    generators (their index ranges are derived from it) and is required
-    for them; for file sources it optionally cuts the points to [-radius,
-    radius].  The data window of a radius-bounded sequence is (-radius,
-    radius).  A built-in generator of more than POINTS_CAP points, and a
-    file of more than POINTS_CAP lines, raise SizeGuard before anything is
-    allocated or parsed.
-
-    Only the kept points are built.  ``lattice`` scales the float indices
-    within the radius in place.  ``logperturbed`` is odd: its points for
-    n >= 0 are cut at the radius, and the negative ones are their exact
-    negations (IEEE rounding is symmetric), so the sequence is the
-    whole index range cut to [-radius, radius] bit for bit.
-    """
-    name, _, param = spec.partition(":")
-    name = name.strip()
-    if radius is not None and not 0.0 < radius < math.inf:
-        raise BadArgument(f"radius must be positive and finite, got {radius!r}")
-
-    if name == "file":
-        if not param:
-            raise BadArgument("file generator needs a path: file:<path>")
-        base = read_sequence_file(param)
-        if radius is None:
-            return base
-        try:
-            return base.within(radius)
-        except EmptyRange:
-            raise EmptyRange(f"no points of {param} within radius {radius:g}") from None
-
-    if name == "lattice":
-        if not param:
-            raise BadArgument("lattice generator needs a step: lattice:<step>")
-        try:
-            step = float(param)
-        except ValueError:
-            raise BadArgument(f"lattice step is not a number: {param!r}") from None
-        if not (math.isfinite(step) and step > 0):
-            raise BadArgument(f"lattice step must be positive, got {param}")
-    elif ":" in spec:
-        raise BadArgument(f"generator {name!r} takes no parameter")
-    elif name not in ("squares", "logperturbed"):
-        raise BadArgument(f"unknown generator {spec!r}")
-    if radius is None:
-        raise BadArgument(f"a radius is required to materialize {name}")
-    window = (-radius, radius)
-
-    if name == "lattice":
-        check_points(2.0 * (radius / step) + 1.0)
-        n_max = int(math.floor(radius / step))
-        if n_max * step > radius:  # radius / step rounded up past the last point within the radius
-            n_max -= 1
-        if n_max < 1:
-            raise WindowTooSmall(f"radius {radius:g} is below one lattice step {step:g}")
-        points = np.arange(-n_max, n_max + 1, dtype=float)
-        points *= step
-        return load_sequence(points, window)
-
-    if name == "squares":
-        check_points(2.0 * math.sqrt(radius) + 1.0)
-        m = int(math.floor(math.sqrt(radius)))
-        if m < 1:
-            raise WindowTooSmall(f"radius {radius:g} holds no nonzero square")
-        n = np.arange(-m, m + 1)
-        return load_sequence(np.unique(np.sign(n) * n.astype(float) ** 2), window)
-
-    check_points(2.0 * radius + 1.0)
-    n_max = int(math.floor(radius))
-    if n_max < 1:
-        raise WindowTooSmall(f"radius {radius:g} holds no perturbed point")
-    k = np.arange(n_max + 1, dtype=float)
-    half = k / np.log(k + 2.0)
-    half += k
-    half = half[: np.searchsorted(half, radius, "right")]
-    return load_sequence(np.concatenate((-half[:0:-1], half)), window)
 
 
 def _evidence_ladder(radii):

@@ -137,11 +137,12 @@ def interior_density(
     seq : SeparatedSequence
         At least 16 points on a two-sided window.
     radii : array_like, optional
-        Radius ladder for the shortness evidence; defaults to 8 doublings
-        ending at the largest symmetric radius the window supports, or at
-        ENDPOINT_BOUND, the largest ladder value, when the window reaches
-        beyond it; at LADDER_END_FLOOR, which no window so narrow reaches
-        (WindowTooSmall), when that radius leaves the first rung subnormal.
+        Radius ladder for the shortness evidence; every rung's window
+        (-r, r) must lie in the data window (WindowTooSmall).  Defaults to
+        8 doublings ending at the largest symmetric radius the window
+        supports, or at ENDPOINT_BOUND, the largest ladder value, when the
+        window reaches beyond it; at LADDER_END_FLOOR, which no window so
+        narrow reaches, when that radius leaves the first rung subnormal.
     a_tolerance : float
         Bracket width at which bisection stops; it also stops at the
         window's resolution 2*delta/R.  The Polya / NotPolya call
@@ -161,7 +162,7 @@ def interior_density(
             r_max = LADDER_END_FLOOR
         radii = default_radius_ladder(r_max)
     radii = increasing_ladder(radii, 4, "radii")
-    if radii[-1] > max(-lo, hi):
+    if radii[-1] > min(-lo, hi):
         raise WindowTooSmall("radius ladder exceeds the data window")
 
     # a window of radius R cannot separate slopes closer than ~delta/R

@@ -6,7 +6,8 @@ argument outside the domain a function accepts raises BadArgument, also a
 ValueError, which the command line maps to exit code 64.  No data class
 checks invariants: outside data is checked where it enters
 (``load_sequence``, ``family_from_csv``, the command line), and the
-engines build their values valid by construction.
+engines and the generators of ``parse_generator`` build their values
+valid by construction.
 """
 
 

@@ -3,19 +3,20 @@
 A separated sequence is a finite, strictly increasing list of finite reals
 together with the window of the real line the data is meant to represent;
 its minimal gap ``delta`` is computed from the points and must be at least
-the smallest normal double (``_separation`` holds these rules).  All
+the smallest normal double (``_minimal_gap`` holds this rule).  All
 density machinery in this package works on the continuous counting
 function n(x): the piecewise linear function with a breakpoint at every
 sequence point that grows by exactly 1 between consecutive points and is
 normalized to n(0) = 0.  When 0 lies outside the data window the anchor
 value at 0 is obtained by extrapolating the first or last segment slope.
 
-``load_sequence`` is the one checked way raw points become a sequence:
-it sorts them and holds them to the rules.  ``SeparatedSequence`` itself
-is a plain dataclass that checks nothing; ``within`` cuts one from a
-checked one.  The built-in generators (``lattice:<step>``, ``squares``,
-``logperturbed``) are named by the grammar of ``cli.parse_generator``,
-which builds their points and passes them to ``load_sequence``.
+Only this module builds a sequence, and each one gets its ``delta`` from
+``_minimal_gap``; ``SeparatedSequence`` itself checks nothing.
+``load_sequence`` sorts outside points (a file, a caller's array) and
+holds them to the rules; ``within`` cuts a sequence to a radius.  The
+built-in generators of ``parse_generator`` (``lattice:<step>``,
+``squares``, ``logperturbed``) build their points sorted and inside the
+window (-radius, radius), so nothing checks them again.
 
 Sequence files hold one decimal real per line, as Python's ``float``
 reads it once the line is stripped of white space (so ``1_0`` and
@@ -46,6 +47,7 @@ from .errors import (
     OutOfWindow,
     SinglePoint,
     SizeGuard,
+    WindowTooSmall,
 )
 
 POINTS_CAP = 1 << 23  # points a generator may materialize, lines a data file may hold
@@ -119,24 +121,17 @@ def _checked_window(points: np.ndarray, window) -> tuple[float, float]:
     return lo, hi
 
 
-def _separation(points: np.ndarray) -> float:
-    """The minimal gap of sorted points that hold the sequence rules; inf for one point.
+def _minimal_gap(points: np.ndarray) -> float:
+    """The minimal gap of sorted finite points: their ``delta``; inf for one point.
 
-    The rules: a 1d array of at least one point, all finite, no duplicate,
-    and no gap below the smallest normal double, whose reciprocal (a slope
-    of the counting function) would overflow.  ``load_sequence`` sorts
-    before it calls this.
+    A zero gap is a duplicate (``-0.0`` and ``0.0`` too) and raises
+    DuplicatePoint; a gap below the smallest normal double, whose
+    reciprocal (a slope of the counting function) would overflow, raises
+    NotSeparated.
     """
-    if points.ndim != 1:
-        raise BadArgument(f"points must be a 1d array, got shape {points.shape}")
-    if points.size == 0:
-        raise EmptyRange("a sequence needs at least one point")
-    if not np.isfinite(points).all():
-        raise BadArgument("points must be finite")
-    gaps = np.diff(points)
-    if np.any(gaps == 0.0):
+    delta = float(np.diff(points).min()) if points.size > 1 else math.inf
+    if delta == 0.0:
         raise DuplicatePoint("duplicate point in input")
-    delta = math.inf if gaps.size == 0 else float(gaps.min())
     if delta < sys.float_info.min:
         raise NotSeparated(f"minimum gap {delta:g} below the smallest normal double")
     return delta
@@ -145,8 +140,7 @@ def _separation(points: np.ndarray) -> float:
 @dataclass
 class SeparatedSequence:
     """Strictly increasing points on a data window; ``delta`` is their exact
-    minimal gap.  The constructor checks nothing: ``load_sequence`` builds
-    one from raw points."""
+    minimal gap.  The constructor checks nothing; only this module calls it."""
 
     points: np.ndarray
     window: tuple[float, float]
@@ -187,8 +181,7 @@ class SeparatedSequence:
         if i == j:
             raise EmptyRange(f"no points within radius {radius:g}")
         points = self.points[i:j]
-        delta = math.inf if points.size < 2 else float(np.diff(points).min())
-        return SeparatedSequence(points, (-radius, radius), delta)
+        return SeparatedSequence(points, (-radius, radius), _minimal_gap(points))
 
 
 def load_sequence(points, window=None) -> SeparatedSequence:
@@ -197,15 +190,21 @@ def load_sequence(points, window=None) -> SeparatedSequence:
     Parameters
     ----------
     points : array_like
-        Real numbers in arbitrary order; the sorted points must hold the
-        sequence rules of ``SeparatedSequence``.
+        Real numbers in arbitrary order: a 1d array of at least one point,
+        all finite, whose sorted gaps ``_minimal_gap`` accepts.
     window : (float, float), optional
         Data window; defaults to [min(points), max(points)].
     """
     pts = np.array(points, dtype=float)
     if pts.ndim == 1 and not np.all(pts[:-1] < pts[1:]):  # strictly increasing input is already sorted
         pts = np.sort(pts)
-    delta = _separation(pts)
+    if pts.ndim != 1:
+        raise BadArgument(f"points must be a 1d array, got shape {pts.shape}")
+    if pts.size == 0:
+        raise EmptyRange("a sequence needs at least one point")
+    if not np.isfinite(pts).all():
+        raise BadArgument("points must be finite")
+    delta = _minimal_gap(pts)
     if window is None:
         if pts.size == 1:
             # a degenerate window carries no information; pad by a unit ball,
@@ -215,6 +214,93 @@ def load_sequence(points, window=None) -> SeparatedSequence:
         else:
             window = (float(pts[0]), float(pts[-1]))
     return SeparatedSequence(pts, _checked_window(pts, window), delta)
+
+
+def parse_generator(spec: str, radius: float | None = None) -> SeparatedSequence:
+    """Materialize a sequence from a generator spec string.
+
+    Grammar: ``lattice:<step>`` | ``squares`` | ``logperturbed`` |
+    ``file:<path>``.  The radius, positive and finite, bounds the built-in
+    generators (their index ranges are derived from it) and is required
+    for them; for file sources it optionally cuts the points to [-radius,
+    radius].  The data window of a radius-bounded sequence is (-radius,
+    radius).  A built-in generator of more than POINTS_CAP points, and a
+    file of more than POINTS_CAP lines, raise SizeGuard before anything is
+    allocated or parsed.
+
+    Only the kept points are built, sorted and inside the window, so they
+    are not checked again; a file goes through ``load_sequence``.  The
+    built-in generators are odd: their points for n >= 0 are cut at the
+    radius (``lattice`` scales the float indices in place), and the
+    negative ones are their exact negations (IEEE rounding is symmetric),
+    so the sequence is the whole index range cut to [-radius, radius] bit
+    for bit.
+    """
+    name, _, param = spec.partition(":")
+    name = name.strip()
+    if radius is not None and not 0.0 < radius < math.inf:
+        raise BadArgument(f"radius must be positive and finite, got {radius!r}")
+
+    if name == "file":
+        if not param:
+            raise BadArgument("file generator needs a path: file:<path>")
+        base = read_sequence_file(param)
+        if radius is None:
+            return base
+        try:
+            return base.within(radius)
+        except EmptyRange:
+            raise EmptyRange(f"no points of {param} within radius {radius:g}") from None
+
+    if name == "lattice":
+        if not param:
+            raise BadArgument("lattice generator needs a step: lattice:<step>")
+        try:
+            step = float(param)
+        except ValueError:
+            raise BadArgument(f"lattice step is not a number: {param!r}") from None
+        if not (math.isfinite(step) and step > 0):
+            raise BadArgument(f"lattice step must be positive, got {param}")
+    elif ":" in spec:
+        raise BadArgument(f"generator {name!r} takes no parameter")
+    elif name not in ("squares", "logperturbed"):
+        raise BadArgument(f"unknown generator {spec!r}")
+    if radius is None:
+        raise BadArgument(f"a radius is required to materialize {name}")
+    radius = float(radius)
+
+    if name == "lattice":
+        check_points(2.0 * (radius / step) + 1.0)
+        n_max = int(math.floor(radius / step))
+        if n_max * step > radius:  # radius / step rounded up past the last point within the radius
+            n_max -= 1
+        elif (n_max + 1) * step <= radius:  # rounded down below a point on the radius
+            n_max += 1
+        if n_max < 1:
+            raise WindowTooSmall(f"radius {radius:g} is below one lattice step {step:g}")
+        half = np.arange(n_max + 1, dtype=float)
+        half *= step
+    elif name == "squares":
+        check_points(2.0 * math.sqrt(radius) + 1.0)
+        m = int(math.floor(math.sqrt(radius)))
+        if m * m > radius:  # sqrt(radius) rounded up to m, whose square lies past the radius
+            m -= 1
+        if m < 1:
+            raise WindowTooSmall(f"radius {radius:g} holds no nonzero square")
+        half = np.arange(m + 1, dtype=float) ** 2
+    else:
+        check_points(2.0 * radius + 1.0)
+        n_max = int(math.floor(radius))
+        if n_max < 1:
+            raise WindowTooSmall(f"radius {radius:g} holds no perturbed point")
+        k = np.arange(n_max + 1, dtype=float)
+        half = k / np.log(k + 2.0)
+        half += k
+        half = half[: np.searchsorted(half, radius, "right")]
+    points = np.empty(2 * half.size - 1)  # in place: a negated copy and a concatenate take about 3x as long
+    np.negative(half[:0:-1], out=points[: half.size - 1])
+    points[half.size - 1 :] = half
+    return SeparatedSequence(points, (-radius, radius), _minimal_gap(points))
 
 
 def read_sequence_file(path) -> SeparatedSequence:

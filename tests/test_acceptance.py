@@ -15,10 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from bmlab.cli import parse_generator, run
+from bmlab.cli import run
 from bmlab.density import interior_density, null_ratio_witness
 from bmlab.envelope import IntervalFamily, bm_family, shortness_partial_sum
-from bmlab.sequences import PiecewiseLinear, gamma_line
+from bmlab.sequences import PiecewiseLinear, gamma_line, parse_generator
 from bmlab.zerotype import eval_qcos, zero_set_qcos
 from conftest import acceptance_note
 

@@ -1,6 +1,7 @@
 """Every public engine has a caller inside the package, every defaulted
 parameter a caller that passes it, the package root re-exports nothing,
-and a data class has one constructor, its dataclass ``__init__``.
+a data class has one constructor, its dataclass ``__init__``, and a
+sequence is built only in ``bmlab.sequences``.
 
 A public top-level function of ``src/bmlab``, or a public method or
 property of one of its classes, that no module of the package references
@@ -98,6 +99,19 @@ def test_data_classes_have_only_their_dataclass_constructor():
                 if member.name == "__post_init__" or (classmethod_ and _builds_an_instance(member)):
                     found.append(f"{node.name}.{member.name}")
     assert found == []
+
+
+def test_a_sequence_is_built_only_in_its_module():
+    # every SeparatedSequence takes its delta from sequences._minimal_gap,
+    # and generated points are trusted there without a second check
+    builders = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "SeparatedSequence"
+    }
+    assert builders == {"sequences.py"}
 
 
 # defaulted parameters that no module of the package passes, kept on purpose

@@ -15,10 +15,11 @@ import pytest
 
 import bmlab
 from bmlab import _json, cli
-from bmlab.cli import GENERATOR_GRAMMAR, build_parser, parse_generator, run
+from bmlab.cli import GENERATOR_GRAMMAR, build_parser, run
 from bmlab.density import interior_density
 from bmlab.envelope import INTERIOR, TOUCHES_WINDOW_EDGE, IntervalFamily
 from bmlab.gap import lattice_gap_measure
+from bmlab.sequences import parse_generator
 
 PI = math.pi
 
@@ -496,6 +497,14 @@ def test_squares_generator_counts_zero_once():
     assert payload["n_points"] == 21
 
 
+def test_squares_just_below_a_square_leave_that_square_out():
+    # sqrt rounds these radii up to 5 and 9, whose squares lie past them
+    code, payload = run_json(["bm", "--seq", "squares", "--radius", "24.999999999999996", "--a", 0.5])
+    assert code == 0 and payload["intervals"][0]["left"] == -24.999999999999996
+    code, payload = run_json(["gap-probe", "--seq", "squares", "--radius", "80.99999999999999", "--gap", 1, "--n", 5])
+    assert code == 2 and payload["classification"] == "Inconclusive"
+
+
 def test_file_generator_with_and_without_radius(tmp_path):
     src = tmp_path / "pts.txt"
     src.write_text("# integers\n" + "\n".join(str(k) for k in range(-40, 41)) + "\n")
@@ -935,6 +944,17 @@ def test_density_of_a_file_within_the_subnormal_range_is_a_window_error(tmp_path
     path.write_text("\n".join(repr(k * 2e-307) for k in range(-20, 21)) + "\n")
     code, payload = run_json(["density", "--input", path])
     assert code == 2 and payload["radii"][-1] == 20 * 2e-307
+
+
+def test_density_of_a_file_short_on_one_side_is_a_window_error(tmp_path):
+    # the data window [-1e-310, 15] holds no rung window (-r, r) of the
+    # ladder, whose end is raised to 2^8 * 2.2e-308
+    path = tmp_path / "short_left.txt"
+    path.write_text("-1e-310\n" + "\n".join(str(k) for k in range(1, 16)) + "\n")
+    for command in ("density", "classify"):
+        code, out, err = run_cli([command, "--input", path])
+        assert code == 1 and out == ""
+        assert err == "bm-lab: WindowTooSmall: radius ladder exceeds the data window\n"
 
 
 def _csv_blocks(text):

@@ -7,12 +7,21 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bmlab import density
-from bmlab.cli import parse_generator
 from bmlab.density import NOT_POLYA, POLYA, default_radius_ladder, interior_density, null_ratio_witness
-from bmlab.envelope import INCONCLUSIVE, LONG, NO, YES, IntervalFamily, classify_short_long, shortness_partial_sum
+from bmlab.envelope import (
+    INCONCLUSIVE,
+    LONG,
+    NO,
+    YES,
+    IntervalFamily,
+    bm_family,
+    classify_short_long,
+    is_almost_decreasing,
+    shortness_partial_sum,
+)
 from bmlab.errors import BadArgument, BmLabError, WindowTooSmall
 from bmlab.gap import TWO_PI, cauchy_decay, lattice_gap_measure, min_gap_residual
-from bmlab.sequences import count_in, gamma_line, load_sequence
+from bmlab.sequences import count_in, gamma_line, load_sequence, parse_generator
 from bmlab.zerotype import qcos_zeros
 from conftest import logperturbed_points
 
@@ -129,6 +138,15 @@ def test_ladder_beyond_window_rejected():
     seq = parse_generator("lattice:1", 50.0)
     with pytest.raises(WindowTooSmall):
         interior_density(seq, radii=[10.0, 20.0, 40.0, 80.0])
+
+
+@pytest.mark.parametrize("points", [np.arange(-3.0, 30.0), np.arange(-29.0, 4.0)], ids=["short-left", "short-right"])
+def test_ladder_beyond_the_short_side_of_the_window_rejected(points):
+    # each rung's window (-r, r) must lie in the data window, on its short side too
+    seq = load_sequence(points)
+    with pytest.raises(WindowTooSmall):
+        interior_density(seq, radii=[2.0, 4.0, 8.0, 16.0])
+    assert interior_density(seq, radii=[0.375, 0.75, 1.5, 3.0]).radii[-1] == 3.0
 
 
 def test_resolution_guard_forces_inconclusive():
@@ -302,6 +320,57 @@ def test_gap_probe_flips_where_the_density_says(build, decays, bounded):
             break
     assert lo <= TWO_PI * rep.a_upper * (1.0 + EQUIVALENCE_SLACK)
     assert hi >= TWO_PI * rep.a_lower * (1.0 - EQUIVALENCE_SLACK)
+
+
+# ------------------------------------------------------ bisection premises
+
+
+def premise_draws(family, count=40):
+    """Seeded separated sequences of one family on their hull, which holds 0:
+    jittered lattices k + U(-0.3, 0.3), renewal sequences with gaps
+    0.2 + Exp(1), and jittered squares sign(k) (|k| + U(-0.3, 0.3))^2 / s."""
+    rng = np.random.default_rng({"jittered": 31, "renewal": 32, "squares": 33}[family])
+    for _ in range(count):
+        k = np.arange(-int(rng.integers(40, 200)), 0)
+        k = np.concatenate((k, [0], -k[::-1]))
+        if family == "jittered":
+            points = k + rng.uniform(-0.3, 0.3, k.size)
+        elif family == "renewal":
+            points = np.cumsum(0.2 + rng.exponential(1.0, k.size))
+            points -= rng.uniform(0.3, 0.7) * points[-1]
+        else:
+            jitter = np.where(k == 0, 0.0, rng.uniform(-0.3, 0.3, k.size))
+            points = np.sign(k) * (np.abs(k) + jitter) ** 2 / rng.uniform(1.0, 10.0)
+        yield load_sequence(points)
+
+
+def total_mass(family):
+    """The sum of |I|^2 / (1 + dist(I, 0)^2) over all intervals, edge ones included, correctly rounded."""
+    pairs = zip(family.left.tolist(), family.right.tolist())
+    return math.fsum((right - left) ** 2 / (1.0 + dist_to_origin(left, right) ** 2) for left, right in pairs)
+
+
+@pytest.mark.parametrize("family", ["jittered", "renewal", "squares"])
+def test_rung_mass_and_verdicts_are_monotone_in_a(family):
+    # The bisection's premises (M1, M2).  For a' < a, gamma_a - gamma_a'
+    # rises, so BM(gamma_a') lies in BM(gamma_a); each small component lies
+    # in a large one J, and sum |I|^2/(1 + d^2) <= |J|^2/(1 + d_J^2).  So a
+    # rung's total mass, interior plus edge, cannot fall as a rises (the
+    # interior sum alone can: a component may move into the edge mass).
+    # And on one ladder no Yes verdict sits above a No.  Both are compared
+    # exactly, on 12 geometric slopes from 1e-3/delta to 1/delta, where
+    # nearly every draw has both Yes and No verdicts.
+    for seq in premise_draws(family):
+        radii = default_radius_ladder(min(-seq.window[0], seq.window[1]))
+        masses, verdicts = [], []
+        for a in np.geomspace(1e-3, 1.0, 12) / seq.delta:
+            gamma = gamma_line(seq, a)
+            masses.append([total_mass(bm_family(gamma, (-r, r))) for r in radii])
+            verdicts.append(is_almost_decreasing(gamma, radii)[0])
+        for lower, upper in zip(masses, masses[1:]):
+            assert not any(u < m for m, u in zip(lower, upper)), (lower, upper)
+        if NO in verdicts:
+            assert YES not in verdicts[verdicts.index(NO) :], verdicts
 
 
 # ------------------------------------------- columnar code against its loops

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bmlab import sequences
-from bmlab.cli import parse_generator
 from bmlab.density import default_radius_ladder
 from bmlab.envelope import (
     ENDPOINT_BOUND,
@@ -28,7 +27,7 @@ from bmlab.envelope import (
     shortness_partial_sum,
 )
 from bmlab.errors import BadArgument, BadDataFile, BmLabError
-from bmlab.sequences import PiecewiseLinear, gamma_line, load_sequence
+from bmlab.sequences import PiecewiseLinear, gamma_line, load_sequence, parse_generator
 
 
 def line(slope):

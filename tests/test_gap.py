@@ -9,7 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmlab.cli import parse_generator, run
+from bmlab.cli import run
 from bmlab.density import interior_density
 from bmlab.errors import BadArgument, SizeGuard
 from bmlab.gap import (
@@ -24,7 +24,7 @@ from bmlab.gap import (
     symmetric_gap_measure,
     verify_gap,
 )
-from bmlab.sequences import load_sequence
+from bmlab.sequences import load_sequence, parse_generator
 from conftest import logperturbed_points
 
 TWO_PI = 2 * math.pi

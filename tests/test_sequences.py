@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bmlab import sequences
 from bmlab._json import Table
-from bmlab.cli import parse_generator
 from bmlab.errors import (
     BadArgument,
     BadDataFile,
@@ -27,6 +26,7 @@ from bmlab.sequences import (
     count_in,
     gamma_line,
     load_sequence,
+    parse_generator,
     read_sequence_file,
     write_csv,
 )
@@ -55,9 +55,10 @@ def test_duplicate_points_hard_error():
         ([0.0, math.inf], None, BadArgument),
         ([0.0, 5e-324], None, NotSeparated),
         ([0.0, 1.0, 1.0], None, DuplicatePoint),
+        ([-0.0, 0.0], None, DuplicatePoint),
         ([0.0], (0.0, 0.0), BadArgument),
     ],
-    ids=["infinite", "subnormal-gap", "duplicate", "empty-window"],
+    ids=["infinite", "subnormal-gap", "duplicate", "signed-zeros", "empty-window"],
 )
 def test_separated_sequence_refuses_what_load_sequence_refuses(points, window, error):
     with pytest.raises(error):
@@ -158,6 +159,39 @@ def test_logperturbed_points():
         seq = parse_generator("logperturbed", radius)
         expected = _expected_sequence(logperturbed_points(math.floor(radius)), radius)
         assert (_bits(seq.points), seq.delta, seq.window) == expected, radius
+
+
+def _around(radius):
+    """A radius and its two neighbouring doubles."""
+    return [np.nextafter(radius, 0.0), radius, np.nextafter(radius, math.inf)]
+
+
+def _generator_cases():
+    """(spec, radius, independently built points) with radii on a point and one ulp either side."""
+    for step in (1.0, 0.1, 0.3, 0.7, 1e-13):
+        for k in (3, 7, 50):
+            for radius in _around(k * step):
+                yield f"lattice:{step!r}", radius, np.array([n * step for n in range(-k - 2, k + 3)])
+    for m in (2, 5, 9, 10, 11, 17, 18, 100):  # but at 2 and 100, sqrt rounds the double below m^2 up to m
+        for radius in _around(float(m * m)):
+            yield "squares", radius, np.array([float(n * abs(n)) for n in range(-m - 1, m + 2)])
+    for n in (1, 7, 50, 3326):
+        for radius in _around(float(logperturbed_points(n)[-1])):
+            yield "logperturbed", radius, logperturbed_points(n + 1)
+
+
+def test_generated_sequences_hold_the_rules_load_sequence_checks():
+    # a generator's sequence is not checked again: it must be the one
+    # load_sequence builds from the same points, cut to the radius by hand
+    for spec, radius, points in _generator_cases():
+        seq = parse_generator(spec, radius)
+        checked = load_sequence(points[np.abs(points) <= radius], (-radius, radius))
+        assert np.all(np.abs(seq.points) <= radius), (spec, radius)
+        assert (_bits(seq.points), seq.delta, seq.window) == (
+            _bits(checked.points),
+            checked.delta,
+            checked.window,
+        ), (spec, radius)
 
 
 # ---------------------------------------------------------------- counting
