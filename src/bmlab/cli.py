@@ -61,6 +61,7 @@ from .errors import (
     BmLabError,
     DuplicatePoint,
     EmptyRange,
+    GapOverflow,
     NotSeparated,
     OutOfWindow,
     SizeGuard,
@@ -407,7 +408,7 @@ def run(argv) -> int:
         return EXIT_INCONCLUSIVE if verdict == INCONCLUSIVE else EXIT_OK
     except BadArgument as exc:
         parser.error(str(exc))
-    except (OSError, BadDataFile, DuplicatePoint, NotSeparated, EmptyRange) as exc:
+    except (OSError, BadDataFile, DuplicatePoint, NotSeparated, GapOverflow, EmptyRange) as exc:
         print(f"{root.prog}: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except BmLabError as exc:

@@ -19,10 +19,16 @@ interval, from the window's left end to the node after the last rise
 (the whole window when a > 1/delta and every segment rises); for a below
 1/(largest gap) every segment falls and BM(g_a) is empty.  So the first
 trial's g_a never falls, in exact arithmetic.  ``bm_family`` uses this
-without a sweep, but decides it on the computed ordinates of each
-window, not on a versus 1/delta: rounding can make neighbouring
-ordinates tie or dip when a is within a few ulps of 1/delta, and the
-sweep's answer is kept bit for bit.
+without a sweep.  What it decides on is the computed ordinates, whose
+rounding can make neighbours tie or dip when a is within a few ulps of
+1/delta, so the sweep's answer is kept bit for bit.  ``gamma_line``
+certifies those ordinates from the gaps where it can: in a block of
+pairs whose products fl(a*gap) all reach 1 + E, with E = 16u(|a|X + C +
+2) the rounding bound of the ordinates (u = 2^-53, X the reach, C the
+largest counting value), every computed pair rises, and where they all
+stay below 1 - E every pair falls.  Such a block needs no ordinate
+formed; a block between, and every block when E is not small, falls
+back to its computed ordinates, compared pair by pair.
 A strictly rising g_a is a No whatever the window sees
 (``is_almost_decreasing``), since then a > 1/delta >= the density.  So is
 every trial whose computed product a*delta exceeds 1: rounding is
@@ -37,7 +43,8 @@ gap > 1/a rise.  Where the wide gaps stay near 0, as on ``logperturbed``
 never increases before its first rising segment or after its last.
 ``bm_family`` sweeps only that core; the monotone head and tail cost a
 comparison each, not a suffix-max accumulate, and the family is the same
-bit for bit.
+bit for bit.  Outside the core's blocks the gaps decide the pairs, so
+only those blocks' ordinates are formed.
 
 The classification of the bracket is honest about window resolution: a
 window of radius R cannot certify slopes finer than about delta/R, so the

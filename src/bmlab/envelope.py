@@ -25,6 +25,14 @@ first rise has none either, but the one holding the crossing.  The core
 pieces see the operands they see in the whole window, so the family is
 the same bit for bit (``bm_family`` gives the argument).
 
+g's ordinates and its rises and falls are read only through its
+accessors (``PiecewiseLinear.ordinates``, ``ordinate``, ``first_rise``,
+``last_rise``, ``falls``, ``count_at_least``, ``suffix_max``, ``trend``),
+never as whole arrays.  A ``GammaLine`` answers them from its gap
+certificate where the gaps decide a block, and fills only the blocks a
+reader needs, so a trial whose blocks all rise or all fall forms no more
+than the few ordinates around each window end.
+
 A family is held only as three columns (``IntervalFamily``): the float
 endpoints ``left`` and ``right`` and the bool ``edge`` flag.  The engines
 fill them sorted and disjoint by construction, so the constructor checks
@@ -299,11 +307,11 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     either the whole half-open segment qualifies (left node value below
     M_k) or the part right of the exact crossing of the segment line with
     level M_k.  The nodes are read as views ``gamma.x[a:b]``,
-    ``gamma.y[a:b]`` with the two end nodes beside them, not copied into
-    a grid.  M is ``gamma.suffix_max`` of those nodes and the right end
-    value.  The comparisons and the crossing formula see the same
-    operands as a sweep over a copied grid: the family is exact, not an
-    approximation of it.
+    ``gamma.ordinates(a, b)`` with the two end nodes beside them, not
+    copied into a grid.  M is ``gamma.suffix_max`` of those nodes and the
+    right end value.  The comparisons and the crossing formula see the
+    same operands as a sweep over a copied grid: the family is exact, not
+    an approximation of it.
 
     A window whose ordinates [gamma(lo), nodes strictly inside, gamma(hi)]
     never fall, but perhaps in the last pair, needs no sweep.  A crossing
@@ -340,10 +348,10 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     there, and the tail's first node the one it carries out of the tail.
     Each core piece thus sees the operands it sees in the whole window;
     edge flags are taken against the window's own ends, and the family
-    is the whole-window sweep's bit for bit, zero signs included.  On the
-    cached rising-pair mask ``gamma.rises``, the first rise costs an
-    ``argmax`` up to it and the last a search back from the window's end
-    (``_last_true``); the head costs one comparison with S.
+    is the whole-window sweep's bit for bit, zero signs included.  The
+    first and the last rise are ``gamma.first_rise`` and
+    ``gamma.last_rise``, and the head's nodes at least S are counted by
+    ``gamma.count_at_least``: they lead the head, which never increases.
     """
     lo, hi, ends, i, j = gamma.window_ends(window)
     rising = _rising_pairs(gamma, ends, i, j)
@@ -351,7 +359,7 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
         return IntervalFamily(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
     f, l = rising
     b = i + l  # the core ends at node l+1
-    x_hi, y_hi = (hi, ends[1]) if b == j else (gamma.x[b], gamma.y[b])
+    x_hi, y_hi = (hi, ends[1]) if b == j else (gamma.x[b], gamma.ordinate(b))
     if _never_falls_before_last(gamma, ends, i, j):
         return IntervalFamily(np.array([lo]), np.array([x_hi]), np.array([True]))
 
@@ -361,14 +369,14 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
     gamma.suffix_max(i + f, b, y_hi, m[f:])
     # head nodes at least S = m[f] are out, up to the last: the core starts
     # there (no head, f = 0, has ends[0] < y[i] <= S)
-    c = 0 if ends[0] < m[f] else np.count_nonzero(gamma.y[i : i + f] >= m[f])
+    c = 0 if ends[0] < m[f] else gamma.count_at_least(i, i + f, m[f])
     m = m[c:]
     m[: f - c] = m[f - c]  # head pieces after c lie below S, the maximum beyond them
     a = i + c
-    x_lo, y_lo = (lo, ends[0]) if a == i else (gamma.x[a - 1], gamma.y[a - 1])
+    x_lo, y_lo = (lo, ends[0]) if a == i else (gamma.x[a - 1], gamma.ordinate(a - 1))
     if a == b:  # one rising segment, in the set whole
         return IntervalFamily(np.array([x_lo]), np.array([x_hi]), np.array([x_lo == lo or x_hi == hi]))
-    x, y = gamma.x[a:b], gamma.y[a:b]  # the core's inner nodes, as views
+    x, y = gamma.x[a:b], gamma.ordinates(a, b)  # the core's inner nodes, as views
 
     # segment k runs from node k to node k+1 of [x_lo, x, x_hi]; its left node
     # value is y_lo for k = 0, else y[k-1], and its right one y[k] or y_hi
@@ -411,63 +419,29 @@ def bm_family(gamma: PiecewiseLinear, window) -> IntervalFamily:
 
 def _rising_pairs(gamma: PiecewiseLinear, ends, i: int, j: int):
     """(f, l): the first and last rising pair of the window's grid
-    [ends[0], gamma.y[i:j], ends[1]], or None when no pair rises.
+    [ends[0], y[i:j], ends[1]], or None when no pair rises.
 
-    The grid's pairs are (ends[0], y[i]), ``gamma.rises[i:j-1]`` and
+    The grid's pairs are (ends[0], y[i]), gamma's pairs i to j-2 and
     (y[j-1], ends[1]), numbered 0 to n = j-i; a window with no node inside
-    is one pair.  ``argmax`` stops at the first inner rise, and
-    ``_last_true`` scans back from the end; nodes that never rise
-    (``gamma.trend`` -1) leave only the two end pairs to compare.
+    is one pair.
     """
     if i == j:
         return (0, 0) if ends[0] < ends[1] else None
     n = j - i
-    inner = gamma.rises[i : j - 1]
-    head, tail = ends[0] < gamma.y[i], gamma.y[j - 1] < ends[1]
-    k = int(inner.argmax()) if inner.size and gamma.trend != -1 else 0
-    if not (inner.size and inner[k]):  # no inner pair rises
+    head, tail = ends[0] < gamma.ordinate(i), gamma.ordinate(j - 1) < ends[1]
+    first = gamma.first_rise(i, j - 1)
+    if first is None:  # no inner pair rises
         return (0 if head else n, n if tail else 0) if head or tail else None
-    return (0 if head else k + 1), (n if tail else _last_true(inner) + 1)
+    return (0 if head else first - i + 1), (n if tail else gamma.last_rise(i, j - 1) - i + 1)
 
 
 def _never_falls_before_last(gamma: PiecewiseLinear, ends, i: int, j: int) -> bool:
-    """Whether no pair of the window's grid [ends[0], gamma.y[i:j], ends[1]]
-    falls, but perhaps the last, whose level is its own right end.
-
-    The head pair is compared first.  The inner pairs then need no look
-    when every node pair rises (``gamma.trend`` 1, as on the trials above
-    1/delta); otherwise they are compared in blocks from the left, growing
-    fourfold, so a fall near the window's left end costs one small block
-    and a window that never falls about a pass.
-    """
-    y = gamma.y
-    if i < j and not ends[0] <= y[i]:
+    """Whether no pair of the window's grid [ends[0], y[i:j], ends[1]]
+    falls, but perhaps the last, whose level is its own right end: the
+    head pair, then gamma's pairs i to j-2 (``gamma.falls``)."""
+    if i < j and not ends[0] <= gamma.ordinate(i):
         return False
-    if gamma.trend == 1:
-        return True
-    start, width = i, 1024
-    while start < j - 1:
-        stop = min(start + width, j)
-        if np.any(y[start : stop - 1] > y[start + 1 : stop]):
-            return False
-        start, width = stop - 1, 4 * width
-    return True
-
-
-def _last_true(mask: np.ndarray) -> int:
-    """Index of the last True of a bool array that holds one.
-
-    Blocks from the end, growing fourfold, are searched in turn, so the
-    cost follows the distance of that True from the end: a dense mask
-    costs one small block, a sparse one about a pass.
-    """
-    stop, width = mask.size, 1024
-    while True:
-        start = max(stop - width, 0)
-        hits = mask[start:stop].nonzero()[0]
-        if hits.size:
-            return start + int(hits[-1])
-        stop, width = start, 4 * width
+    return not gamma.falls(i, j - 1)
 
 
 def is_almost_decreasing(gamma: PiecewiseLinear, radii) -> tuple[str, ShortnessReport]:

@@ -23,6 +23,10 @@ class NotSeparated(BmLabError):
     """Two sequence points are closer than the smallest normal double."""
 
 
+class GapOverflow(BmLabError):
+    """Two neighbouring points lie farther apart than the largest double."""
+
+
 class EmptyRange(BmLabError):
     """A sequence would have no point: an empty point array, no point
     within a requested radius, or no zero of the model function in a

@@ -3,12 +3,21 @@
 A separated sequence is a finite, strictly increasing list of finite reals
 together with the window of the real line the data is meant to represent;
 its minimal gap ``delta`` is computed from the points and must be at least
-the smallest normal double (``_minimal_gap`` holds this rule).  All
-density machinery in this package works on the continuous counting
-function n(x): the piecewise linear function with a breakpoint at every
-sequence point that grows by exactly 1 between consecutive points and is
-normalized to n(0) = 0.  When 0 lies outside the data window the anchor
-value at 0 is obtained by extrapolating the first or last segment slope.
+the smallest normal double, and no gap may exceed the largest double
+(``_minimal_gap`` holds these rules, and keeps the least and the greatest
+gap of each block of BLOCK neighbouring pairs).  All density machinery
+in this package works on the continuous counting function n(x): the
+piecewise linear function with a breakpoint at every sequence point that
+grows by exactly 1 between consecutive points and is normalized to
+n(0) = 0.  When 0 lies outside the data window the anchor value at 0 is
+obtained by extrapolating the first or last segment slope.
+
+The test function a*x - n(x) of a sequence of more than one block is a
+``GammaLine``: ``gamma_line`` certifies from each block's gap extremes
+whether all of its pairs rise or all fall, and the line forms the
+ordinates of a block only when a reader needs them, so the trials whose
+blocks the gaps decide form almost none.  A line of one block is formed
+whole, as an explicit ``PiecewiseLinear``.
 
 Only this module builds a sequence, and each one gets its ``delta`` from
 ``_minimal_gap``; ``SeparatedSequence`` itself checks nothing.
@@ -43,6 +52,7 @@ from .errors import (
     BadDataFile,
     DuplicatePoint,
     EmptyRange,
+    GapOverflow,
     NotSeparated,
     OutOfWindow,
     SinglePoint,
@@ -52,6 +62,7 @@ from .errors import (
 
 POINTS_CAP = 1 << 23  # points a generator may materialize, lines a data file may hold
 FILE_CHUNK = 1 << 16  # bytes (characters, when parsing) read from a data file at a time
+BLOCK = 1 << 16  # neighbouring pairs per block of a sequence's gap extremes and of a gamma line
 
 
 def check_points(count: float) -> None:
@@ -121,30 +132,51 @@ def _checked_window(points: np.ndarray, window) -> tuple[float, float]:
     return lo, hi
 
 
-def _minimal_gap(points: np.ndarray) -> float:
-    """The minimal gap of sorted finite points: their ``delta``; inf for one point.
+def _minimal_gap(points: np.ndarray) -> tuple[float, np.ndarray]:
+    """(delta, block_gaps) of sorted finite points: their minimal gap, inf
+    for one point, and the least and the greatest gap of each block of
+    BLOCK neighbouring pairs, as the two rows of ``block_gaps``.
 
-    A zero gap is a duplicate (``-0.0`` and ``0.0`` too) and raises
-    DuplicatePoint; a gap below the smallest normal double, whose
-    reciprocal (a slope of the counting function) would overflow, raises
-    NotSeparated.
+    The gaps are formed in one pass, a block at a time into one reused
+    buffer, and delta is the least block minimum.  A zero gap is a
+    duplicate (``-0.0`` and ``0.0`` too) and raises DuplicatePoint; a gap
+    below the smallest normal double, whose reciprocal (a slope of the
+    counting function) would overflow, raises NotSeparated; a gap beyond
+    the largest double raises GapOverflow (only a span beyond it can hold
+    one, so only then are the gaps looked at for it).
     """
-    delta = float(np.diff(points).min()) if points.size > 1 else math.inf
+    if points.size > 1 and float(points[-1]) - float(points[0]) == math.inf:  # only then can a gap overflow
+        with np.errstate(over="ignore"):
+            wide = np.flatnonzero(np.diff(points) == math.inf)
+        if wide.size:
+            lo, hi = float(points[wide[0]]), float(points[wide[0] + 1])
+            raise GapOverflow(f"the gap from {lo!r} to {hi!r} is beyond the largest double")
+    pairs = points.size - 1
+    block_gaps = np.empty((2, -(-pairs // BLOCK)))
+    gaps = np.empty(min(pairs, BLOCK))
+    for b in range(block_gaps.shape[1]):
+        s, e = b * BLOCK, min((b + 1) * BLOCK, pairs)
+        np.subtract(points[s + 1 : e + 1], points[s:e], out=gaps[: e - s])
+        block_gaps[:, b] = gaps[: e - s].min(), gaps[: e - s].max()
+    delta = float(block_gaps[0].min()) if pairs else math.inf
     if delta == 0.0:
         raise DuplicatePoint("duplicate point in input")
     if delta < sys.float_info.min:
         raise NotSeparated(f"minimum gap {delta:g} below the smallest normal double")
-    return delta
+    return delta, block_gaps
 
 
 @dataclass
 class SeparatedSequence:
     """Strictly increasing points on a data window; ``delta`` is their exact
-    minimal gap.  The constructor checks nothing; only this module calls it."""
+    minimal gap, and ``block_gaps`` the least and the greatest gap of each
+    block of BLOCK neighbouring pairs (see ``_minimal_gap``).  The
+    constructor checks nothing; only this module calls it."""
 
     points: np.ndarray
     window: tuple[float, float]
     delta: float
+    block_gaps: np.ndarray
 
     def __len__(self):
         return int(self.points.size)
@@ -173,7 +205,7 @@ class SeparatedSequence:
         """The points with |x| <= radius on the data window (-radius, radius).
 
         They are one contiguous slice of the sorted points, so they are
-        neither sorted nor checked again; only their minimal gap is taken.
+        neither sorted nor checked again; only their gaps are taken.
         Raises EmptyRange when no point lies that close to 0.
         """
         i = np.searchsorted(self.points, -radius, side="left")
@@ -181,7 +213,7 @@ class SeparatedSequence:
         if i == j:
             raise EmptyRange(f"no points within radius {radius:g}")
         points = self.points[i:j]
-        return SeparatedSequence(points, (-radius, radius), _minimal_gap(points))
+        return SeparatedSequence(points, (-radius, radius), *_minimal_gap(points))
 
 
 def load_sequence(points, window=None) -> SeparatedSequence:
@@ -204,7 +236,7 @@ def load_sequence(points, window=None) -> SeparatedSequence:
         raise EmptyRange("a sequence needs at least one point")
     if not np.isfinite(pts).all():
         raise BadArgument("points must be finite")
-    delta = _minimal_gap(pts)
+    gaps = _minimal_gap(pts)
     if window is None:
         if pts.size == 1:
             # a degenerate window carries no information; pad by a unit ball,
@@ -213,7 +245,7 @@ def load_sequence(points, window=None) -> SeparatedSequence:
             window = (float(pts[0]) - pad, float(pts[0]) + pad)
         else:
             window = (float(pts[0]), float(pts[-1]))
-    return SeparatedSequence(pts, _checked_window(pts, window), delta)
+    return SeparatedSequence(pts, _checked_window(pts, window), *gaps)
 
 
 def parse_generator(spec: str, radius: float | None = None) -> SeparatedSequence:
@@ -300,7 +332,7 @@ def parse_generator(spec: str, radius: float | None = None) -> SeparatedSequence
     points = np.empty(2 * half.size - 1)  # in place: a negated copy and a concatenate take about 3x as long
     np.negative(half[:0:-1], out=points[: half.size - 1])
     points[half.size - 1 :] = half
-    return SeparatedSequence(points, (-radius, radius), _minimal_gap(points))
+    return SeparatedSequence(points, (-radius, radius), *_minimal_gap(points))
 
 
 def read_sequence_file(path) -> SeparatedSequence:
@@ -370,6 +402,13 @@ class PiecewiseLinear:
     function continues with ``left_slope`` and ``right_slope``.  ``x`` and
     ``y`` are equal-length 1d float arrays; the callers build them so from
     a validated sequence, and the constructor checks nothing.
+
+    The envelope reads the ordinates only through the accessors
+    ``ordinates`` (a slice), ``ordinate`` (single nodes), ``first_rise``,
+    ``last_rise``, ``falls``, ``count_at_least``, ``suffix_max``,
+    ``window_ends`` and ``trend``; pair k joins nodes k and k+1.  Here they
+    read the arrays as stored; a ``GammaLine`` answers them a block at a
+    time, without the ordinates of blocks its gaps decide.
     """
 
     x: np.ndarray
@@ -391,6 +430,40 @@ class PiecewiseLinear:
             return 1
         return 0 if self.rises.any() else -1
 
+    def ordinates(self, i: int, j: int) -> np.ndarray:
+        """The ordinates of nodes i to j-1, as a view."""
+        return self.y[i:j]
+
+    def ordinate(self, k):
+        """The ordinate of node k, or of the nodes of an index array."""
+        return self.y[k]
+
+    def first_rise(self, i: int, j: int) -> int | None:
+        """The first rising pair k, y[k] < y[k+1], with i <= k < j, or None.
+        ``argmax`` stops at the first True of the mask; nodes that never
+        rise (``trend`` -1) need no look."""
+        if self.trend == -1:
+            return None
+        mask = self.rises[i:j]
+        k = int(mask.argmax()) if mask.size else 0
+        return i + k if mask.size and mask[k] else None
+
+    def last_rise(self, i: int, j: int) -> int | None:
+        """The last rising pair k with i <= k < j, or None (``_last_true``)."""
+        k = _last_true(self.rises[i:j]) if self.trend != -1 else None
+        return None if k is None else i + k
+
+    def falls(self, i: int, j: int) -> bool:
+        """Whether some pair k with i <= k < j falls, y[k] > y[k+1]
+        (``_falls``); none does when every pair rises (``trend`` 1)."""
+        return self.trend != 1 and _falls(self.y[i : j + 1])
+
+    def count_at_least(self, i: int, j: int, level: float) -> int:
+        """How many nodes i <= k < j have y[k] >= level.  The envelope asks
+        only where the ordinates never increase from i to j-1, which a
+        ``GammaLine`` relies on."""
+        return int(np.count_nonzero(self.y[i:j] >= level))
+
     def suffix_max(self, i: int, j: int, end: float, out: np.ndarray) -> None:
         """Write m[k] = max(y[i+k:j], end) for k = 0 .. j-i into ``out``: at
         each node of the slice, the maximum of the nodes from there up to j,
@@ -398,7 +471,7 @@ class PiecewiseLinear:
         ``end`` after it; where values tie it keeps the leftmost.
         """
         out[-1] = end
-        out[:-1] = self.y[i:j]
+        out[:-1] = self.ordinates(i, j)
         np.maximum.accumulate(out[::-1], out=out[::-1])
 
     def __call__(self, t):
@@ -425,17 +498,23 @@ class PiecewiseLinear:
         """
         lo, hi = float(window[0]), float(window[1])
         x0, x1 = float(self.x[0]), float(self.x[-1])
-        ends = np.interp((lo, hi), self.x, self.y)
+        i = int(self.x.searchsorted(lo, side="right"))
+        j = int(self.x.searchsorted(hi, side="left"))
+        ends = np.interp((lo, hi), self.x, self._interpolated(i, j))
         for k, t in enumerate((lo, hi)):
             if t < x0:
-                ends[k] = float(self.y[0]) + float(self.left_slope) * (t - x0)
+                ends[k] = float(self.ordinate(0)) + float(self.left_slope) * (t - x0)
             elif t > x1:
-                ends[k] = float(self.y[-1]) + float(self.right_slope) * (t - x1)
+                ends[k] = float(self.ordinate(-1)) + float(self.right_slope) * (t - x1)
         if not (lo < hi and math.isfinite(ends[0]) and math.isfinite(ends[1])):
             raise BadArgument(f"window must satisfy lo < hi with finite values at both ends, got {lo!r}, {hi!r}")
-        i = np.searchsorted(self.x, lo, side="right")
-        j = np.searchsorted(self.x, hi, side="left")
         return lo, hi, ends, i, j
+
+    def _interpolated(self, i: int, j: int) -> np.ndarray:
+        """Ordinates that hold at least where ``np.interp`` reads them for
+        ends between nodes i-1 and i and between j-1 and j: at those four
+        nodes and the two outer ones."""
+        return self.y
 
     def grid_on(self, window):
         """Breakpoints clipped to a window, with the window ends appended.
@@ -449,8 +528,148 @@ class PiecewiseLinear:
         """
         lo, hi, ends, i, j = self.window_ends(window)
         xs = np.concatenate(([lo], self.x[i:j], [hi]))
-        ys = np.concatenate((ends[:1], self.y[i:j], ends[1:]))
+        ys = np.concatenate((ends[:1], self.ordinates(i, j), ends[1:]))
         return xs, ys
+
+
+@dataclass(eq=False)
+class GammaLine(PiecewiseLinear):
+    """a*x - n(x) in blocks of BLOCK pairs, its ordinates filled where a
+    reader needs them.
+
+    ``c`` holds the counting function's ordinates; node k's ordinate is
+    fl(fl(a*x[k]) - c[k]), the same two roundings wherever it is formed:
+    in the buffer ``y``, which the constructor takes uninitialized
+    (``ordinates`` fills the blocks a slice touches, from the first
+    unfilled one to the last in one pass, and marks them in ``filled``),
+    or one node at a time (``ordinate``, which fills nothing).  Block b
+    holds pairs b*BLOCK to (b+1)*BLOCK - 1 and writes the nodes at both
+    ends of each.  ``certified`` is the gap certificate of ``gamma_line``:
+    per block 1 when every pair rises, -1 when every pair falls, 0 when
+    its ordinates must be compared.  A decided block answers the rise and
+    fall queries without them; an undecided one forms its rising-pair
+    mask once, when first read.  Reading ``y`` itself fills every block,
+    so a reader that knows no blocks sees the whole array.
+    """
+
+    a: float
+    c: np.ndarray
+    certified: tuple[int, ...]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.ordinates(0, self.x.size)
+
+    @y.setter
+    def y(self, buffer: np.ndarray) -> None:
+        self._buffer = buffer
+
+    @functools.cached_property
+    def filled(self) -> bytearray:
+        """Per block, 1 once its nodes are in the buffer."""
+        return bytearray(len(self.certified))
+
+    @functools.cached_property
+    def _masks(self) -> dict:
+        return {}
+
+    @functools.cached_property
+    def trend(self) -> int:
+        certified = self.certified
+        undecided = [b for b, t in enumerate(certified) if t == 0]
+        if -1 not in certified and all(self._block_rises(b).all() for b in undecided):
+            return 1
+        return 0 if 1 in certified or any(self._block_rises(b).any() for b in undecided) else -1
+
+    def _block_rises(self, b: int) -> np.ndarray:
+        """The rising-pair mask of block b, formed once."""
+        mask = self._masks.get(b)
+        if mask is None:
+            y = self.ordinates(b * BLOCK, (b + 1) * BLOCK + 1)
+            mask = self._masks[b] = y[:-1] < y[1:]
+        return mask
+
+    def ordinates(self, i: int, j: int) -> np.ndarray:
+        """A view of the buffer, once the blocks that hold nodes i to j-1
+        are filled."""
+        if i < j:
+            b0 = max(min(i, j - 2), 0) // BLOCK  # the block of pair i, or of a pair ending at node i
+            b1 = max(j - 2, 0) // BLOCK + 1  # past the block of pair j-2, which ends at node j-1
+            first = self.filled.find(0, b0, b1)
+            if first >= 0:
+                last = self.filled.rfind(0, b0, b1) + 1
+                s, e = first * BLOCK, min(last * BLOCK + 1, self.x.size)
+                np.multiply(self.x[s:e], self.a, out=self._buffer[s:e])
+                self._buffer[s:e] -= self.c[s:e]
+                self.filled[first:last] = b"\x01" * (last - first)
+        return self._buffer[i:j]
+
+    def ordinate(self, k):
+        return self.a * self.x[k] - self.c[k]
+
+    def _interpolated(self, i: int, j: int) -> np.ndarray:
+        """The buffer, with the six ordinates ``np.interp`` reads written
+        while some block is unfilled; their blocks are not marked filled,
+        and a fill writes the same bits again."""
+        n = self.x.size
+        if 0 in self.filled:
+            for k in (0, i - 1, i, j - 1, j, n - 1):
+                if 0 <= k < n:
+                    self._buffer[k] = self.ordinate(k)
+        return self._buffer
+
+    def first_rise(self, i: int, j: int) -> int | None:
+        """Blocks certified to fall are skipped and one certified to rise
+        answers with its first pair in range; an undecided block's mask is
+        searched by ``argmax``."""
+        for b in range(i // BLOCK, -(-j // BLOCK)) if i < j else ():
+            s = max(i, b * BLOCK)
+            if self.certified[b] == 1:
+                return s
+            if self.certified[b] == 0:
+                mask = self._block_rises(b)[s - b * BLOCK : j - b * BLOCK]
+                k = int(mask.argmax())
+                if mask[k]:
+                    return s + k
+        return None
+
+    def last_rise(self, i: int, j: int) -> int | None:
+        """As ``first_rise``, from the right."""
+        for b in reversed(range(i // BLOCK, -(-j // BLOCK)) if i < j else ()):
+            e = min(j, (b + 1) * BLOCK)
+            if self.certified[b] == 1:
+                return e - 1
+            if self.certified[b] == 0:
+                s = max(i, b * BLOCK)
+                k = _last_true(self._block_rises(b)[s - b * BLOCK : e - b * BLOCK])
+                if k is not None:
+                    return s + k
+        return None
+
+    def falls(self, i: int, j: int) -> bool:
+        """A block certified to fall answers at once, and one certified to
+        rise holds no fall; an undecided block is compared (``_falls``)."""
+        blocks = range(i // BLOCK, -(-j // BLOCK)) if i < j else range(0)
+        if -1 in self.certified[blocks.start : blocks.stop]:
+            return True
+        return any(
+            _falls(self.ordinates(max(i, b * BLOCK), min(j, (b + 1) * BLOCK) + 1))
+            for b in blocks
+            if self.certified[b] == 0
+        )
+
+    def count_at_least(self, i: int, j: int, level: float) -> int:
+        """For ordinates that never increase from i to j-1: the nodes at
+        least ``level`` lead the range, so the count is found first on the
+        nodes that start a block, and then in the one block that holds the
+        last of them."""
+        s, e = i, j
+        if (i // BLOCK + 1) * BLOCK < j:
+            starts = np.arange((i // BLOCK + 1) * BLOCK, j, BLOCK)
+            k = np.count_nonzero(self.ordinate(starts) >= level)
+            s = int(starts[k - 1]) if k else i
+            e = int(starts[k]) if k < starts.size else j
+        return s - i + int(np.count_nonzero(self.ordinates(s, e) >= level))
 
 
 def as_bounds(interval) -> tuple[float, float]:
@@ -479,15 +698,91 @@ def count_in(seq: SeparatedSequence, interval) -> int:
 def gamma_line(seq: SeparatedSequence, a: float) -> PiecewiseLinear:
     """The test function a*x - n(x) as an exact piecewise linear object.
 
-    Breakpoint ordinates are formed directly from the point array so no
+    Breakpoint ordinates are formed directly from the point array, y_k =
+    fl(fl(a*x_k) - c_k) with c the counting function's ordinates, so no
     resampling error enters; the a*x term is absorbed into the slopes.
     The slope must keep a*x finite on the sequence.  The counting function
-    is the sequence's cached one.
+    is the sequence's cached one.  A sequence of one block gets its line
+    formed whole: the bookkeeping of a ``GammaLine`` would cost a window
+    more than forming at most BLOCK + 1 ordinates saves.  A longer one
+    gets a ``GammaLine``, nothing of it formed yet, with its certificate.
+
+    Each block of BLOCK pairs is certified from its least and greatest
+    gap.  With u = 2^-53, X = max|x_k|, C = max|c_k| and E = 16u(|a|X + C +
+    2), a pair whose product p = fl(a*g_k), g_k = fl(x_{k+1} - x_k), is at
+    least 1 + E has y_k < y_{k+1}, and one whose product is at most 1 - E
+    has y_k > y_{k+1}.  Rounding is monotone, so the products at a block's
+    two extreme gaps bound all of its products: a block they both hold
+    for is certified 1 (every pair rises) or -1 (every pair falls), and
+    the others 0.  Unless E is at most 1/2, and so finite, nothing is
+    certified.
+
+    Proof.  A rounding errs by at most u of its result, or by 2^-1075
+    where that is subnormal, and the gaps are normal (``_minimal_gap``).
+    So each y_k lies within e = 2.001u|a|X + uC + 2^-1074 of a*x_k - c_k;
+    c_k = fl(k - A) for the anchor A, so c_{k+1} - c_k lies within 2.001uC
+    of 1; and a*(x_{k+1} - x_k) lies within a factor 1 +- 2.01u of p, give
+    or take 2^-1074.  For p >= 1 + E the computed difference y_{k+1} - y_k
+    is thus at least E - 2.01u(1 + E) - 2.001uC - 2e, and for p <= 1 - E at
+    most -E + 2.01u + 2.001uC + 2e + 2^-1074.  With E <= 1/2 the terms
+    beside E are at most 4.01u(|a|X + C) + 3.1u + 2^-1072, which E exceeds
+    by far more than the roundings of E, 1 + E and 1 - E, so both bounds
+    are strict.
     """
     counting = seq.counting
-    reach = max(-float(counting.x[0]), float(counting.x[-1]), 0.0)
+    x, c = counting.x, counting.y
+    reach = max(-float(x[0]), float(x[-1]), 0.0)
     if not abs(a) * reach < math.inf:
         raise BadArgument(f"the slope a must keep a*x finite on the sequence, got {a!r}")
-    y = a * counting.x
-    y -= counting.y
-    return PiecewiseLinear(counting.x, y, a - counting.left_slope, a - counting.right_slope)
+    slopes = a - counting.left_slope, a - counting.right_slope
+    if seq.block_gaps.shape[1] == 1:  # formed whole: one block costs less than its bookkeeping
+        y = a * x
+        y -= c
+        return PiecewiseLinear(x, y, *slopes)
+    return GammaLine(x, np.empty(x.size), *slopes, a, c, _certificate(seq, a, reach))
+
+
+def _certificate(seq: SeparatedSequence, a: float, reach: float) -> tuple[int, ...]:
+    """Per block of ``seq``: 1 when every pair of gamma_line(seq, a) rises, -1
+    when every pair falls, 0 when the gaps cannot tell (``gamma_line``)."""
+    c = seq.counting.y
+    certified = np.zeros(seq.block_gaps.shape[1], dtype=int)
+    bound = 2.0**-49 * (abs(a) * reach + max(abs(float(c[0])), abs(float(c[-1]))) + 2.0)
+    if bound <= 0.5:
+        products = a * seq.block_gaps
+        certified[products.min(axis=0) >= 1.0 + bound] = 1
+        certified[products.max(axis=0) <= 1.0 - bound] = -1
+    return tuple(certified.tolist())
+
+
+def _falls(y: np.ndarray) -> bool:
+    """Whether some neighbouring pair of ``y`` falls, y[k] > y[k+1].
+
+    The pairs are compared in pieces from the left, growing fourfold, so a
+    fall near the left end costs one small piece and ordinates that never
+    fall about a pass.
+    """
+    start, width = 0, 1024
+    while start < y.size - 1:
+        stop = min(start + width, y.size)
+        if np.any(y[start : stop - 1] > y[start + 1 : stop]):
+            return True
+        start, width = stop - 1, 4 * width
+    return False
+
+
+def _last_true(mask: np.ndarray) -> int | None:
+    """Index of the last True of a bool array, or None when it holds none.
+
+    Blocks from the end, growing fourfold, are searched in turn, so the
+    cost follows the distance of that True from the end: a dense mask
+    costs one small block, a sparse one about a pass.
+    """
+    stop, width = mask.size, 1024
+    while stop > 0:
+        start = max(stop - width, 0)
+        hits = mask[start:stop].nonzero()[0]
+        if hits.size:
+            return start + int(hits[-1])
+        stop, width = start, 4 * width
+    return None

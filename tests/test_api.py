@@ -158,3 +158,13 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
     defaulted = _defaulted_parameters()
     unpassed = sorted(set(defaulted) - _passed_parameters(defaulted))
     assert unpassed == sorted(KEPT_WITHOUT_PASSER)  # a kept one that gained a passer leaves the list
+
+
+def test_the_envelope_reads_ordinates_only_through_the_accessors():
+    # a GammaLine forms its ordinates where a reader asks for them: a read of
+    # gamma.y or gamma.rises would form them all, so bm_family asks only
+    # through ordinates, ordinate, first_rise, last_rise, falls,
+    # count_at_least, suffix_max and trend
+    tree = ast.parse((PACKAGE / "envelope.py").read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in ("y", "rises")]
+    assert reads == []

@@ -99,6 +99,16 @@ def test_missing_file_exits_sixtyfive():
     assert "data error" in err
 
 
+def test_a_gap_beyond_the_double_range_exits_sixtyfive(tmp_path, recwarn):
+    # the gap and the counting function's edge slopes would overflow
+    path = tmp_path / "wide.txt"
+    path.write_text("-1.7e308\n1.7e308\n")
+    code, out, err = run_cli(["bm", "--input", path, "--a", 0])
+    assert (code, out) == (65, "")
+    assert err == "bm-lab: data error: the gap from -1.7e+308 to 1.7e+308 is beyond the largest double\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_malformed_file_reports_line_number(tmp_path):
     bad = tmp_path / "pts.txt"
     bad.write_text("1.0\n2.0\nbogus\n")

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bmlab import sequences
-from bmlab.density import default_radius_ladder
+from bmlab import density, sequences
+from bmlab.density import default_radius_ladder, interior_density
 from bmlab.envelope import (
     ENDPOINT_BOUND,
     INCONCLUSIVE,
@@ -939,3 +939,145 @@ def test_bm_family_accumulates_only_the_rising_core(monkeypatch):
     assert len(reads) == 6
     assert sum(reads) < 0.1 * window_nodes
 
+
+# ----------------------------------------------- a gamma line in blocks against the eager one
+
+
+def eager_gamma(seq, a):
+    """gamma_line(seq, a) formed whole, as an explicit PiecewiseLinear."""
+    counting = seq.counting
+    return PiecewiseLinear(counting.x, a * counting.x - counting.y, a - counting.left_slope, a - counting.right_slope)
+
+
+def _same_bytes(fam, other, window):
+    assert [fam.left.tobytes(), fam.right.tobytes(), fam.edge.tobytes()] == [
+        other.left.tobytes(),
+        other.right.tobytes(),
+        other.edge.tobytes(),
+    ], window
+
+
+def seam_windows(x, block, ends):
+    """Windows that end on a block seam's node or one node either side of
+    it, from the first node's left or to the last node's right, the
+    ladder's windows, and a window between two seams."""
+    out = [(-r, r) for r in default_radius_ladder(ends)]
+    for seam in range(block, x.size - 1, block):
+        for q in (seam - 1, seam, seam + 1):
+            out += [(float(x[0]) - 0.5, float(x[q])), (float(x[q]), float(x[-1]) + 0.5)]
+            out += [(_nudge(x[q], -1), _nudge(x[q], 1))]
+    out.append((float(x[block - 1]), float(x[-block])))
+    return out
+
+
+def _block_slopes(seq):
+    """Slopes at 1/delta and a few ulps off it, within the density, at
+    1/(largest gap), 1 and at 0 and below."""
+    base, widest = 1.0 / seq.delta, 1.0 / float(np.diff(seq.points).max())
+    return [base, _nudge(base, 2), _nudge(base, -3), 0.9 * base, 0.5 * base, widest, 1.0, 0.0, -0.5]
+
+
+def renewal_sequence(count, seed):
+    gaps = 0.2 + np.random.default_rng(seed).exponential(1.0, count)
+    return load_sequence(np.cumsum(gaps) - gaps.sum() / 2.0)
+
+
+def test_a_gamma_line_in_blocks_gives_the_eager_families_bit_for_bit(monkeypatch):
+    # blocks of 256 pairs put many seams in small sequences; the lazy line
+    # answers windows in turn, so later ones see blocks earlier ones filled
+    monkeypatch.setattr(sequences, "BLOCK", 256)
+    seqs = [
+        parse_generator("logperturbed", 1500.0),
+        parse_generator("lattice:1", 700.0),
+        parse_generator("squares", 4e5),
+        renewal_sequence(1500, 7),
+        load_sequence(np.arange(-700.0, 701.0) + np.random.default_rng(3).uniform(-0.3, 0.3, 1401)),
+    ]
+    for seq in seqs:
+        ends = min(-seq.window[0], seq.window[1])
+        windows = seam_windows(seq.points, 256, ends)
+        for a in _block_slopes(seq):
+            lazy, eager = gamma_line(seq, a), eager_gamma(seq, a)
+            assert isinstance(lazy, sequences.GammaLine)
+            for window in windows:
+                _same_bytes(bm_family(lazy, window), bm_family(eager, window), (a, window))
+            assert lazy.trend == eager.trend
+            assert lazy.y.tobytes() == eager.y.tobytes() and all(lazy.filled)
+
+
+def test_a_gamma_line_of_real_blocks_gives_the_eager_families_bit_for_bit():
+    seq = parse_generator("logperturbed", 1e5)
+    assert seq.block_gaps.shape[1] == 3
+    windows = seam_windows(seq.points, sequences.BLOCK, 1e5)
+    for a in (0.9, 1.0 / seq.delta, 0.5):
+        lazy, eager = gamma_line(seq, a), eager_gamma(seq, a)
+        for window in windows:
+            _same_bytes(bm_family(lazy, window), bm_family(eager, window), (a, window))
+
+
+def test_interior_density_reports_equal_those_on_eager_lines(monkeypatch):
+    monkeypatch.setattr(sequences, "BLOCK", 512)
+    seqs = (parse_generator("logperturbed", 3000.0), parse_generator("lattice:1", 2000.0), renewal_sequence(4000, 11))
+    for seq in seqs:
+        lazy = interior_density(seq)
+        with monkeypatch.context() as patch:
+            patch.setattr(density, "gamma_line", eager_gamma)
+            eager = interior_density(seq)
+        assert repr(lazy) == repr(eager)
+
+
+def test_trials_above_the_density_of_a_lattice_fill_no_block(monkeypatch):
+    # the gaps certify every block of the trials a >= 1.03 to rise; the
+    # trial a = 1 ties every ordinate at 0, decides nothing and fills all
+    made = []
+    monkeypatch.setattr(density, "gamma_line", lambda seq, a: made.append(gamma_line(seq, a)) or made[-1])
+    interior_density(parse_generator("lattice:1", 1e5))
+    assert [g.a for g in made] == [1.0, 1.5, 1.25, 1.125, 1.0625, 1.03125]
+    for gamma in made[1:]:
+        assert gamma.certified == (1,) * 4 and not any(gamma.filled) and gamma.trend == 1
+    assert made[0].certified == (0,) * 4 and all(made[0].filled)
+
+
+def test_a_trend_0_trial_fills_only_the_blocks_of_its_rising_core():
+    gamma = logperturbed_gamma()
+    assert gamma.certified == (-1, 0, -1)
+    is_almost_decreasing(gamma, default_radius_ladder(1e5))
+    y = eager_gamma(parse_generator("logperturbed", 1e5), 0.9).y
+    core = np.unique(np.flatnonzero(y[:-1] < y[1:]) // sequences.BLOCK)
+    assert [b for b, f in enumerate(gamma.filled) if f] == core.tolist() == [1]
+
+
+def test_the_block_accessors_answer_as_the_eager_line(monkeypatch):
+    # ranges that start and end on a seam, next to one and inside a block,
+    # on lines whose blocks rise, fall or are undecided; each query runs on
+    # a fresh lazy line and on one that earlier queries filled.  The
+    # lattice's last node starts a block of its own, and the two-sided
+    # sequence switches from gaps 1 to gaps 3 on a seam, so at a = 0.5 its
+    # blocks all fall, then all rise
+    monkeypatch.setattr(sequences, "BLOCK", 64)
+    two_sided = load_sequence(np.concatenate((np.arange(-640.0, 0.0), np.arange(0.0, 900.0, 3.0))))
+    for seq in (
+        parse_generator("logperturbed", 400.0),
+        renewal_sequence(600, 5),
+        parse_generator("lattice:1", 320.0),
+        two_sided,
+    ):
+        n = len(seq)
+        seams = (64, 128, (n - 2) // 64 * 64)
+        marks = sorted({0, 1, 100, n - 2, n - 1} | {q for seam in seams for q in (seam - 1, seam, seam + 1)})
+        for a in _block_slopes(seq):
+            eager, used = eager_gamma(seq, a), gamma_line(seq, a)
+            y = eager.y
+            assert gamma_line(seq, a).trend == eager.trend
+            for i in marks:
+                for j in (q for q in marks if q >= i):
+                    for lazy in (gamma_line(seq, a), used):
+                        assert lazy.first_rise(i, j) == eager.first_rise(i, j), (a, i, j)
+                        assert lazy.last_rise(i, j) == eager.last_rise(i, j), (a, i, j)
+                        assert lazy.falls(i, j) == eager.falls(i, j), (a, i, j)
+                        assert lazy.ordinates(i, j + 1).tobytes() == y[i : j + 1].tobytes()
+                        run = y[i:j]
+                        if not np.any(run[:-1] < run[1:]):  # ordinates that never increase
+                            for level in (*run[:: max(1, run.size // 3)], 0.0, -math.inf):
+                                assert lazy.count_at_least(i, j, level) == eager.count_at_least(i, j, level)
+                assert gamma_line(seq, a).ordinate(i) == y[i]

@@ -2,6 +2,7 @@ import io
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bmlab.errors import (
     BmLabError,
     DuplicatePoint,
     EmptyRange,
+    GapOverflow,
     NotSeparated,
     OutOfWindow,
     SinglePoint,
@@ -57,8 +59,9 @@ def test_duplicate_points_hard_error():
         ([0.0, 1.0, 1.0], None, DuplicatePoint),
         ([-0.0, 0.0], None, DuplicatePoint),
         ([0.0], (0.0, 0.0), BadArgument),
+        ([-1.7e308, 1.7e308], None, GapOverflow),
     ],
-    ids=["infinite", "subnormal-gap", "duplicate", "signed-zeros", "empty-window"],
+    ids=["infinite", "subnormal-gap", "duplicate", "signed-zeros", "empty-window", "overflowing-gap"],
 )
 def test_separated_sequence_refuses_what_load_sequence_refuses(points, window, error):
     with pytest.raises(error):
@@ -419,6 +422,77 @@ def test_subnormal_gap_is_not_separated():
     # the counting function divides by the edge gaps
     with pytest.raises(NotSeparated):
         load_sequence([0.0, 1e-320, 1.0])
+
+
+# ---------------------------------------------------------------- gap certificate
+
+
+def certificate_sequence(kind, rng, n):
+    """About n points: a lattice of random step, logperturbed, a renewal
+    sequence with gaps 0.2 + Exp(1) at a random scale, or a lattice
+    jittered by up to 0.3 and scaled by 1e3."""
+    k = np.arange(-(n // 2), n // 2 + 1, dtype=float)
+    if kind == "logperturbed":
+        return parse_generator("logperturbed", float(n // 2))
+    if kind == "lattice":
+        points = k * rng.uniform(0.01, 100.0)
+    elif kind == "renewal":
+        gaps = 0.2 + rng.exponential(1.0, k.size)
+        points = (np.cumsum(gaps) - gaps.sum() / 2.0) * 10.0 ** rng.uniform(-3.0, 3.0)
+    else:
+        points = (k + rng.uniform(-0.3, 0.3, k.size)) * 1e3
+    return load_sequence(points)
+
+
+def _ulps_around(value, count):
+    """The doubles within ``count`` ulps of ``value``, itself included."""
+    below, above = [value], [value]
+    for _ in range(count):
+        below.append(float(np.nextafter(below[-1], -math.inf)))
+        above.append(float(np.nextafter(above[-1], math.inf)))
+    return below[:0:-1] + above
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["lattice", "logperturbed", "renewal", "jittered"]),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 7, 256, 1 << 16]),
+)
+def test_certified_blocks_rise_or_fall_in_every_computed_pair(kind, seed, block):
+    # slopes within 40 ulps of 1/delta, of 1/(largest gap) and of 1/(a
+    # random gap), where a*gap - 1 is at the rounding of the ordinates,
+    # and slopes of 0 and below; blocks of one pair certify each pair
+    # alone, and 1 << 16 holds the whole sequence in one block
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(sequences, "BLOCK", block):
+        seq = certificate_sequence(kind, rng, int(rng.integers(200, 3000)))
+    x, c = seq.points, seq.counting.y
+    gaps = np.diff(x)
+    reach = max(-float(x[0]), float(x[-1]), 0.0)
+    slopes = [0.0, -0.0, -1e-300, -1.0 / seq.delta]
+    for gap in (seq.delta, float(gaps.max()), float(rng.choice(gaps))):
+        slopes += _ulps_around(1.0 / gap, 40)
+    y = np.multiply.outer(slopes, x) - c
+    certified = np.array([sequences._certificate(seq, a, reach) for a in slopes])
+    assert certified.shape == (len(slopes), -(-gaps.size // block))
+    pairs = certified[:, np.arange(gaps.size) // block]
+    assert np.all(y[:, :-1][pairs == 1] < y[:, 1:][pairs == 1])
+    assert np.all(y[:, :-1][pairs == -1] > y[:, 1:][pairs == -1])
+    assert np.all(certified[:4] == -1)  # a <= 0: every pair falls
+
+
+def test_no_certificate_where_the_rounding_bound_is_not_small(monkeypatch):
+    # at a reach near 1e308 the bound E = 16u(|a|X + C + 2) is far above 1/2
+    monkeypatch.setattr(sequences, "BLOCK", 4)
+    seq = load_sequence(np.arange(-20, 21) * 5e306)
+    reach = 1e308
+    assert sequences._certificate(seq, 1e-300, reach) == (1,) * 10  # |a|X = 1e8: E is small
+    assert sequences._certificate(seq, 1e-310, reach) == (-1,) * 10
+    for a in (1.0 / seq.delta, 1e-10, -1e-10):
+        assert sequences._certificate(seq, a, reach) == (0,) * 10
+    gamma = gamma_line(seq, 1e-10)
+    assert gamma.certified == (0,) * 10 and gamma.trend == 1
 
 
 # ---------------------------------------------------------------- file reading
