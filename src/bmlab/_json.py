@@ -109,9 +109,6 @@ def dumps(obj) -> str:
         return str(int(obj))
     if isinstance(obj, np.floating):
         return _fmt_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        c = complex(obj)
-        return dumps({"re": c.real, "im": c.imag})
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist())
     if dataclasses.is_dataclass(obj):

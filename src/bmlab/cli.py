@@ -27,7 +27,9 @@ Exit codes: 0 definite verdict (and pure construction/dump commands),
 2 Inconclusive verdict, 1 computation errors, 64 usage errors and
 arguments outside their domain (the generator grammar is printed), 65
 unreadable or malformed data files.  Each argument is checked once, by
-the engine that owns it; ``run`` maps the error types to these codes.
+the engine that owns it; ``run`` maps the error types to these codes by
+their base class: BadArgument 64, OSError and DataError 65, any other
+BmLabError 1.
 """
 
 from __future__ import annotations
@@ -55,17 +57,7 @@ from .envelope import (
     family_to_csv,
     shortness_partial_sum,
 )
-from .errors import (
-    BadArgument,
-    BadDataFile,
-    BmLabError,
-    DuplicatePoint,
-    EmptyRange,
-    GapOverflow,
-    NotSeparated,
-    OutOfWindow,
-    SizeGuard,
-)
+from .errors import BadArgument, BmLabError, DataError, OutOfWindow, SizeGuard
 from .gap import (
     cauchy_decay,
     check_grid_step,
@@ -408,7 +400,7 @@ def run(argv) -> int:
         return EXIT_INCONCLUSIVE if verdict == INCONCLUSIVE else EXIT_OK
     except BadArgument as exc:
         parser.error(str(exc))
-    except (OSError, BadDataFile, DuplicatePoint, NotSeparated, GapOverflow, EmptyRange) as exc:
+    except (OSError, DataError) as exc:
         print(f"{root.prog}: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except BmLabError as exc:

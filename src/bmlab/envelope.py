@@ -66,7 +66,7 @@ import numpy as np
 
 from ._json import Table
 from .errors import BadArgument, BadDataFile
-from .sequences import PiecewiseLinear, check_file_size, check_utf8_line, write_csv
+from .sequences import PiecewiseLinear, check_file_size, data_lines, write_csv
 
 INTERIOR = "Interior"
 TOUCHES_WINDOW_EDGE = "TouchesWindowEdge"
@@ -141,22 +141,20 @@ def family_from_csv(path) -> IntervalFamily:
     """Read a family from CSV lines ``left,right[,flag]``; header optional.
 
     The first data line is a header, and skipped, only when its first cell
-    is not a number.  Rows go straight into endpoint columns and an edge
-    flag, checked in file order with faults naming ``path:line``: UTF-8
-    text, two or three cells of which the first two are numbers, endpoints
-    finite and at most ENDPOINT_BOUND in magnitude, left < right, a known
-    flag.  The rows are then sorted stably by left endpoint and must be
-    disjoint.  The file's size is checked first (``check_file_size``).
+    is not a number.  The data lines are those of ``data_lines``, which
+    refuses a byte that is not UTF-8.  Rows go straight into endpoint
+    columns and an edge flag, checked in file order with faults naming
+    ``path:line``: two or three cells of which the first two are numbers,
+    endpoints finite and at most ENDPOINT_BOUND in magnitude, left <
+    right, a known flag.  The rows are then sorted stably by left
+    endpoint and must be disjoint.  The file's size is checked first
+    (``check_file_size``).
     """
     check_file_size(path)
     left, right, edge = array("d"), array("d"), bytearray()
     first_data_line = True
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            check_utf8_line(path, lineno, raw)
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in data_lines(path, fh):
             parts = line.split(",")
             header, first_data_line = first_data_line, False
             lo = hi = None

@@ -3,7 +3,10 @@
 Every error raised on bad input derives from BmLabError so callers (and the
 ``bm-lab`` command) can distinguish data problems from genuine bugs.  An
 argument outside the domain a function accepts raises BadArgument, also a
-ValueError, which the command line maps to exit code 64.  No data class
+ValueError, which the command line maps to exit code 64.  Data that
+cannot make a sequence or a family raises a DataError, which it maps to
+65; every other BmLabError maps to 1.  So a new error type is classified
+where it is declared, by the class it derives from.  No data class
 checks invariants: outside data is checked where it enters
 (``load_sequence``, ``family_from_csv``, the command line), and the
 engines and the generators of ``parse_generator`` build their values
@@ -15,19 +18,23 @@ class BmLabError(Exception):
     """Base class for all input and state errors raised by this package."""
 
 
-class DuplicatePoint(BmLabError):
+class DataError(BmLabError):
+    """Data that cannot make a sequence or an interval family."""
+
+
+class DuplicatePoint(DataError):
     """Two sequence points coincide after sorting."""
 
 
-class NotSeparated(BmLabError):
+class NotSeparated(DataError):
     """Two sequence points are closer than the smallest normal double."""
 
 
-class GapOverflow(BmLabError):
+class GapOverflow(DataError):
     """Two neighbouring points lie farther apart than the largest double."""
 
 
-class EmptyRange(BmLabError):
+class EmptyRange(DataError):
     """A sequence would have no point: an empty point array, no point
     within a requested radius, or no zero of the model function in a
     window."""
@@ -57,5 +64,5 @@ class NumericalBreakdown(BmLabError):
     """A dense eigensolver failed to converge."""
 
 
-class BadDataFile(BmLabError):
+class BadDataFile(DataError):
     """An input data file exists but cannot be parsed."""

@@ -31,9 +31,10 @@ Sequence files hold one decimal real per line, as Python's ``float``
 reads it once the line is stripped of white space (so ``1_0`` and
 non-ASCII digits parse, ``3 # c`` and ``1 2`` do not).  Lines end at
 ``\\n``, ``\\r`` or ``\\r\\n``, as a text file iterates them.  Blank lines and
-lines whose first non-space character is ``#`` are ignored; point order
-is arbitrary.  A value that does not parse or is not finite, and a byte
-that is not UTF-8, is refused with BadDataFile naming ``path:line``.  A
+lines whose first non-space character is ``#`` are ignored, here and in
+a family file (``data_lines``); point order is arbitrary.  A value that
+does not parse or is not finite, and a byte that is not UTF-8, is
+refused with BadDataFile naming ``path:line``.  A
 file of more than POINTS_CAP (2^23) lines or 64*POINTS_CAP bytes raises
 SizeGuard before anything is parsed; the command line exits 1 on it.
 """
@@ -97,14 +98,24 @@ def check_file_size(path) -> None:
         raise SizeGuard(f"{path}: more than {POINTS_CAP} lines, the cap for a data file")
 
 
-def check_utf8_line(path, lineno: int, line: str) -> None:
-    """BadDataFile naming ``path:line`` when a line decoded with
-    ``errors="surrogateescape"`` holds a lone surrogate: a byte that is not UTF-8."""
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            raise BadDataFile(f"{path}:{lineno}: not UTF-8 text") from None
+def data_lines(path, lines, first: int = 1):
+    """The data lines of ``lines`` as ``(lineno, line)``, stripped of white
+    space; ``first`` numbers the first line.
+
+    Blank lines and lines whose first non-space character is ``#`` are
+    skipped.  The lines are decoded with ``errors="surrogateescape"``, and
+    one that holds a lone surrogate, a byte that is not UTF-8, raises
+    BadDataFile naming ``path:line``, whether it is a data line or not.
+    """
+    for lineno, raw in enumerate(lines, first):
+        if not raw.isascii():
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise BadDataFile(f"{path}:{lineno}: not UTF-8 text") from None
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def write_csv(path, *blocks) -> None:
@@ -379,11 +390,7 @@ def _read_blocks(path) -> np.ndarray:
 def _parse_lines(path, lines, first: int) -> list[float]:
     """The values of the data lines; ``first`` numbers the first line."""
     values = []
-    for lineno, raw in enumerate(lines, first):
-        check_utf8_line(path, lineno, raw)
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(path, lines, first):
         try:
             value = float(line)
         except ValueError:
@@ -648,7 +655,8 @@ class GammaLine(PiecewiseLinear):
 
     def falls(self, i: int, j: int) -> bool:
         """A block certified to fall answers at once, and one certified to
-        rise holds no fall; an undecided block is compared (``_falls``)."""
+        rise holds no fall; the undecided blocks are compared from the left
+        (``_falls``), up to the first that falls."""
         blocks = range(i // BLOCK, -(-j // BLOCK)) if i < j else range(0)
         if -1 in self.certified[blocks.start : blocks.stop]:
             return True
@@ -756,33 +764,11 @@ def _certificate(seq: SeparatedSequence, a: float, reach: float) -> tuple[int, .
 
 
 def _falls(y: np.ndarray) -> bool:
-    """Whether some neighbouring pair of ``y`` falls, y[k] > y[k+1].
-
-    The pairs are compared in pieces from the left, growing fourfold, so a
-    fall near the left end costs one small piece and ordinates that never
-    fall about a pass.
-    """
-    start, width = 0, 1024
-    while start < y.size - 1:
-        stop = min(start + width, y.size)
-        if np.any(y[start : stop - 1] > y[start + 1 : stop]):
-            return True
-        start, width = stop - 1, 4 * width
-    return False
+    """Whether some neighbouring pair of ``y`` falls, y[k] > y[k+1]."""
+    return bool(np.any(y[:-1] > y[1:]))
 
 
 def _last_true(mask: np.ndarray) -> int | None:
-    """Index of the last True of a bool array, or None when it holds none.
-
-    Blocks from the end, growing fourfold, are searched in turn, so the
-    cost follows the distance of that True from the end: a dense mask
-    costs one small block, a sparse one about a pass.
-    """
-    stop, width = mask.size, 1024
-    while stop > 0:
-        start = max(stop - width, 0)
-        hits = mask[start:stop].nonzero()[0]
-        if hits.size:
-            return start + int(hits[-1])
-        stop, width = start, 4 * width
-    return None
+    """Index of the last True of a bool array, or None when it holds none."""
+    hits = mask.nonzero()[0]
+    return int(hits[-1]) if hits.size else None

@@ -58,25 +58,22 @@ def eval_qcos(z: complex) -> complex:
 
 
 def qcos_zeros(window) -> np.ndarray:
-    """Real zeros of F in the window: +/- pi (2k+1)^2 / 8, sorted."""
+    """Real zeros of F in the window: +/- pi (2k+1)^2 / 8, sorted.
+
+    The zeros for k >= 0 are formed up to the reach max(hi, -lo), whose
+    index the square root may round one down; the negative zeros are
+    their exact negations, and the set is cut to [lo, hi].
+    """
     lo, hi = as_bounds(window)
     if not lo < hi:
         raise BadArgument(f"window must have lo < hi, got {lo!r}, {hi!r}")
-    zeros = []
-    # positive zeros at pi (2k+1)^2/8 <= hi
-    if hi >= PI / 8.0:
-        k_max = int(math.floor((math.sqrt(8.0 * hi / PI) - 1.0) / 2.0))
-        for k in range(k_max + 1):
-            z = PI * (2 * k + 1) ** 2 / 8.0
-            if lo <= z <= hi:
-                zeros.append(z)
-    if lo <= -PI / 8.0:
-        k_max = int(math.floor((math.sqrt(-8.0 * lo / PI) - 1.0) / 2.0))
-        for k in range(k_max + 1):
-            z = -PI * (2 * k + 1) ** 2 / 8.0
-            if lo <= z <= hi:
-                zeros.append(z)
-    return np.asarray(sorted(zeros), dtype=float)
+    reach = max(hi, -lo)
+    k_max = int(math.floor((math.sqrt(8.0 * reach / PI) - 1.0) / 2.0))
+    if PI * (2 * k_max + 3) ** 2 / 8.0 <= reach:
+        k_max += 1
+    half = PI * (2 * np.arange(k_max + 1) + 1) ** 2 / 8.0
+    zeros = np.concatenate((-half[::-1], half))
+    return zeros[np.searchsorted(zeros, lo, "left") : np.searchsorted(zeros, hi, "right")]
 
 
 def zero_set_qcos(window) -> SeparatedSequence:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import bmlab
-from bmlab import _json, cli
+from bmlab import _json, cli, errors
 from bmlab.cli import GENERATOR_GRAMMAR, build_parser, run
 from bmlab.density import interior_density
 from bmlab.envelope import INTERIOR, TOUCHES_WINDOW_EDGE, IntervalFamily
@@ -66,6 +66,44 @@ def test_computation_error_exits_one():
     assert code == 1
     assert out == ""
     assert "WindowTooSmall" in err
+
+
+@pytest.mark.parametrize(
+    "spec, code, line",
+    [
+        ("squares", 1, "bm-lab: WindowTooSmall: radius 0.5 holds no nonzero square"),
+        ("logperturbed", 1, "bm-lab: WindowTooSmall: radius 0.5 holds no perturbed point"),
+        ("file:{path}", 65, "bm-lab: data error: no points of {path} within radius 0.5"),
+    ],
+    ids=["squares", "logperturbed", "file"],
+)
+def test_a_radius_that_holds_no_point_exits_with_one_line(tmp_path, spec, code, line):
+    path = tmp_path / "pts.txt"
+    path.write_text("1\n2\n3\n")
+    got = run_cli(["density", "--seq", spec.format(path=path), "--radius", 0.5])
+    assert got == (code, "", line.format(path=path) + "\n")
+
+
+def _error_classes():
+    return [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.BmLabError)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_the_code_of_its_base(monkeypatch, cls):
+    # a new error type is classified where it is declared: DataError 65, BadArgument 64, the rest 1
+    def fail(*args):
+        raise cls("the message")
+
+    monkeypatch.setattr(cli, "type_estimate", fail)
+    code, out, err = run_cli(["ftype"])
+    assert out == ""
+    if issubclass(cls, errors.BadArgument):
+        assert code == 64
+        assert [line for line in err.splitlines() if "error:" in line] == ["bm-lab ftype: error: the message"]
+    elif issubclass(cls, errors.DataError):
+        assert (code, err) == (65, "bm-lab: data error: the message\n")
+    else:
+        assert (code, err) == (1, f"bm-lab: {cls.__name__}: the message\n")
 
 
 def test_usage_errors_exit_sixtyfour():
@@ -578,6 +616,17 @@ def test_bm_explicit_window():
     assert payload["count"] == 1
 
 
+def test_bm_without_radius_or_window_takes_the_file_hull(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("".join(f"{k}\n" for k in range(-20, 21)))
+    code, out, err = run_cli(["bm", "--input", path, "--a", 0.9])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["params"]["window"] == [-20.0, 20.0] and payload["params"]["radius"] is None
+    _, explicit = run_json(["bm", "--input", path, "--a", 0.9, "--window=-20,20"])
+    assert payload["intervals"] == explicit["intervals"]
+
+
 @pytest.mark.parametrize(
     "source, data, window",
     [
@@ -689,6 +738,31 @@ def test_gap_probe_signatures():
     assert code == 0
     assert payload["classification"] == "BoundedBelow"
     assert payload["min_eigenvalues"][-1] == pytest.approx(2 * PI, rel=1e-6)
+
+
+def eigvalsh_failing_at(call):
+    """np.linalg.eigvalsh, but its ``call``-th call fails to converge."""
+    real, calls = np.linalg.eigvalsh, []
+
+    def eigvalsh(matrix):
+        calls.append(matrix.shape)
+        if len(calls) == call:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(matrix)
+
+    return eigvalsh
+
+
+def test_an_eigensolver_breakdown_keeps_the_sizes_before_it(monkeypatch):
+    argv = ["gap-probe", "--seq", "lattice:1", "--radius", 101, "--gap", PI]
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_failing_at(2))
+    code, out, err = run_cli(argv)
+    assert (code, err) == (2, "")
+    payload = json.loads(out)
+    assert payload["sizes"] == [21] and len(payload["min_eigenvalues"]) == 1
+    assert payload["breakdown"] is True and payload["classification"] == "Inconclusive"
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_failing_at(1))
+    assert run_cli(argv) == (1, "", "bm-lab: NumericalBreakdown: eigensolver failed on the smallest window\n")
 
 
 def test_cauchy_round_trip_and_growth():
@@ -864,8 +938,10 @@ def test_an_empty_pair_is_refused_not_taken_as_absent(argv, flag):
          "an explicit radius ladder needs at least 4 distinct values"),
         (["gap-measure", "--gap", 3, "--smoothness", "soft"],
          "--smoothness must be 'inf' or a nonnegative integer, got 'soft'"),
+        (["density", "--seq", "file:", "--radius", 10], "file generator needs a path: file:<path>"),
+        (["density", "--seq", "lattice", "--radius", 10], "lattice generator needs a step: lattice:<step>"),
     ],
-    ids="window-numbers window-pair y-ladder radius-ladder smoothness".split(),
+    ids="window-numbers window-pair y-ladder radius-ladder smoothness file-path lattice-step".split(),
 )
 def test_handler_usage_errors_print_the_subcommand_usage(argv, message):
     code, out, err = run_cli(argv)

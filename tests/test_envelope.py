@@ -860,9 +860,8 @@ def test_gamma_at_one_over_delta_needs_no_sweep(monkeypatch):
 def test_one_fall_anywhere_takes_the_sweep():
     # rising nodes with one deep fall: the nodes before it lie below the
     # last one before the fall, which no node after it reaches, so the
-    # family splits there.  The inner pairs are compared in blocks of
-    # 1024 and 4096 pairs from the left end, and the falls sit at the first
-    # and the last inner pair and on each side of both block seams
+    # family splits there.  The falls sit at the first and the last inner
+    # pair and at points inside the line, around nodes 1024 and 5120
     n = 6000
     x = np.arange(n, dtype=float)
     window = (-1.0, float(n))

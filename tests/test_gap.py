@@ -711,6 +711,7 @@ def test_gap_preconditions_raise_bad_argument():
         lambda: cauchy_decay(mu, 0.5, [1.0, 2.0, 3.0, 4.0], math.inf),
         lambda: cauchy_decay(mu, 0.5, [1.0, 2.0, 3.0, math.inf]),
         lambda: gram_matrix(np.arange(4.0), math.inf),
+        lambda: gram_matrix(np.arange(4.0).reshape(2, 2), 1.0),
         lambda: min_gap_residual(parse_generator("lattice:1", 10.0), 1.0, [0, 5]),
     ):
         with pytest.raises(BadArgument):

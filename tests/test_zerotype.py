@@ -97,6 +97,29 @@ def test_zero_set_empty_window():
         zero_set_qcos((0.5, 1.0))
 
 
+def zeros_by_loop(lo, hi):
+    """The zeros in [lo, hi], walking k up while pi (2k+1)^2 / 8 is within the reach."""
+    zeros, k = [], 0
+    while (z := PI * (2 * k + 1) ** 2 / 8.0) <= max(hi, -lo):
+        zeros += [v for v in (-z, z) if lo <= v <= hi]
+        k += 1
+    return np.array(sorted(zeros))
+
+
+def test_a_closed_window_keeps_the_zeros_on_its_ends():
+    # sqrt(8 z_k / pi) rounds down below 2k+1 for k = 107, 112, 115, ...
+    for k in range(3000):
+        z = PI * (2 * k + 1) ** 2 / 8.0
+        zeros = qcos_zeros((-z, z))
+        assert zeros.size == 2 * (k + 1) and zeros[0] == -z and zeros[-1] == z, k
+
+
+@pytest.mark.parametrize("window", [(-10.0, 1000.0), (0.1, 50.0), (-50.0, -0.1), (-1e6, 1e6), (-0.5, 0.3)])
+def test_zeros_equal_the_loop_bit_for_bit(window):
+    zeros = qcos_zeros(window)
+    assert zeros.dtype == float and zeros.tobytes() == zeros_by_loop(*window).tobytes()
+
+
 def test_evaluation_at_zeros_within_float_budget():
     # the float budget 1e-9 (1+|lambda|) holds on the inner zeros; beyond
     # k ~ 6 the cosh factor amplifies rounding past any fixed polynomial
