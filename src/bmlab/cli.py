@@ -67,7 +67,7 @@ from .gap import (
     symmetric_gap_measure,
     verify_gap,
 )
-from .sequences import gamma_line, parse_generator, write_csv
+from .sequences import check_radius, gamma_line, parse_generator, write_csv
 from .zerotype import log_abs_cos, log_abs_qcos, type_estimate
 
 EXIT_OK = 0
@@ -118,7 +118,7 @@ def _evidence_ladder(radii):
 
 def _build_sequence(args):
     spec = args.seq if args.input is None else f"file:{args.input}"
-    radius = max(args.radius) if args.radius else None
+    radius = max(map(check_radius, args.radius)) if args.radius else None  # every value checked, not only the largest
     return parse_generator(spec, radius), spec, radius
 
 

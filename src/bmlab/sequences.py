@@ -22,10 +22,11 @@ whole, as an explicit ``PiecewiseLinear``.
 Only this module builds a sequence, and each one gets its ``delta`` from
 ``_minimal_gap``; ``SeparatedSequence`` itself checks nothing.
 ``load_sequence`` sorts outside points (a file, a caller's array) and
-holds them to the rules; ``within`` cuts a sequence to a radius.  The
-built-in generators of ``parse_generator`` (``lattice:<step>``,
-``squares``, ``logperturbed``) build their points sorted and inside the
-window (-radius, radius), so nothing checks them again.
+holds them to the rules; ``within`` cuts a sequence to a radius.  An
+odd point set +-term(k), the built-in generators of ``parse_generator``
+(``lattice:<step>``, ``squares``, ``logperturbed``) and the zeros of
+``zerotype``, is built by one ``odd_points``, sorted and inside its
+window, so nothing checks it again.
 
 Sequence files hold one decimal real per line, as Python's ``float``
 reads it once the line is stripped of white space (so ``1_0`` and
@@ -64,12 +65,6 @@ from .errors import (
 POINTS_CAP = 1 << 23  # points a generator may materialize, lines a data file may hold
 FILE_CHUNK = 1 << 16  # bytes (characters, when parsing) read from a data file at a time
 BLOCK = 1 << 16  # neighbouring pairs per block of a sequence's gap extremes and of a gamma line
-
-
-def check_points(count: float) -> None:
-    """SizeGuard when ``count`` (a NaN too) is beyond POINTS_CAP."""
-    if not count <= POINTS_CAP:
-        raise SizeGuard(f"{count:.3g} generator points beyond the cap {POINTS_CAP}")
 
 
 def check_file_size(path) -> None:
@@ -135,7 +130,7 @@ def write_csv(path, *blocks) -> None:
 
 
 def _checked_window(points: np.ndarray, window) -> tuple[float, float]:
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = as_bounds(window)
     if not lo < hi:
         raise BadArgument("window must satisfy lo < hi")
     if points[0] < lo or points[-1] > hi:
@@ -259,30 +254,31 @@ def load_sequence(points, window=None) -> SeparatedSequence:
     return SeparatedSequence(pts, _checked_window(pts, window), *gaps)
 
 
+def check_radius(radius: float) -> float:
+    """``radius`` when it is positive and finite; BadArgument otherwise."""
+    if not 0.0 < radius < math.inf:
+        raise BadArgument(f"radius must be positive and finite, got {radius!r}")
+    return radius
+
+
 def parse_generator(spec: str, radius: float | None = None) -> SeparatedSequence:
     """Materialize a sequence from a generator spec string.
 
     Grammar: ``lattice:<step>`` | ``squares`` | ``logperturbed`` |
-    ``file:<path>``.  The radius, positive and finite, bounds the built-in
-    generators (their index ranges are derived from it) and is required
-    for them; for file sources it optionally cuts the points to [-radius,
-    radius].  The data window of a radius-bounded sequence is (-radius,
-    radius).  A built-in generator of more than POINTS_CAP points, and a
-    file of more than POINTS_CAP lines, raise SizeGuard before anything is
-    allocated or parsed.
-
-    Only the kept points are built, sorted and inside the window, so they
-    are not checked again; a file goes through ``load_sequence``.  The
-    built-in generators are odd: their points for n >= 0 are cut at the
-    radius (``lattice`` scales the float indices in place), and the
-    negative ones are their exact negations (IEEE rounding is symmetric),
-    so the sequence is the whole index range cut to [-radius, radius] bit
-    for bit.
+    ``file:<path>``.  The built-in generators need the radius and give
+    ``odd_points`` their term and a count that bounds their last index
+    within it: k*step and radius/step, k^2 and sqrt(radius), and k +
+    k/log(k+2) and radius/(1 + 1/log(radius+2)), as log(k+2) <=
+    log(radius+2); a radius below their first nonzero point raises
+    WindowTooSmall.  A file goes through ``load_sequence`` (more than
+    POINTS_CAP lines raise SizeGuard before anything is parsed) and is cut
+    to [-radius, radius] when a radius is given.  A radius-bounded
+    sequence has the data window (-radius, radius).
     """
     name, _, param = spec.partition(":")
     name = name.strip()
-    if radius is not None and not 0.0 < radius < math.inf:
-        raise BadArgument(f"radius must be positive and finite, got {radius!r}")
+    if radius is not None:
+        check_radius(radius)
 
     if name == "file":
         if not param:
@@ -313,37 +309,43 @@ def parse_generator(spec: str, radius: float | None = None) -> SeparatedSequence
     radius = float(radius)
 
     if name == "lattice":
-        check_points(2.0 * (radius / step) + 1.0)
-        n_max = int(math.floor(radius / step))
-        if n_max * step > radius:  # radius / step rounded up past the last point within the radius
-            n_max -= 1
-        elif (n_max + 1) * step <= radius:  # rounded down below a point on the radius
-            n_max += 1
-        if n_max < 1:
-            raise WindowTooSmall(f"radius {radius:g} is below one lattice step {step:g}")
-        half = np.arange(n_max + 1, dtype=float)
-        half *= step
+        term, count, least = lambda k: np.multiply(k, step, out=k), radius / step, step
+        too_small = f"is below one lattice step {step:g}"
     elif name == "squares":
-        check_points(2.0 * math.sqrt(radius) + 1.0)
-        m = int(math.floor(math.sqrt(radius)))
-        if m * m > radius:  # sqrt(radius) rounded up to m, whose square lies past the radius
-            m -= 1
-        if m < 1:
-            raise WindowTooSmall(f"radius {radius:g} holds no nonzero square")
-        half = np.arange(m + 1, dtype=float) ** 2
+        term, count, least, too_small = np.square, math.sqrt(radius), 1.0, "holds no nonzero square"
     else:
-        check_points(2.0 * radius + 1.0)
-        n_max = int(math.floor(radius))
-        if n_max < 1:
-            raise WindowTooSmall(f"radius {radius:g} holds no perturbed point")
-        k = np.arange(n_max + 1, dtype=float)
-        half = k / np.log(k + 2.0)
-        half += k
-        half = half[: np.searchsorted(half, radius, "right")]
-    points = np.empty(2 * half.size - 1)  # in place: a negated copy and a concatenate take about 3x as long
-    np.negative(half[:0:-1], out=points[: half.size - 1])
-    points[half.size - 1 :] = half
+        term, least, too_small = lambda k: np.add(k, k / np.log(k + 2.0), out=k), 1.0, "holds no perturbed point"
+        count = radius / (1.0 + 1.0 / math.log(radius + 2.0))
+    if radius < least:
+        raise WindowTooSmall(f"radius {radius:g} {too_small}")
+    points = odd_points(term, count, (-radius, radius))
     return SeparatedSequence(points, (-radius, radius), *_minimal_gap(points))
+
+
+def odd_points(term, count: float, window) -> np.ndarray:
+    """The odd point set {+-term(k) : k = 0, 1, ...} in the window [lo, hi], sorted.
+
+    ``term`` maps float indices (an array it may write into) to increasing
+    points >= 0; ``count`` estimates the last index within the reach
+    max(hi, -lo), so the indices up to int(count) + 1 are formed and cut
+    at the reach.  The negative points are exact negations (IEEE rounding
+    is symmetric), a term 0 kept once.  A window without lo < hi raises
+    BadArgument, and 2*count + 1 beyond POINTS_CAP (NaN and inf too)
+    SizeGuard, before anything is allocated.
+    """
+    lo, hi = as_bounds(window)
+    if not lo < hi:
+        raise BadArgument(f"window must have lo < hi, got {lo!r}, {hi!r}")
+    if not 2.0 * count + 1.0 <= POINTS_CAP:
+        raise SizeGuard(f"{2.0 * count + 1.0:.3g} generator points beyond the cap {POINTS_CAP}")
+    with np.errstate(over="ignore"):  # the index past the estimate may overflow; the cut drops it
+        half = term(np.arange(int(count) + 2, dtype=float))
+    half = half[: half.searchsorted(max(hi, -lo), "right")]
+    tail = half[1:] if half.size and half[0] == 0.0 else half
+    points = np.empty(tail.size + half.size)  # in place: a negated copy and a concatenate take about 3x as long
+    np.negative(tail[::-1], out=points[: tail.size])
+    points[tail.size :] = half
+    return points[points.searchsorted(lo, "left") : points.searchsorted(hi, "right")]
 
 
 def read_sequence_file(path) -> SeparatedSequence:
@@ -503,7 +505,7 @@ class PiecewiseLinear:
         the nodes, and outside them the edge slope's line in Python floats,
         whose overflow gives inf or nan as numpy's does, without a warning.
         """
-        lo, hi = float(window[0]), float(window[1])
+        lo, hi = as_bounds(window)
         x0, x1 = float(self.x[0]), float(self.x[-1])
         i = int(self.x.searchsorted(lo, side="right"))
         j = int(self.x.searchsorted(hi, side="left"))

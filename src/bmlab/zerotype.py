@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import increasing_ladder, top_half_slope
-from .errors import BadArgument, EmptyRange
+from .errors import EmptyRange
 from .gap import TWO_PI
-from .sequences import SeparatedSequence, as_bounds, load_sequence
+from .sequences import SeparatedSequence, as_bounds, load_sequence, odd_points
 
 PI = math.pi
 
@@ -58,22 +58,16 @@ def eval_qcos(z: complex) -> complex:
 
 
 def qcos_zeros(window) -> np.ndarray:
-    """Real zeros of F in the window: +/- pi (2k+1)^2 / 8, sorted.
+    """Real zeros of F in the window [lo, hi]: +/- pi (2k+1)^2 / 8, sorted.
 
-    The zeros for k >= 0 are formed up to the reach max(hi, -lo), whose
-    index the square root may round one down; the negative zeros are
-    their exact negations, and the set is cut to [lo, hi].
+    ``odd_points`` builds them from the term pi (2k+1)^2 / 8 with the
+    count (sqrt(8 reach / pi) - 1) / 2 for the reach max(hi, -lo): it
+    refuses a window without lo < hi with BadArgument, and more than
+    POINTS_CAP zeros (an infinite end too) with SizeGuard.
     """
     lo, hi = as_bounds(window)
-    if not lo < hi:
-        raise BadArgument(f"window must have lo < hi, got {lo!r}, {hi!r}")
-    reach = max(hi, -lo)
-    k_max = int(math.floor((math.sqrt(8.0 * reach / PI) - 1.0) / 2.0))
-    if PI * (2 * k_max + 3) ** 2 / 8.0 <= reach:
-        k_max += 1
-    half = PI * (2 * np.arange(k_max + 1) + 1) ** 2 / 8.0
-    zeros = np.concatenate((-half[::-1], half))
-    return zeros[np.searchsorted(zeros, lo, "left") : np.searchsorted(zeros, hi, "right")]
+    reach = max(hi, -lo, 0.0)  # 0.0 keeps the root real for a window odd_points refuses
+    return odd_points(lambda k: PI * (2.0 * k + 1.0) ** 2 / 8.0, (math.sqrt(8.0 * reach / PI) - 1.0) / 2.0, (lo, hi))
 
 
 def zero_set_qcos(window) -> SeparatedSequence:

@@ -84,6 +84,20 @@ def test_a_radius_that_holds_no_point_exits_with_one_line(tmp_path, spec, code, 
     assert got == (code, "", line.format(path=path) + "\n")
 
 
+@pytest.mark.parametrize("radii", [[5, "nan"], ["nan", 5], [5, -3], [5, 0]], ids=["5,nan", "nan,5", "5,-3", "5,0"])
+@pytest.mark.parametrize("command", ["bm", "gap-probe", "density", "classify"])
+def test_every_repeated_radius_is_checked(command, radii):
+    # a bad value is refused wherever it stands, not only as the largest
+    extra = {"bm": ["--a", 1], "gap-probe": ["--gap", 3]}.get(command, [])
+    argv = [command, "--seq", "lattice:1", *extra]
+    for r in radii:
+        argv += ["--radius", r]
+    code, out, err = run_cli(argv)
+    bad = next(r for r in radii if r != 5)
+    assert (code, out) == (64, "")
+    assert f"error: radius must be positive and finite, got {float(bad)!r}\n" in err
+
+
 def _error_classes():
     return [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.BmLabError)]
 
@@ -570,6 +584,13 @@ def test_parse_generator_direct():
     assert seq.window == (-30.0, 30.0)
     assert all(abs(p) <= 30.0 for p in seq.points)
     assert "lattice:<step>" in GENERATOR_GRAMMAR
+
+
+def test_the_readme_shows_the_generator_grammar():
+    # the README's generator block is the grammar's list of generators, line for line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Sequences come from a small generator grammar:\n\n```\n", 1)[1].split("\n```", 1)[0]
+    assert block.splitlines() == [line[2:] for line in GENERATOR_GRAMMAR.splitlines() if line.startswith("  ")]
 
 
 # ------------------------------------------------------------ subcommands

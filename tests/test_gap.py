@@ -25,6 +25,7 @@ from bmlab.gap import (
     verify_gap,
 )
 from bmlab.sequences import load_sequence, parse_generator
+from bmlab.zerotype import qcos_zeros
 from conftest import logperturbed_points
 
 TWO_PI = 2 * math.pi
@@ -276,6 +277,9 @@ def test_size_caps_refuse_before_allocating():
             verify_gap(mu, (0.0, 1.0), 1.0 / GRID_POINTS_CAP)
         with pytest.raises(SizeGuard):
             verify_gap(mu, (0.4, 2.6), 1e-320)  # the step count overflows to inf
+        for window in ((0.0, math.inf), (-math.inf, 0.0), (-1.0, 1e17)):  # the model's zeros
+            with pytest.raises(SizeGuard):
+                qcos_zeros(window)
         for argv in (
             ["cauchy", "--gap", "3", "--x", "1", "--y-count", "10000000000"],
             ["ftype", "--y-count", "10000000000"],

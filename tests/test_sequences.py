@@ -175,12 +175,15 @@ def _generator_cases():
         for k in (3, 7, 50):
             for radius in _around(k * step):
                 yield f"lattice:{step!r}", radius, np.array([n * step for n in range(-k - 2, k + 3)])
+    yield "lattice:1e308", 1.5e308, np.array([-1e308, 0.0, 1e308])  # the index past the estimate overflows
     for m in (2, 5, 9, 10, 11, 17, 18, 100):  # but at 2 and 100, sqrt rounds the double below m^2 up to m
         for radius in _around(float(m * m)):
             yield "squares", radius, np.array([float(n * abs(n)) for n in range(-m - 1, m + 2)])
     for n in (1, 7, 50, 3326):
         for radius in _around(float(logperturbed_points(n)[-1])):
             yield "logperturbed", radius, logperturbed_points(n + 1)
+    for radius in (1.0, 1.25, 1.5, float(np.nextafter(logperturbed_points(1)[-1], 0.0))):  # {0}: the first point is 1 + 1/ln 3
+        yield "logperturbed", radius, logperturbed_points(1)
 
 
 def test_generated_sequences_hold_the_rules_load_sequence_checks():
@@ -195,6 +198,27 @@ def test_generated_sequences_hold_the_rules_load_sequence_checks():
             checked.delta,
             checked.window,
         ), (spec, radius)
+
+
+@pytest.mark.parametrize("count", [32.0, math.inf, math.nan])
+def test_odd_points_refuse_a_count_beyond_the_cap(monkeypatch, count):
+    monkeypatch.setattr(sequences, "POINTS_CAP", 64)
+    with pytest.raises(SizeGuard):
+        sequences.odd_points(lambda k: k, count, (-1.0, 1.0))
+    assert sequences.odd_points(lambda k: k, 31.5, (-31.5, 31.5)).tolist() == list(range(-31, 32))
+
+
+def test_the_logperturbed_count_bounds_every_kept_index(monkeypatch):
+    # odd_points forms the indices up to int(count) + 1: the term there
+    # must lie past the radius, so the formed range holds every kept point;
+    # the builder is replaced, so no point array is formed
+    built = []
+    monkeypatch.setattr(sequences, "odd_points", lambda term, count, window: built.append((term, count)) or np.zeros(1))
+    rng = np.random.default_rng(38)
+    for radius in np.exp(rng.uniform(0.0, math.log(4.4e6), 10_000)):
+        parse_generator("logperturbed", float(radius))
+        term, count = built.pop()
+        assert term(np.array([int(count) + 1.0]))[0] > radius, radius
 
 
 # ---------------------------------------------------------------- counting

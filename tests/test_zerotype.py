@@ -114,7 +114,22 @@ def test_a_closed_window_keeps_the_zeros_on_its_ends():
         assert zeros.size == 2 * (k + 1) and zeros[0] == -z and zeros[-1] == z, k
 
 
-@pytest.mark.parametrize("window", [(-10.0, 1000.0), (0.1, 50.0), (-50.0, -0.1), (-1e6, 1e6), (-0.5, 0.3)])
+Z107 = PI * 215**2 / 8.0  # sqrt(8 z / pi) rounds below 215 here
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        (-10.0, 1000.0),
+        (0.1, 50.0),
+        (-50.0, -0.1),
+        (-1e6, 1e6),
+        (-0.5, 0.3),
+        (0.0, Z107),
+        (-Z107, 0.0),
+        (PI * 9**2 / 8.0 + 0.5, PI * 11**2 / 8.0 - 0.5),  # between two zeros: none
+    ],
+)
 def test_zeros_equal_the_loop_bit_for_bit(window):
     zeros = qcos_zeros(window)
     assert zeros.dtype == float and zeros.tobytes() == zeros_by_loop(*window).tobytes()
