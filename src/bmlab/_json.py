@@ -7,7 +7,8 @@ floats rendered with %.17g (roundtrip exact, locale free), numpy
 scalars and arrays coerced, non-finite floats mapped to strings since
 JSON has no literals for them, and a dataclass printed as the object of
 its fields, so a report's JSON keys are its field names.  Dict keys must
-be str; any other key is a TypeError.
+be str: a key of any other type is refused with the TypeError that
+``re.sub`` raises on it in ``_escape``.
 
 ``Table``, equal-length column arrays by name in a declared order, is
 the one representation of a report table, with two printers.
@@ -51,13 +52,6 @@ def _escape(s: str) -> str:
     return '"' + _ESCAPED.sub(_escape_char, s) + '"'
 
 
-def _key(key) -> str:
-    """A dict key as JSON text; a key that is not str is refused."""
-    if not isinstance(key, str):
-        raise TypeError(f"cannot serialize a dict key of type {type(key).__name__}")
-    return _escape(key)
-
-
 def fields(obj) -> dict:
     """A dataclass instance's declared fields by name; properties, cached
     or not, are not fields and never appear."""
@@ -73,7 +67,7 @@ class Table:
     def json(self) -> str:
         keys = sorted(self.columns)
         columns = [_column(self.columns[k]) for k in keys]
-        template = "{" + ", ".join(_key(k).replace("%", "%%") + ": " + c[0] for k, c in zip(keys, columns)) + "}"
+        template = "{" + ", ".join(_escape(k).replace("%", "%%") + ": " + c[0] for k, c in zip(keys, columns)) + "}"
         return "[" + ", ".join(map(template.__mod__, zip(*(c[1] for c in columns)))) + "]"
 
 
@@ -96,7 +90,7 @@ def dumps(obj) -> str:
     if isinstance(obj, str):
         return _escape(obj)
     if isinstance(obj, dict):
-        return "{" + ", ".join([_key(k) + ": " + dumps(obj[k]) for k in sorted(obj)]) + "}"
+        return "{" + ", ".join([_escape(k) + ": " + dumps(obj[k]) for k in sorted(obj)]) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(map(dumps, obj)) + "]"
     if isinstance(obj, Table):

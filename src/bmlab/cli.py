@@ -204,12 +204,7 @@ def _cmd_classify(args):
 
 def _cmd_bm(args):
     seq, spec, radius = _build_sequence(args)
-    if args.window is not None:
-        window = _parse_pair(args.window, "--window")
-    elif radius is not None:
-        window = (-radius, radius)
-    else:
-        window = seq.window
+    window = seq.window if args.window is None else _parse_pair(args.window, "--window")
     gamma = gamma_line(seq, args.a)
     lo, hi, *_ = gamma.window_ends(window)  # a reversed or non-finite window is refused first
     data = seq.window

@@ -371,11 +371,11 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
         floors.append(floor)
         floored.append(max(lam_min, floor))
 
-    if breakdown and not raw:
+    if not raw:  # only a breakdown leaves no window
         raise NumericalBreakdown("eigensolver failed on the smallest window")
 
     ratios = [floored[k + 1] / floored[k] for k in range(len(floored) - 1)]
-    fall = floored[0] / floored[-1] if floored[-1] > 0 else math.inf
+    fall = floored[0] / floored[-1]  # every floor is at least eps
     if breakdown:
         classification = INCONCLUSIVE
     elif raw[-1] <= floors[-1]:
@@ -388,7 +388,7 @@ def min_gap_residual(seq: SeparatedSequence, a: float, sizes) -> GapProbeReport:
         classification = INCONCLUSIVE
 
     return GapProbeReport(
-        sizes=sizes[: len(raw)] if breakdown else sizes,
+        sizes=sizes[: len(raw)],
         min_eigenvalues=raw,
         floored_eigenvalues=floored,
         noise_floors=floors,

@@ -151,7 +151,7 @@ def _minimal_gap(points: np.ndarray) -> tuple[float, np.ndarray]:
     the largest double raises GapOverflow (only a span beyond it can hold
     one, so only then are the gaps looked at for it).
     """
-    if points.size > 1 and float(points[-1]) - float(points[0]) == math.inf:  # only then can a gap overflow
+    if float(points[-1]) - float(points[0]) == math.inf:  # only then can a gap overflow
         with np.errstate(over="ignore"):
             wide = np.flatnonzero(np.diff(points) == math.inf)
         if wide.size:
@@ -234,10 +234,10 @@ def load_sequence(points, window=None) -> SeparatedSequence:
         Data window; defaults to [min(points), max(points)].
     """
     pts = np.array(points, dtype=float)
-    if pts.ndim == 1 and not np.all(pts[:-1] < pts[1:]):  # strictly increasing input is already sorted
-        pts = np.sort(pts)
     if pts.ndim != 1:
         raise BadArgument(f"points must be a 1d array, got shape {pts.shape}")
+    if not np.all(pts[:-1] < pts[1:]):  # strictly increasing input is already sorted
+        pts = np.sort(pts)
     if pts.size == 0:
         raise EmptyRange("a sequence needs at least one point")
     if not np.isfinite(pts).all():
@@ -492,7 +492,7 @@ class PiecewiseLinear:
             out = np.where(left, self.y[0] + self.left_slope * (t_arr - self.x[0]), out)
         if np.any(right):
             out = np.where(right, self.y[-1] + self.right_slope * (t_arr - self.x[-1]), out)
-        if np.isscalar(t) or np.ndim(t) == 0:
+        if np.ndim(t) == 0:
             return float(out)
         return out
 

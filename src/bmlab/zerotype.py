@@ -2,8 +2,10 @@
 
 The central object is F(z) = cos(sqrt(2 pi z)) * cos(sqrt(-2 pi z)).
 Both factors are entire in z because cos(sqrt(w)) is an even power
-series in sqrt(w); F has order 1/2 in each factor, real zeros exactly at
-+/- pi (2k+1)^2 / 8, and along the imaginary axis grows like
+series in sqrt(w): either square root of w gives the same cosine, so
+``eval_qcos`` takes cmath's principal root and no branch shows in F.  F
+has order 1/2 in each factor, real zeros exactly at +/- pi (2k+1)^2 / 8,
+and along the imaginary axis grows like
 exp(2 sqrt(pi |y| / 2)), slower than exp(t |y|) for every t > 0.  Such
 functions separate "zero type" from "bounded" and provide test material
 for the growth fitting in type_estimate.
@@ -28,33 +30,17 @@ from .sequences import SeparatedSequence, as_bounds, load_sequence, odd_points
 
 PI = math.pi
 
-_SERIES_TERMS = 24         # cos(sqrt(w)) partial sum, enough for |w| <= 30
-_SERIES_RADIUS = 30.0
 _LOG_COS_SWITCH = 40.0     # |Im w| above which the peeled form is used
 
 
-def _cos_sqrt(w: complex) -> complex:
-    """cos(sqrt(w)) as an entire function of w.
-
-    Small |w| uses the even power series sum (-1)^k w^k / (2k)! which has
-    no branch at all; larger |w| takes cos of a square root, safe because
-    cosine is even so the branch choice cancels.
-    """
-    w = complex(w)
-    if abs(w) <= _SERIES_RADIUS:
-        total = complex(1.0)
-        term = complex(1.0)
-        for k in range(1, _SERIES_TERMS + 1):
-            term *= -w / ((2 * k - 1) * (2 * k))
-            total += term
-        return total
-    return cmath.cos(cmath.sqrt(w))
-
-
 def eval_qcos(z: complex) -> complex:
-    """F(z) = cos(sqrt(2 pi z)) cos(sqrt(-2 pi z))."""
+    """F(z) = cos(sqrt(2 pi z)) cos(sqrt(-2 pi z)), each factor cmath's cos
+    of cmath's principal square root.  Cosine is even, so the root's branch
+    cancels and the factors are entire: across the cut on the negative
+    axis the root changes sign and the cosine does not.
+    """
     z = complex(z)
-    return _cos_sqrt(TWO_PI * z) * _cos_sqrt(-TWO_PI * z)
+    return cmath.cos(cmath.sqrt(TWO_PI * z)) * cmath.cos(cmath.sqrt(-TWO_PI * z))
 
 
 def qcos_zeros(window) -> np.ndarray:
@@ -91,17 +77,17 @@ def log_abs_cos(w: complex) -> float:
     cos w = e^{-i s w} (1 + e^{2 i s w}) / 2 with s = sign(v), where the
     remaining exponential is damped, giving
     log|cos w| = |v| + log|1 + e^{2 i s w}| - log 2.
+
+    Neither logarithm meets 0: below the switch |cos w| >= |cos Re w|,
+    and no double has a cosine of exactly 0; above it |1 + e^{2 i s w}|
+    >= 1 - e^{-80}.
     """
     w = complex(w)
     v = w.imag
     if abs(v) < _LOG_COS_SWITCH:
-        c = cmath.cos(w)
-        m = abs(c)
-        return math.log(m) if m > 0.0 else -math.inf
+        return math.log(abs(cmath.cos(w)))
     s = 1.0 if v > 0 else -1.0
-    rest = 1.0 + cmath.exp(2j * s * w)
-    m = abs(rest)
-    return abs(v) + (math.log(m) if m > 0.0 else -math.inf) - math.log(2.0)
+    return abs(v) + math.log(abs(1.0 + cmath.exp(2j * s * w))) - math.log(2.0)
 
 
 def log_abs_qcos(z: complex) -> float:

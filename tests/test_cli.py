@@ -17,7 +17,7 @@ import bmlab
 from bmlab import _json, cli, errors
 from bmlab.cli import GENERATOR_GRAMMAR, build_parser, run
 from bmlab.density import interior_density
-from bmlab.envelope import INTERIOR, TOUCHES_WINDOW_EDGE, IntervalFamily
+from bmlab.envelope import INCONCLUSIVE, INTERIOR, TOUCHES_WINDOW_EDGE, IntervalFamily
 from bmlab.gap import lattice_gap_measure
 from bmlab.sequences import parse_generator
 
@@ -134,6 +134,8 @@ def test_usage_errors_exit_sixtyfour():
         code, out, err = run_cli(argv)
         assert code == 64, argv
         assert "generator grammar" in err
+    code, out, err = run_cli(["density", "--seq", "squares:3", "--radius", 10])
+    assert (code, out) == (64, "") and "error: generator 'squares' takes no parameter" in err
 
 
 def test_short_explicit_ladder_needs_four_distinct():
@@ -597,14 +599,29 @@ def test_the_readme_shows_the_generator_grammar():
 
 
 def test_classify_witness_overrides_bracket():
-    code, payload = run_json(["classify", "--seq", "squares", "--radius", 10000])
-    assert code == 0
-    assert payload["polya_class"] == "NotPolya"
-    wit = payload["witness"]
-    assert wit is not None
-    assert wit["shortness"]["verdict"] == "Long"
-    assert len(wit["intervals"]) == len(wit["ratios"])
-    assert len(wit["intervals"]) >= 4
+    # at radius 100 and tol 0.01 the bracket alone is Inconclusive: the witness decides
+    for argv, bracket_class in (([10000], "NotPolya"), ([100, "--tol", 0.01], "Inconclusive")):
+        code, payload = run_json(["classify", "--seq", "squares", "--radius", *argv])
+        assert code == 0
+        assert payload["polya_class"] == "NotPolya"
+        assert payload["density"]["polya_class"] == bracket_class
+        wit = payload["witness"]
+        assert wit is not None
+        assert wit["shortness"]["verdict"] == "Long"
+        assert len(wit["intervals"]) == len(wit["ratios"])
+        assert len(wit["intervals"]) >= 4
+
+
+def test_an_inconclusive_trial_stops_the_bisection(monkeypatch):
+    """The first Inconclusive trial ends the bisection, and a bracket still
+    at [0, 2/delta] is Inconclusive: exit 2.  A search that goes on past an
+    Inconclusive trial would change the first rule on purpose."""
+    real = bmlab.density.is_almost_decreasing
+    monkeypatch.setattr(bmlab.density, "is_almost_decreasing", lambda gamma, radii: (INCONCLUSIVE, real(gamma, radii)[1]))
+    code, payload = run_json(["density", "--seq", "lattice:1", "--radius", 100])
+    assert code == 2
+    assert [t["verdict"] for t in payload["trials"]] == [INCONCLUSIVE]
+    assert (payload["a_lower"], payload["a_upper"], payload["polya_class"]) == (0.0, 2.0, INCONCLUSIVE)
 
 
 def test_classify_lattice_has_no_witness():
@@ -791,11 +808,15 @@ def test_cauchy_round_trip_and_growth():
     assert code == 0
     assert payload["verdict"] == "VanishesCompatible"
     assert payload["half_gap"] == 1.5
+    assert payload["y_values"] == np.linspace(2.0, 20.0, 10).tolist()  # the default ladder is linear
     assert payload["plus"]["log_abs"][-1] <= math.log(1e-6)
     assert payload["minus"]["log_abs"][-1] <= math.log(1e-6)
     code, payload = run_json(["cauchy", "--gap", 3.0, "--x", 3.0])
     assert code == 0
     assert payload["verdict"] == "Not"
+    # a linear ladder may start below 0; the engine refuses it, not the flags
+    code, out, err = run_cli(["cauchy", "--gap", 3.0, "--x", 0.75, "--y-min=-1"])
+    assert (code, out) == (64, "") and "error: y_values must be 4 or more values" in err
 
 
 def test_ftype_defaults_qcos():
@@ -803,7 +824,7 @@ def test_ftype_defaults_qcos():
     assert code == 0
     assert payload["fitted_type"] <= 0.01
     assert payload["fitted_sqrt_coeff"] == pytest.approx(2 * math.sqrt(PI), rel=1e-3)
-    assert len(payload["y_values"]) == 64
+    assert payload["y_values"] == np.geomspace(10.0, 1e6, 64).tolist()
 
 
 def test_ftype_cos_ladder():
@@ -880,6 +901,7 @@ def test_gap_probe_csv(tmp_path):
         ["gap-measure", "--gap", 3, "--grid-step", "inf"],
         ["gap-measure", "--gap", 3, "--n", 64, "--grid-step", 0],
         ["gap-probe", "--seq", "lattice:1", "--radius", 101, "--gap", 1e308],
+        ["ftype", "--y-max", 0],
     ],
 )
 def test_domain_errors_exit_sixtyfour(tmp_path, recwarn, argv):

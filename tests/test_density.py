@@ -130,8 +130,35 @@ def test_too_few_points_rejected():
 
 def test_one_sided_window_rejected():
     seq = load_sequence(np.arange(1.0, 40.0), window=(0.5, 40.0))
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(WindowTooSmall, match="two-sided"):
         interior_density(seq)
+
+
+def test_a_strictly_rising_line_is_a_no_where_the_counting_bound_is_silent():
+    # the first trial a = fl(1/delta) has a*delta == 1.0, so the counting bound
+    # does not decide it, while every computed pair rises: were it a Yes, the
+    # bracket would close on [1018.36, 1018.39] and miss the density 1000
+    rng = np.random.default_rng(21)
+    seq = load_sequence((np.arange(-60, 61) + rng.uniform(-0.01, 0.01, 121)) * 1e-3)
+    rep = interior_density(seq)
+    first = rep.trials[0]
+    assert first.a * seq.delta == 1.0 and gamma_line(seq, first.a).trend == 1
+    assert first.verdict == NO
+    assert rep.polya_class == POLYA and rep.a_lower <= 1000.0 <= rep.a_upper
+
+
+def test_a_long_interior_family_is_a_no():
+    # the integers of [-1e4, 1e4] without the holes +-[2^k, 1.5 * 2^k): D_* = 0.
+    # Each No below a = 1/2 rests on a Long interior family alone; were those
+    # trials Inconclusive, the bracket would stop at [0, 0.5]
+    n = np.arange(-10000, 10001)
+    m = np.abs(n)
+    hole = (m >= 1) & (m < 1.5 * np.exp2(np.floor(np.log2(np.maximum(m, 1)))))
+    rep = interior_density(load_sequence(n[~hole].astype(float)))
+    assert (rep.polya_class, rep.a_lower, rep.a_upper) == (NOT_POLYA, 0.0, 0.03125)
+    low = [t for t in rep.trials if t.a < 0.5]
+    assert low and all(t.verdict == NO for t in low)
+    assert all(t.shortness.verdict == LONG and t.shortness.model == "LogGrowth" for t in low)
 
 
 def test_ladder_beyond_window_rejected():

@@ -402,6 +402,18 @@ def test_classify_power_growth_is_other_model():
     assert report.model == "Other"
 
 
+@pytest.mark.parametrize(
+    "sum_at",
+    [lambda r: 0.05 * math.log(r) + 1.0, lambda r: r**0.3, lambda r: 2e12],
+    ids=["log-slope-below-min", "power-slope-below-min", "flat-above-sum-cap"],
+)
+def test_sums_just_outside_a_decision_constant_are_inconclusive(sum_at):
+    # clean fits, r^2 = 1: Long but for LOG_SLOPE_MIN and POWER_SLOPE_MIN,
+    # Short but for SUM_CAP
+    radii = [1024.0 / 2 ** (7 - j) for j in range(8)]
+    assert classify_short_long(radii, [sum_at(r) for r in radii], degenerate=False).verdict == INCONCLUSIVE
+
+
 # ---------------------------------------------------------------- bm_family
 
 

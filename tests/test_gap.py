@@ -388,6 +388,12 @@ def test_cauchy_delta_measure_trivial_sense():
     assert abs(rep.minus.rate) < 1e-5
 
 
+def test_cauchy_of_a_zero_measure_is_minus_infinity():
+    mu = DiscreteMeasure(np.array([0.0, 1.0]), np.zeros(2, dtype=complex))
+    rep = cauchy_decay(mu, 0.5, [1.0, 2.0, 3.0, 4.0])
+    assert rep.plus.log_abs.tolist() == rep.minus.log_abs.tolist() == [-math.inf] * 4
+
+
 def test_cauchy_round_trip_inside_gap():
     a_prime = 3.14159 / 2
     mu = symmetric_gap_measure(a_prime, 256)
@@ -566,6 +572,19 @@ def test_gap_probe_one_window_is_no_evidence_of_a_bound(lattice301):
     assert rep.min_eigenvalues == [pytest.approx(TWO_PI, rel=1e-9)]
 
 
+@pytest.mark.parametrize(
+    "lam_mins", [[1.0, 0.5, 0.02, 0.05], [1.0, 1.1, 5.0]], ids=["tenfold-fall-with-a-rise", "rise-past-twice"]
+)
+def test_gap_probe_trends_that_neither_rule_takes_are_inconclusive(lattice301, monkeypatch, lam_mins):
+    # a fall of 20x with a 2.5x step up is no monotone decay, and a value 5x
+    # the first leaves the BoundedBelow band
+    values = iter(lam_mins)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda matrix: np.array([next(values), 1.0]))
+    rep = min_gap_residual(lattice301, 3.0, [5, 7, 9, 11][: len(lam_mins)])
+    assert rep.min_eigenvalues == lam_mins
+    assert rep.classification == "Inconclusive"
+
+
 def test_gap_probe_squares_recorded_classification():
     sq = parse_generator("squares", 10000.0)
     rep = min_gap_residual(sq, 0.5, [21, 51, 101, 201])
@@ -715,8 +734,13 @@ def test_gap_preconditions_raise_bad_argument():
         lambda: cauchy_decay(mu, 0.5, [1.0, 2.0, 3.0, 4.0], math.inf),
         lambda: cauchy_decay(mu, 0.5, [1.0, 2.0, 3.0, math.inf]),
         lambda: gram_matrix(np.arange(4.0), math.inf),
+        lambda: gram_matrix(np.arange(4.0), 0.0),
+        lambda: gram_matrix(np.arange(4.0), -1.0),
+        lambda: gram_matrix(np.arange(4.0), math.nan),
         lambda: gram_matrix(np.arange(4.0).reshape(2, 2), 1.0),
+        lambda: gram_matrix(np.empty(0), 1.0),
         lambda: min_gap_residual(parse_generator("lattice:1", 10.0), 1.0, [0, 5]),
+        lambda: min_gap_residual(parse_generator("lattice:1", 10.0), 3.0, []),
     ):
         with pytest.raises(BadArgument):
             call()

@@ -89,13 +89,15 @@ def test_empty_input_rejected():
 
 
 def test_points_of_a_wrong_shape_are_refused_with_the_shape():
-    with pytest.raises(BadArgument, match=r"\(2, 2\)"):
-        load_sequence(np.zeros((2, 2)))
+    for points, shape in ((np.zeros((2, 2)), r"\(2, 2\)"), (5.0, r"\(\)")):
+        with pytest.raises(BadArgument, match=shape):
+            load_sequence(points)
 
 
 def test_window_must_contain_points():
-    with pytest.raises(OutOfWindow):
-        load_sequence([0.0, 5.0], window=(-1.0, 1.0))
+    for window in ((-1.0, 1.0), (1.0, 6.0)):  # a point right of the window, and one left of it
+        with pytest.raises(OutOfWindow):
+            load_sequence([0.0, 5.0], window=window)
 
 
 def test_singleton_has_infinite_delta():
@@ -306,8 +308,9 @@ def test_count_in_degenerate_point():
 
 def test_count_in_out_of_window():
     seq = load_sequence([0.0, 1.0], window=(-2.0, 2.0))
-    with pytest.raises(OutOfWindow):
-        count_in(seq, (0.0, 5.0))
+    for interval in ((0.0, 5.0), (-5.0, 0.0)):
+        with pytest.raises(OutOfWindow):
+            count_in(seq, interval)
 
 
 @given(
@@ -362,6 +365,7 @@ def test_pwl_eval_and_extrapolation():
         np.array([0.0, 1.0]), np.array([0.0, 2.0]), left_slope=1.0, right_slope=-1.0
     )
     assert f(0.5) == pytest.approx(1.0)
+    assert type(f(0.5)) is float and type(f(np.float64(0.5))) is float
     assert f(-2.0) == pytest.approx(-2.0)
     assert f(3.0) == pytest.approx(0.0)
     out = f(np.array([0.0, 2.0]))
@@ -440,6 +444,11 @@ def test_sequence_preconditions_raise_bad_argument():
     for a in (math.nan, math.inf, 1e308):
         with pytest.raises(BadArgument):
             gamma_line(seq, a)
+    with pytest.raises(BadArgument):  # the radius is checked before the generator's least point
+        parse_generator("lattice:1", -1.0)
+    for step in ("inf", "nan", "0", "-1"):
+        with pytest.raises(BadArgument, match="lattice step must be positive"):
+            parse_generator(f"lattice:{step}", 10.0)
 
 
 def test_subnormal_gap_is_not_separated():

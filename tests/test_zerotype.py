@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bmlab.density import interior_density
 from bmlab.errors import BadArgument, EmptyRange
 from bmlab.zerotype import (
-    _cos_sqrt,
     eval_qcos,
     log_abs_cos,
     log_abs_qcos,
@@ -48,18 +47,20 @@ def test_real_on_real_axis():
         assert abs(v.imag) < 1e-9 * (1.0 + abs(v))
 
 
-def test_series_branch_agreement_on_overlap():
-    # the series is used for |w| <= 30, cos(sqrt(w)) beyond; both must agree
-    # near the switch radius away from zeros of cos
+def _mp_qcos(z):
+    with mpmath.workdps(40):
+        t = 2 * mpmath.pi * mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.cos(mpmath.sqrt(t)) * mpmath.cos(mpmath.sqrt(-t)))
+
+
+def test_eval_qcos_matches_mpmath_on_the_disc_of_radius_5():
+    # cmath's cos of the principal root, against 40 digits: within 64 ulps of
+    # max(1, |F|) (the worst of these is 23), the four inner zeros included
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        r = rng.uniform(25.0, 30.0)
-        th = rng.uniform(0.0, 2 * PI)
-        w = complex(r * math.cos(th), r * math.sin(th))
-        series = _cos_sqrt(w)
-        branch = cmath.cos(cmath.sqrt(w))
-        if abs(branch) > 1e-6:
-            assert abs(series - branch) / abs(branch) < 1e-10
+    zs = 5.0 * np.sqrt(rng.uniform(0.0, 1.0, 500)) * np.exp(2j * PI * rng.uniform(0.0, 1.0, 500))
+    for z in [*zs.tolist(), PI / 8, -PI / 8, 9 * PI / 8, -9 * PI / 8]:
+        ref = _mp_qcos(complex(z))
+        assert abs(eval_qcos(z) - ref) <= 64 * EPS * max(1.0, abs(ref))
 
 
 def test_branch_independent_of_sqrt_sign():
@@ -93,8 +94,10 @@ def test_zero_gaps_grow_linearly():
 
 
 def test_zero_set_empty_window():
-    with pytest.raises(EmptyRange):
-        zero_set_qcos((0.5, 1.0))
+    for window in ((0.5, 1.0), (-0.2, 0.2)):  # between two zeros of one sign, and around 0
+        assert qcos_zeros(window).size == 0
+        with pytest.raises(EmptyRange, match="no zeros"):
+            zero_set_qcos(window)
 
 
 def zeros_by_loop(lo, hi):
@@ -286,6 +289,12 @@ def test_type_of_a_modulus_never_finite_is_nan():
     # no finite point is left to fit: the too_few value of both fits
     est = type_estimate(lambda _z: -math.inf, np.geomspace(10.0, 1e3, 8))
     assert math.isnan(est.fitted_type) and math.isnan(est.fitted_sqrt_coeff)
+
+
+def test_type_of_a_ladder_too_narrow_to_fit_is_nan():
+    # (y - mean)^2 underflows to 0 near 1e-300: the y fit's flat value
+    est = type_estimate(log_abs_cos, [k * 1e-300 for k in range(1, 9)])
+    assert math.isnan(est.fitted_type)
 
 
 def test_type_estimate_needs_eight_values():
