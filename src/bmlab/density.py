@@ -80,7 +80,7 @@ from .envelope import (
     is_almost_decreasing,
     shortness_partial_sum,
 )
-from .errors import BadArgument, WindowTooSmall
+from .errors import BadArgument, SpanTooWide, WindowTooSmall
 from .gap import TWO_PI
 from .sequences import SeparatedSequence, gamma_line
 
@@ -155,6 +155,9 @@ def interior_density(
         window's resolution 2*delta/R.  The Polya / NotPolya call
         uses 2*a_tolerance as decision margin, so a tolerance above
         0.5/delta, which no density (at most 1/delta) could pass, is refused.
+
+    A sequence on which (2/delta)*max|x| overflows, so that ``gamma_line``
+    could refuse a trial's slope, raises SpanTooWide before the first trial.
     """
     if len(seq) < 16:
         raise WindowTooSmall("density needs at least 16 points")
@@ -186,6 +189,9 @@ def interior_density(
 
     # 2/delta is a No by the counting bound (its a*delta rounds to 2), so it is not tried
     a_lower, a_upper = 0.0, 2.0 / seq.delta
+    reach = max(-float(seq.points[0]), float(seq.points[-1]), 0.0)
+    if not a_upper * reach < math.inf:  # gamma_line's slope check, for every trial below a_upper
+        raise SpanTooWide(f"points reach {reach!r} at a minimal gap of {seq.delta!r}: slopes to 2/delta overflow a*x")
     while a_upper - a_lower > max(a_tolerance, resolution):
         mid = 0.5 * (a_lower + a_upper)
         if not a_lower < mid < a_upper:
@@ -237,6 +243,8 @@ def _geometric_ladders(window, base: int):
 
     The "both" ladder is ordered by k, the distance to 0, the positive
     interval first: a stable sort of positive then negative by distance.
+    When a side holds no interval it is the other side's ladder, tried
+    just before it, or empty, so it finds nothing new.
     """
     lo, hi = window
     powers = np.ldexp(1.0, np.arange(0, 1024, int(math.log2(base))))
@@ -251,8 +259,7 @@ def _geometric_ladders(window, base: int):
         out.append((f"pow{base}:positive", left[pos], right[pos]))
     if neg.any():
         out.append((f"pow{base}:negative", left[neg], right[neg]))
-    if pos.any() and neg.any():
-        out.append((f"pow{base}:both", left, right))
+    out.append((f"pow{base}:both", left, right))
     return out
 
 

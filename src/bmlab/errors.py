@@ -56,6 +56,10 @@ class BadArgument(BmLabError, ValueError):
     """An argument outside the domain the function accepts."""
 
 
+class SpanTooWide(BmLabError):
+    """The slopes a density search tries, up to 2/delta, overflow a*x on the sequence."""
+
+
 class SizeGuard(BmLabError):
     """An input was refused before allocation because it exceeds a size cap."""
 

@@ -42,6 +42,7 @@ SizeGuard before anything is parsed; the command line exits 1 on it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import sys
@@ -72,7 +73,7 @@ def check_file_size(path) -> None:
 
     Lines end at ``\\n``, ``\\r`` or ``\\r\\n``, as a text file iterates them.
     They are counted over fixed-size binary chunks, so nothing is parsed
-    and at most FILE_CHUNK bytes are held; the count stops at the cap.
+    and at most FILE_CHUNK bytes are held.
     """
     max_bytes = 64 * POINTS_CAP
     lines = size = 0
@@ -86,8 +87,6 @@ def check_file_size(path) -> None:
             tail = chunk[-1:]
             if size > max_bytes:
                 raise SizeGuard(f"{path}: more than {max_bytes} bytes, the cap for a data file")
-            if lines > POINTS_CAP:
-                break
     lines += tail not in (b"", b"\n", b"\r")  # a last line without its end
     if lines > POINTS_CAP:
         raise SizeGuard(f"{path}: more than {POINTS_CAP} lines, the cap for a data file")
@@ -417,7 +416,7 @@ class PiecewiseLinear:
     ``last_rise``, ``falls``, ``count_at_least``, ``suffix_max``,
     ``window_ends`` and ``trend``; pair k joins nodes k and k+1.  Here they
     read the arrays as stored; a ``GammaLine`` answers them a block at a
-    time, without the ordinates of blocks its gaps decide.
+    time, or a node at a time, without the ordinates of blocks its gaps decide.
     """
 
     x: np.ndarray
@@ -443,8 +442,8 @@ class PiecewiseLinear:
         """The ordinates of nodes i to j-1, as a view."""
         return self.y[i:j]
 
-    def ordinate(self, k):
-        """The ordinate of node k, or of the nodes of an index array."""
+    def ordinate(self, k: int):
+        """The ordinate of node k."""
         return self.y[k]
 
     def first_rise(self, i: int, j: int) -> int | None:
@@ -468,10 +467,10 @@ class PiecewiseLinear:
         return self.trend != 1 and _falls(self.y[i : j + 1])
 
     def count_at_least(self, i: int, j: int, level: float) -> int:
-        """How many nodes i <= k < j have y[k] >= level.  The envelope asks
-        only where the ordinates never increase from i to j-1, which a
-        ``GammaLine`` relies on."""
-        return int(np.count_nonzero(self.y[i:j] >= level))
+        """How many nodes i <= k < j have y[k] >= level, where the ordinates
+        never increase from i to j-1 (the envelope asks only there): they
+        lead the range, so a bisection on single ordinates counts them."""
+        return bisect.bisect_left(range(i, j), True, key=lambda k: bool(self.ordinate(k) < level))
 
     def suffix_max(self, i: int, j: int, end: float, out: np.ndarray) -> None:
         """Write m[k] = max(y[i+k:j], end) for k = 0 .. j-i into ``out``: at
@@ -558,7 +557,8 @@ class GammaLine(PiecewiseLinear):
     its ordinates must be compared.  A decided block answers the rise and
     fall queries without them; an undecided one forms its rising-pair
     mask once, when first read.  Reading ``y`` itself fills every block,
-    so a reader that knows no blocks sees the whole array.
+    so a reader that knows no blocks sees the whole array.  It inherits
+    ``count_at_least``, ``suffix_max`` and ``window_ends``: they read through the accessors it overrides.
     """
 
     a: float
@@ -668,18 +668,6 @@ class GammaLine(PiecewiseLinear):
             if self.certified[b] == 0
         )
 
-    def count_at_least(self, i: int, j: int, level: float) -> int:
-        """For ordinates that never increase from i to j-1: the nodes at
-        least ``level`` lead the range, so the count is found first on the
-        nodes that start a block, and then in the one block that holds the
-        last of them."""
-        s, e = i, j
-        if (i // BLOCK + 1) * BLOCK < j:
-            starts = np.arange((i // BLOCK + 1) * BLOCK, j, BLOCK)
-            k = np.count_nonzero(self.ordinate(starts) >= level)
-            s = int(starts[k - 1]) if k else i
-            e = int(starts[k]) if k < starts.size else j
-        return s - i + int(np.count_nonzero(self.ordinates(s, e) >= level))
 
 
 def as_bounds(interval) -> tuple[float, float]:

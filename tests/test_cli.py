@@ -68,6 +68,24 @@ def test_computation_error_exits_one():
     assert "WindowTooSmall" in err
 
 
+def test_a_sequence_whose_trial_slopes_overflow_exits_one(tmp_path):
+    # delta = 1e-300 and points at +-1e10: the first trial a = 1/delta
+    # overflows a*x, a slope the user never gave, so it is no usage error.
+    # Cut to radius 9 the search runs; with the user's --a 1e300 it is one
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(f"{v!r}\n" for v in [*map(float, range(-8, 9)), 1e-300, 1e10, -1e10]))
+    for command in ("density", "classify"):
+        code, out, err = run_cli([command, "--input", path])
+        assert (code, out) == (1, "")
+        assert err.startswith("bm-lab: SpanTooWide: ") and err.count("\n") == 1 and "grammar" not in err
+    code, payload = run_json(["density", "--input", path, "--radius", 9])
+    assert (code, payload["polya_class"], len(payload["trials"])) == (0, "Polya", 1002)
+    assert (payload["a_lower"], payload["a_upper"]) == (0.9799267994283797, 1.0265899803535405)
+    code, out, err = run_cli(["bm", "--input", path, "--a", 1e300])
+    assert (code, out) == (64, "")
+    assert "error: the slope a must keep a*x finite on the sequence, got 1e+300" in err and "generator grammar" in err
+
+
 @pytest.mark.parametrize(
     "spec, code, line",
     [

@@ -19,7 +19,7 @@ from bmlab.envelope import (
     is_almost_decreasing,
     shortness_partial_sum,
 )
-from bmlab.errors import BadArgument, BmLabError, WindowTooSmall
+from bmlab.errors import BadArgument, BmLabError, SpanTooWide, WindowTooSmall
 from bmlab.gap import TWO_PI, cauchy_decay, lattice_gap_measure, min_gap_residual
 from bmlab.sequences import count_in, gamma_line, load_sequence, parse_generator
 from bmlab.zerotype import qcos_zeros
@@ -132,6 +132,15 @@ def test_one_sided_window_rejected():
     seq = load_sequence(np.arange(1.0, 40.0), window=(0.5, 40.0))
     with pytest.raises(WindowTooSmall, match="two-sided"):
         interior_density(seq)
+
+
+def test_a_sequence_whose_trial_slopes_overflow_is_refused_before_a_trial(monkeypatch):
+    # (2/delta)*1e10 overflows, and so does a*x at the first trial a = 1/delta
+    seq = load_sequence([*range(-8, 9), 1e-300, 1e10, -1e10])
+    monkeypatch.setattr(density, "gamma_line", lambda seq, a: pytest.fail("a trial ran"))
+    with pytest.raises(SpanTooWide, match="slopes to 2/delta overflow a\\*x") as caught:
+        interior_density(seq)
+    assert not isinstance(caught.value, BadArgument)
 
 
 def test_a_strictly_rising_line_is_a_no_where_the_counting_bound_is_silent():

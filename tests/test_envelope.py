@@ -1092,3 +1092,57 @@ def test_the_block_accessors_answer_as_the_eager_line(monkeypatch):
                             for level in (*run[:: max(1, run.size // 3)], 0.0, -math.inf):
                                 assert lazy.count_at_least(i, j, level) == eager.count_at_least(i, j, level)
                 assert gamma_line(seq, a).ordinate(i) == y[i]
+
+
+def test_the_head_count_is_a_full_count_on_runs_that_never_increase(monkeypatch):
+    # seeded runs that never increase, from empty ones to runs across the
+    # seams of blocks of 64 pairs, on the eager line and on a GammaLine:
+    # lattice:1 at a = 1 ties every node at 0, and at a = -0.5 its node 0 is
+    # -0.0; the levels are nodes of the run, one ulp either side of them,
+    # the node after it, +-0.0 and +-inf.  A count forms no block
+    monkeypatch.setattr(sequences, "BLOCK", 64)
+    rng = np.random.default_rng(40)
+    seen = set()
+    for seq, a in (
+        (parse_generator("lattice:1", 320.0), 1.0),
+        (parse_generator("lattice:1", 320.0), -0.5),
+        (renewal_sequence(600, 5), 0.5),
+        (parse_generator("logperturbed", 400.0), 0.9),
+    ):
+        eager, lazy = eager_gamma(seq, a), gamma_line(seq, a)
+        assert isinstance(lazy, sequences.GammaLine)
+        y = eager.y
+        if np.any((y == 0.0) & np.signbit(y)):
+            seen.add("-0.0")
+        rises = np.flatnonzero(y[:-1] < y[1:])
+        for _ in range(80):
+            i = int(rng.integers(0, y.size + 1))
+            after = rises[rises >= i]
+            longest = int(after[0]) + 1 if after.size else y.size  # nodes i to longest-1 never increase
+            j = longest if rng.random() < 0.3 else int(rng.integers(i, longest + 1))
+            run = y[i:j]
+            seen.add("empty" if i == j else "seam" if i // 64 != (j - 1) // 64 else "block")
+            nodes = run[rng.integers(0, run.size, 3)] if run.size else run
+            levels = [*nodes, *np.nextafter(nodes, math.inf), *np.nextafter(nodes, -math.inf)]
+            levels += [0.0, -0.0, math.inf, -math.inf]
+            if j < y.size:
+                levels.append(y[j])
+            for level in levels:
+                expected = int(np.count_nonzero(run >= level))
+                assert eager.count_at_least(i, j, level) == expected, (a, i, j, level)
+                filled = bytes(lazy.filled)
+                assert lazy.count_at_least(i, j, level) == expected, (a, i, j, level)
+                assert bytes(lazy.filled) == filled
+    assert seen == {"-0.0", "empty", "seam", "block"}
+
+
+def test_a_head_count_on_a_gamma_line_forms_no_block():
+    # the head of gamma_0.9 on logperturbed runs from block 0, certified to
+    # fall, into the undecided block 1
+    gamma = logperturbed_gamma()
+    y = eager_gamma(parse_generator("logperturbed", 1e5), 0.9).y
+    head = int(np.flatnonzero(y[:-1] < y[1:])[0]) + 1  # nodes 0 to head-1 never increase
+    assert head > sequences.BLOCK
+    for level in (y[0], y[sequences.BLOCK], y[head - 1], y[head], -math.inf):
+        assert gamma.count_at_least(0, head, level) == np.count_nonzero(y[:head] >= level)
+    assert not any(gamma.filled)

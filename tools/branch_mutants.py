@@ -24,7 +24,7 @@ Run from anywhere, with the test dependencies installed:
     python3 tools/branch_mutants.py
 
 It takes no options and runs WORKERS copies side by side.  On 2 vCPUs,
-346 mutants against a suite of 549 tests took 47 minutes.
+338 mutants against a suite of 554 tests took 30 minutes; six lived.
 """
 
 from __future__ import annotations
